@@ -87,10 +87,6 @@ class AnalysisLimitError(Exception):
     """A fixed-point engine exceeded its iteration cap (should be
     unreachable: the abstract state space is finite)."""
 
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
-
 
 def _category(value) -> str:
     if value is VOID_VAL:
@@ -112,6 +108,10 @@ class AbstractInterpretation(kernel.Interpretation):
     A single analysis run owns its summary tables and is single-threaded;
     distinct runs share nothing.
     """
+
+    obj_ref_class = AObjRef
+    fun_ptr_class = AFunPtr
+    this_field = "this_site"
 
     def __init__(self, max_iterations=100_000):
         self.max_iterations = max_iterations
@@ -138,9 +138,6 @@ class AbstractInterpretation(kernel.Interpretation):
     def initial_state(self) -> AState:
         return initial_state()
 
-    def esc(self, state) -> bool:
-        return state.ret is not VOID or state.ex is not VOID
-
     def cond(self, value, then_t, else_t):
         if value is not BOOL:
             self._diag(
@@ -157,11 +154,6 @@ class AbstractInterpretation(kernel.Interpretation):
             return out
 
         return run
-
-    def asg(self, name, value):
-        return kernel.singleton(
-            kernel.focus_update("env", lambda env: env.set(name, value))
-        )
 
     def val(self, name):
         def read(state):
@@ -201,14 +193,6 @@ class AbstractInterpretation(kernel.Interpretation):
                 f"and {_category(right)}"
             )
         return NUM if op in ("+", "-", "*", "/") else BOOL
-
-    def ret(self, value):
-        return kernel.singleton(kernel.focus_update("ret", lambda _: value))
-
-    def fundecl(self, name, sid):
-        return kernel.singleton(
-            kernel.focus_update("env", lambda env: env.set(name, AFunPtr(sid, 0, 0)))
-        )
 
     def apply(self, fun_value, args, this_value, eid):
         def run(f, state):
@@ -279,12 +263,6 @@ class AbstractInterpretation(kernel.Interpretation):
 
         return transform
 
-    def getglobal(self, state):
-        return AObjRef(0)
-
-    def getthis(self, state):
-        return AObjRef(state.this_site)
-
     def newobj(self, eid):
         def run(f, state):
             # allocation-site abstraction: the site's previous abstract
@@ -295,43 +273,6 @@ class AbstractInterpretation(kernel.Interpretation):
             return {(dataclasses.replace(state, obj_mem=obj_mem), AObjRef(eid))}
 
         return run
-
-    def throw(self, value):
-        return kernel.singleton(kernel.focus_update("ex", lambda _: value))
-
-    def catch(self, exc_name, handler_t):
-        def run(f, state):
-            if state.ex is VOID:
-                return {(state, kernel.UNIT)}
-            return handler_t(f, self.exs(exc_name)(state))
-
-        return run
-
-    def exs(self, exc_name):
-        return kernel.focus_update(
-            ("env", "ex"), lambda env, ex: (env.set(exc_name, ex), VOID)
-        )
-
-    def enter(self, caller, sid, args, this_value, params):
-        assert isinstance(this_value, AObjRef), this_value
-        return AState(
-            env=FrozenMap(dict(zip(params, args))),
-            obj_mem=caller.obj_mem,
-            this_site=this_value.site,
-            curried=caller.curried,
-            ret=VOID,
-            ex=VOID,
-        )
-
-    def leave(self, caller, callee):
-        after = dataclasses.replace(
-            caller,
-            obj_mem=callee.obj_mem,
-            curried=callee.curried,
-            ex=callee.ex,
-            ret=VOID,
-        )
-        return after, callee.ret
 
     # fixed-point engines
 
@@ -355,8 +296,7 @@ class AbstractInterpretation(kernel.Interpretation):
                 if iterations > self.max_iterations:
                     raise AnalysisLimitError(
                         f"call summary for function {sid} did not stabilize "
-                        f"within {self.max_iterations} iterations",
-                        key,
+                        f"within {self.max_iterations} iterations"
                     )
                 previous = self._summaries.get(key, frozenset())
                 exits = frozenset(transform(entry))
@@ -436,7 +376,7 @@ def analyze_program(program: Program, max_iterations=100_000, trace=None) -> Ana
     """Analyze a program, returning all final abstract states plus the
     diagnostic log."""
     interp = AbstractInterpretation(max_iterations=max_iterations)
-    f = kernel.solve_function_table(program, interp, trace)
+    f = kernel.FunctionTable(program, interp, trace)
     try:
         outcome = kernel.stm_meaning(program.root)(f, interp.initial_state())
     except DeadBranch:

@@ -179,6 +179,9 @@ def main(argv=None) -> int:
     except CliError as err:
         print(str(err), file=sys.stderr)
         return 1
+    except RecursionError:
+        print("input nests too deeply: recursion limit exceeded", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

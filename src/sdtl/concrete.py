@@ -94,6 +94,10 @@ class ConcreteInterpretation(kernel.Interpretation):
     id of the node being evaluated.
     """
 
+    obj_ref_class = ObjRef
+    fun_ptr_class = FunPtr
+    this_field = "this_ref"
+
     def __init__(self, inputs=()):
         self._inputs = tuple(inputs)
         # allocation-site history, consumed by the soundness harness
@@ -102,9 +106,6 @@ class ConcreteInterpretation(kernel.Interpretation):
     def initial_state(self) -> CState:
         return initial_state(self._inputs)
 
-    def esc(self, state) -> bool:
-        return state.ret is not VOID or state.ex is not VOID
-
     def cond(self, value, then_t, else_t):
         if value is True:
             return then_t
@@ -112,11 +113,6 @@ class ConcreteInterpretation(kernel.Interpretation):
             return else_t
         _check_not_void(value)
         raise EvalError(f"condition not boolean (got {_category(value)})")
-
-    def asg(self, name, value):
-        return kernel.singleton(
-            kernel.focus_update("env", lambda env: env.set(name, value))
-        )
 
     def val(self, name):
         def read(state):
@@ -190,14 +186,6 @@ class ConcreteInterpretation(kernel.Interpretation):
             return left < right
         raise AssertionError(f"unknown operator {op!r}")
 
-    def ret(self, value):
-        return kernel.singleton(kernel.focus_update("ret", lambda _: value))
-
-    def fundecl(self, name, sid):
-        return kernel.singleton(
-            kernel.focus_update("env", lambda env: env.set(name, FunPtr(sid, ())))
-        )
-
     def apply(self, fun_value, args, this_value, eid):
         def run(f, state):
             _check_not_void(fun_value)
@@ -241,12 +229,6 @@ class ConcreteInterpretation(kernel.Interpretation):
 
         return transform
 
-    def getglobal(self, state):
-        return ObjRef(0)
-
-    def getthis(self, state):
-        return ObjRef(state.this_ref)
-
     def newobj(self, eid):
         def alloc(obj_mem):
             ref = len(obj_mem)
@@ -259,39 +241,6 @@ class ConcreteInterpretation(kernel.Interpretation):
             return {step(state)}
 
         return run
-
-    def throw(self, value):
-        return kernel.singleton(kernel.focus_update("ex", lambda _: value))
-
-    def catch(self, exc_name, handler_t):
-        def run(f, state):
-            if state.ex is VOID:
-                return {(state, kernel.UNIT)}
-            return handler_t(f, self.exs(exc_name)(state))
-
-        return run
-
-    def exs(self, exc_name):
-        return kernel.focus_update(
-            ("env", "ex"), lambda env, ex: (env.set(exc_name, ex), VOID)
-        )
-
-    def enter(self, caller, sid, args, this_value, params):
-        assert isinstance(this_value, ObjRef), this_value
-        return CState(
-            env=FrozenMap(dict(zip(params, args))),
-            obj_mem=caller.obj_mem,
-            this_ref=this_value.ref,
-            ret=VOID,
-            ex=VOID,
-            io=caller.io,
-        )
-
-    def leave(self, caller, callee):
-        after = dataclasses.replace(
-            caller, obj_mem=callee.obj_mem, io=callee.io, ex=callee.ex, ret=VOID
-        )
-        return after, callee.ret
 
 
 @dataclass(frozen=True)
@@ -326,7 +275,7 @@ def run_program(program: Program, inputs=(), trace=None, interp=None) -> RunResu
     """
     if interp is None:
         interp = ConcreteInterpretation(inputs)
-    f = kernel.solve_function_table(program, interp, trace)
+    f = kernel.FunctionTable(program, interp, trace)
     with recursion_headroom():
         outcome = kernel.stm_meaning(program.root)(f, interp.initial_state())
     finals = tuple(state for state, _ in outcome)

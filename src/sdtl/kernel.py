@@ -5,9 +5,10 @@ run's function table and a state, and returning a set of (successor state,
 payload) pairs.  Payloads are values for expressions, ``UNIT`` for
 statements, and ``NULL`` for states that escape (pending return or
 exception).  The semantic equations here are written once against the
-:class:`Interpretation` contract; the concrete interpreter and the abstract
-type analysis plug in their own state/value carriers and primitives without
-touching these equations.
+:class:`Interpretation` contract, as are the primitives that only touch the
+state record's ``env``, ``ret``, ``ex`` and receiver fields.  The concrete
+interpreter and the abstract type analysis plug in their own state/value
+carriers and value-level primitives without touching either.
 """
 
 from __future__ import annotations
@@ -141,16 +142,6 @@ def focus_update_returning(field_selection, update):
     return apply
 
 
-def focus_read(field_selection, read):
-    """Read-only projection of the selected fields through `read`."""
-    fields = _as_fields(field_selection)
-
-    def apply(record):
-        return read(*(getattr(record, name) for name in fields))
-
-    return apply
-
-
 def singleton(fn):
     """Wrap a function's result in a one-element set."""
 
@@ -168,31 +159,6 @@ def pure(value) -> Transformer:
 
     def run(f, s):
         return {(s, value)}
-
-    return run
-
-
-def lift_value(read) -> Transformer:
-    """Lift a value reader (State -> Value) to a transformer."""
-
-    def run(f, s):
-        try:
-            return {(s, read(s))}
-        except DeadBranch:
-            return set()
-
-    return run
-
-
-def lift_states(transform) -> Transformer:
-    """Lift a state transformation (State -> set of States) to a transformer
-    whose payload is UNIT."""
-
-    def run(f, s):
-        try:
-            return {(s1, UNIT) for s1 in transform(s)}
-        except DeadBranch:
-            return set()
 
     return run
 
@@ -242,24 +208,33 @@ class Interpretation:
     """Parameter set of the semantics: state and value carriers plus the
     primitive operations the equations below defer to.
 
+    States are records (frozen dataclasses) with fields ``env``, ``ret``,
+    ``ex`` and a receiver field holding the key of the ``this`` object.  The
+    record-state primitives are written here once against those fields, and
+    any further field (heap, I/O, ...) is carried through calls untouched.
+    A domain declares its object-pointer class (one field: the heap key, 0
+    for the global object), its function-pointer class (built from a sid)
+    and the name of its receiver field, and writes the value-level
+    primitives.
+
     State equality must be decidable; distinct states are never compared for
     order.  Methods documented as ``State -> ...`` return functions of the
     state so the equations can lift them point-wise.
     """
 
+    obj_ref_class = None
+    fun_ptr_class = None
+    this_field = None
+
     # node under evaluation, maintained by the kernel (single-threaded per run)
     current_node = None
+
+    # value-level primitives: written by each domain
 
     def initial_state(self):
         raise NotImplementedError
 
-    def esc(self, state) -> bool:
-        raise NotImplementedError
-
     def cond(self, value, then_t: Transformer, else_t: Transformer) -> Transformer:
-        raise NotImplementedError
-
-    def asg(self, name, value):  # State -> set of States
         raise NotImplementedError
 
     def val(self, name):  # State -> Value
@@ -277,12 +252,6 @@ class Interpretation:
     def bin(self, op, left, right):  # -> Value
         raise NotImplementedError
 
-    def ret(self, value):  # State -> set of States
-        raise NotImplementedError
-
-    def fundecl(self, name, sid):  # State -> set of States
-        raise NotImplementedError
-
     def apply(self, fun_value, args, this_value, eid) -> Transformer:
         raise NotImplementedError
 
@@ -292,29 +261,69 @@ class Interpretation:
     def set(self, ref, member, value):  # State -> set of States
         raise NotImplementedError
 
-    def getglobal(self, state):  # -> Value
-        raise NotImplementedError
-
-    def getthis(self, state):  # -> Value
-        raise NotImplementedError
-
     def newobj(self, eid) -> Transformer:
         raise NotImplementedError
 
+    # record-state primitives: shared by every domain
+
+    def esc(self, state) -> bool:
+        return state.ret is not VOID or state.ex is not VOID
+
+    def asg(self, name, value):  # State -> set of States
+        return singleton(focus_update("env", lambda env: env.set(name, value)))
+
+    def ret(self, value):  # State -> set of States
+        return singleton(focus_update("ret", lambda _: value))
+
     def throw(self, value):  # State -> set of States
-        raise NotImplementedError
+        return singleton(focus_update("ex", lambda _: value))
 
     def catch(self, exc_name, handler_t: Transformer) -> Transformer:
-        raise NotImplementedError
+        def run(f, state):
+            if state.ex is VOID:
+                return {(state, UNIT)}
+            return handler_t(f, self.exs(exc_name)(state))
+
+        return run
 
     def exs(self, exc_name):  # State -> State
-        raise NotImplementedError
+        return focus_update(
+            ("env", "ex"), lambda env, ex: (env.set(exc_name, ex), VOID)
+        )
+
+    def fundecl(self, name, sid):  # State -> set of States
+        pointer = self.fun_ptr_class(sid)
+        return singleton(focus_update("env", lambda env: env.set(name, pointer)))
+
+    def getglobal(self, state):  # -> Value
+        return self.obj_ref_class(0)
+
+    def getthis(self, state):  # -> Value
+        return self.obj_ref_class(getattr(state, self.this_field))
 
     def enter(self, caller, sid, args, this_value, params):  # -> State
-        raise NotImplementedError
+        """Callee entry state: parameters bound, receiver from `this_value`,
+        empty slots, and every other field carried in from the caller."""
+        assert isinstance(this_value, self.obj_ref_class), this_value
+        (key,) = vars(this_value).values()
+        return dataclasses.replace(
+            caller,
+            env=FrozenMap(dict(zip(params, args))),
+            ret=VOID,
+            ex=VOID,
+            **{self.this_field: key},
+        )
 
     def leave(self, caller, callee):  # -> (State, return slot)
-        raise NotImplementedError
+        """Caller state after the call: the caller's env and receiver, the
+        callee's pending exception and every other field of the callee."""
+        after = dataclasses.replace(
+            callee,
+            env=caller.env,
+            ret=VOID,
+            **{self.this_field: getattr(caller, self.this_field)},
+        )
+        return after, callee.ret
 
     # call-time hooks with default realizations
 
@@ -344,6 +353,11 @@ class Interpretation:
 class FunctionTable:
     """The run's function space: sid -> (body statement, state transformation).
 
+    The least fixed point of the function space, realized lazily: each
+    entry's transformation re-invokes the interpreter on the body, so
+    recursion in the interpreted program becomes recursion in the host (or,
+    abstractly, a query against the summary engine).
+
     One immutable handle per run; it carries the interpretation so
     transformers can reach the primitives, plus an optional trace callback
     ``trace(node, outcome)`` invoked per statement evaluation.
@@ -366,22 +380,6 @@ class FunctionTable:
 
             entry = self._entries[sid] = (body, transform)
         return entry
-
-    def sids(self) -> frozenset:
-        return frozenset(self.program.fun_table)
-
-    def __contains__(self, sid):
-        return sid in self.program.fun_table
-
-
-def solve_function_table(program, interp, trace=None) -> FunctionTable:
-    """The least fixed point of the function space.
-
-    Realized lazily: each entry's transformation re-invokes the interpreter
-    on the body, so recursion in the interpreted program becomes recursion in
-    the host (or, abstractly, a query against the summary engine).
-    """
-    return FunctionTable(program, interp, trace)
 
 
 # --- Auxiliary call machinery --------------------------------------------------

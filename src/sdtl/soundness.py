@@ -150,7 +150,7 @@ def _top_level_statements(root):
 
 def _staged_states(program, interp):
     """State sets after each top-level statement (escaped states persist)."""
-    table = kernel.solve_function_table(program, interp)
+    table = kernel.FunctionTable(program, interp)
     states = {interp.initial_state()}
     stages = []
     with concrete.recursion_headroom():
@@ -572,18 +572,24 @@ def check_generated_corpus(
     for index, source in enumerate(generate_programs(seed, count, size_bound)):
         input_vectors = default_input_vectors(seed, index, count=vectors)
         label = f"generated:{seed}:{index}"
-        report = differential_test(source, input_vectors, label=label)
+
+        def check(candidate):
+            return differential_test(
+                candidate, input_vectors, label=label, max_iterations=max_iterations
+            )
+
+        report = check(source)
         if report["violations"]:
 
             def still_failing(candidate):
                 try:
-                    trial = differential_test(candidate, input_vectors, label=label)
+                    trial = check(candidate)
                 except (syntax.ParseError, abstract.AnalysisLimitError):
                     return False
                 return bool(trial["violations"])
 
             minimized = shrink_program(source, still_failing)
-            report = differential_test(minimized, input_vectors, label=label)
+            report = check(minimized)
             report["source"] = minimized
             report["caveat"] = classify_caveat(report)
         reports.append(report)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from helpers import PROGRAMS
+from helpers import GOLDEN, PROGRAMS
 from sdtl import cli
+
+GOLDEN_OUTPUT = PROGRAMS.parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,19 @@ def test_missing_file(capsys):
     assert code == 1 and "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["run", "analyze", "dump-ast"])
+@pytest.mark.parametrize("source", [
+    "output " + "(" * 300 + "1" + ")" * 300 + ";",
+    "".join(f"x{i} = {i};\n" for i in range(3000)),
+], ids=["parens300", "statements3000"])
+def test_deep_nesting_exits_1_without_traceback(tmp_path, capsys, command, source):
+    prog = tmp_path / "deep.sdtl"
+    prog.write_text(source)
+    code, _, err = run_cli(capsys, command, str(prog))
+    assert code == 1
+    assert err == "input nests too deeply: recursion limit exceeded\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -97,6 +112,21 @@ def test_analyze_trace_reports_state_counts(capsys):
     assert all(line.startswith("sid=") and " states=" in line
                for line in err.splitlines())
     assert any(line.endswith("states=2") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_analyze_matches_golden_output(capsys, name):
+    r"""The fixtures under tests/golden were recorded, from the repository
+    root, with
+
+        for f in tests/programs/*.sdtl; do
+            PYTHONPATH=src python -m sdtl.cli analyze $f --format json \
+                > tests/golden/$(basename $f .sdtl).json
+        done
+    """
+    code, out, _ = run_cli(capsys, "analyze", path(name), "--format", "json")
+    expected = (GOLDEN_OUTPUT / name).with_suffix(".json").read_text(encoding="utf-8")
+    assert code == 0 and out == expected
 
 
 def test_analyze_output_is_stable(capsys):
@@ -131,6 +161,14 @@ def test_check_soundness_violation_exit_code(tmp_path, capsys):
 def test_analyze_iteration_cap(capsys):
     code, _, err = run_cli(
         capsys, "analyze", path("while_types.sdtl"), "--max-iterations", "1"
+    )
+    assert code == 1 and "analysis failure" in err
+
+
+def test_check_soundness_generated_iteration_cap(capsys):
+    code, _, err = run_cli(
+        capsys, "check-soundness", "--generate", "--count", "12",
+        "--max-iterations", "1",
     )
     assert code == 1 and "analysis failure" in err
 

@@ -1,11 +1,13 @@
+import dataclasses
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from helpers import find_fundecl, load, load_program
-from sdtl import concrete
+from sdtl import abstract, concrete, kernel
 from sdtl.concrete import FunPtr, IOState, ObjRef, run_program
-from sdtl.kernel import VOID, VOID_VAL, EvalError
+from sdtl.kernel import VOID, VOID_VAL, EvalError, FrozenMap
 from sdtl.syntax import parse
 
 
@@ -186,15 +188,64 @@ def test_top_level_this_is_global():
 # --- calls: enter / leave ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class LoggedState:
+    """A toy state record with a field neither built-in domain has."""
+
+    env: FrozenMap
+    this_key: int
+    ret: object
+    ex: object
+    log: tuple
+
+
+class LoggedInterpretation(kernel.Interpretation):
+    obj_ref_class = ObjRef
+    fun_ptr_class = FunPtr
+    this_field = "this_key"
+
+
+HEAP = FrozenMap({0: FrozenMap(), 1: FrozenMap()})
+ABSTRACT_CURRIED = FrozenMap({(7, 1, 9): frozenset({(abstract.NUM,)})})
+
+# per domain: interpretation, caller state, receiver pointer, and a callee
+# value for each field the call must carry in and back out
+CALL_DOMAINS = (
+    (
+        INTERP,
+        dataclasses.replace(concrete.initial_state((9,)), obj_mem=HEAP),
+        ObjRef(1),
+        {"obj_mem": FrozenMap({0: FrozenMap({"seen": 41})}), "io": IOState((), (3,))},
+    ),
+    (
+        abstract.AbstractInterpretation(),
+        dataclasses.replace(
+            abstract.initial_state(), obj_mem=HEAP, curried=ABSTRACT_CURRIED
+        ),
+        abstract.AObjRef(1),
+        {
+            "obj_mem": FrozenMap({0: FrozenMap({"seen": abstract.NUM})}),
+            "curried": FrozenMap(),
+        },
+    ),
+    (
+        LoggedInterpretation(),
+        LoggedState(FrozenMap({"a": 1}), 0, VOID, VOID, ("caller",)),
+        ObjRef(1),
+        {"log": ("caller", "callee")},
+    ),
+)
+
+
 def test_enter_builds_callee_state():
-    program = load_program("fact.sdtl")
-    sid = find_fundecl(program, "fact").sid
-    caller = concrete.initial_state((9,))
-    fptr = FunPtr(sid, ())
-    entry = INTERP.enter(caller, sid, (fptr, 2), ObjRef(0), ("f", "n"))
-    assert dict(entry.env) == {"f": fptr, "n": 2}
-    assert entry.ret is VOID and entry.ex is VOID
-    assert entry.io == caller.io and entry.obj_mem == caller.obj_mem
+    for interp, caller, receiver, carried in CALL_DOMAINS:
+        fptr = interp.fun_ptr_class(7)
+        entry = interp.enter(caller, 7, (fptr, receiver), receiver, ("f", "n"))
+        assert dict(entry.env) == {"f": fptr, "n": receiver}
+        assert interp.getthis(entry) == receiver
+        assert entry.ret is VOID and entry.ex is VOID
+        for name in carried:
+            assert getattr(entry, name) == getattr(caller, name)
 
 
 def test_leave_restores_caller_env_and_keeps_effects():
@@ -204,6 +255,15 @@ def test_leave_restores_caller_env_and_keeps_effects():
     assert state.env["x"] == 42 and state.env["a"] == 1
     assert state.obj_mem[0]["seen"] == 41
     assert state.ret is VOID
+    for interp, caller, receiver, carried in CALL_DOMAINS:
+        entry = interp.enter(caller, 7, (receiver,), receiver, ("p",))
+        callee = dataclasses.replace(entry, ret=receiver, ex=receiver, **carried)
+        after, slot = interp.leave(caller, callee)
+        assert after.env == caller.env
+        assert interp.getthis(after) == interp.getthis(caller)
+        assert after.ret is VOID and after.ex == receiver and slot == receiver
+        for name, value in carried.items():
+            assert getattr(after, name) == value
 
 
 def test_callee_exception_propagates_to_caller():

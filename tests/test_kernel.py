@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from sdtl import concrete, kernel, syntax
 from sdtl.kernel import (
-    NULL, UNIT, VOID, FrozenMap, bind, bind_noesc, eval_params, lift_states,
-    lift_value, pure, singleton, solve_function_table,
+    NULL, UNIT, VOID, FrozenMap, FunctionTable, bind, bind_noesc, eval_params,
+    pure, singleton,
 )
 from sdtl.syntax import parse
 
@@ -30,11 +30,6 @@ def test_focus_update_adds_age():
     assert add_age(BOB) == Contact("bob", "17 st", 32)
 
 
-def test_focus_read_gets_age():
-    get_age = kernel.focus_read("age", lambda a: a)
-    assert get_age(BOB) == 30
-
-
 def test_focus_update_returning_old_age():
     step = kernel.focus_update_returning("age", lambda a: (a + 2, a))
     assert step(BOB) == (Contact("bob", "17 st", 32), 30)
@@ -43,8 +38,6 @@ def test_focus_update_returning_old_age():
 def test_focus_on_several_fields():
     swap = kernel.focus_update(("name", "address"), lambda n, a: (a, n))
     assert swap(BOB) == Contact("17 st", "bob", 30)
-    both = kernel.focus_read(("name", "age"), lambda n, a: f"{n}/{a}")
-    assert both(BOB) == "bob/30"
 
 
 def test_singleton_wraps_result():
@@ -153,33 +146,13 @@ def test_bind_maps_both_branches():
     assert bind(t, k)(TOY, 0) == {(0, 2), (1, 3)}
 
 
-def test_lift_states_identity_is_pure_unit():
-    t = lift_states(lambda s: {s})
-    for s in STATES:
-        assert t(TOY, s) == pure(UNIT)(TOY, s) == {(s, UNIT)}
-
-
-def test_lift_states_empty_is_dead_branch():
-    t = lift_states(lambda s: set())
-    assert t(TOY, 0) == set()
-
-
-def test_lift_value_reads_environment():
-    interp = concrete.ConcreteInterpretation()
-    state = concrete.initial_state()
-    state = kernel.focus_update("env", lambda env: env.set("x", 3))(state)
-    t = lift_value(interp.val("x"))
-    table = kernel.FunctionTable(program=None, interp=interp)
-    assert t(table, state) == {(state, 3)}
-
-
 # --- Equation fidelity: one micro-program per semantic equation ---------------
 
 
 def outcome_of(source, inputs=()):
     program = parse(source)
     interp = concrete.ConcreteInterpretation(inputs)
-    table = solve_function_table(program, interp)
+    table = FunctionTable(program, interp)
     return program, table, kernel.stm_meaning(program.root)(
         table, interp.initial_state()
     )
@@ -265,7 +238,7 @@ def test_paren_is_transparent():
 def test_eval_params_empty_and_constants():
     program = parse("x = 1;")
     interp = concrete.ConcreteInterpretation()
-    table = solve_function_table(program, interp)
+    table = FunctionTable(program, interp)
     state = interp.initial_state()
     assert eval_params(())(table, state) == {(state, ())}
     exps = (syntax.Con(0, 5), syntax.Con(0, 7))
@@ -275,7 +248,7 @@ def test_eval_params_empty_and_constants():
 def test_eval_params_threads_input_stream():
     program = parse("x = 1;")
     interp = concrete.ConcreteInterpretation((1, 2))
-    table = solve_function_table(program, interp)
+    table = FunctionTable(program, interp)
     state = interp.initial_state()
     ((after, values),) = eval_params((syntax.Input(0), syntax.Input(0)))(table, state)
     assert values == (1, 2)
@@ -286,7 +259,7 @@ def test_eval_params_short_circuits_on_escape():
     source = "function boom(){ throw 5; } x = boom() * input;"
     program = parse(source)
     interp = concrete.ConcreteInterpretation((9,))
-    table = solve_function_table(program, interp)
+    table = FunctionTable(program, interp)
     outcome = kernel.stm_meaning(program.root)(table, interp.initial_state())
     ((state, payload),) = outcome
     assert payload is kernel.NULL and state.ex == 5
@@ -297,16 +270,6 @@ def test_call_runs_body_and_restores_caller():
     _, _, outcome = outcome_of("function one(){ return 1; } x = one();")
     ((state, _),) = outcome
     assert state.env["x"] == 1 and state.ret is VOID
-
-
-def test_function_table_domain():
-    program = parse("x = 1;")
-    table = solve_function_table(program, concrete.ConcreteInterpretation())
-    assert table.sids() == frozenset()
-
-    program = parse(open("tests/programs/fact.sdtl").read())
-    table = solve_function_table(program, concrete.ConcreteInterpretation())
-    assert len(table.sids()) == 1
 
 
 def test_mutual_recursion_resolves():

@@ -371,3 +371,25 @@ def test_generated_corpus_is_clean_or_classified():
     for report in reports:
         if report["violations"]:
             assert report["caveat"] is not None
+
+
+def test_generated_corpus_honours_the_iteration_cap():
+    with pytest.raises(abstract.AnalysisLimitError):
+        check_generated_corpus(2026, 12, max_iterations=1)
+
+
+def test_generated_corpus_passes_the_cap_to_the_shrinker(monkeypatch):
+    # a violating program exercises the first check, the shrinker's trials
+    # and the re-check of the minimized program
+    monkeypatch.setattr(soundness, "generate_programs", lambda *_: [SITE_RESET])
+    caps = []
+    original = soundness.differential_test
+
+    def spy(*args, max_iterations, **kwargs):
+        caps.append(max_iterations)
+        return original(*args, max_iterations=max_iterations, **kwargs)
+
+    monkeypatch.setattr(soundness, "differential_test", spy)
+    (report,) = check_generated_corpus(0, 1, max_iterations=777)
+    assert report["caveat"] == "allocation-site-reset"
+    assert len(caps) > 2 and set(caps) == {777}
