@@ -2,11 +2,12 @@
 
 Constants are approximated by their types (Num/Bool), objects by their
 allocation site, and curried function pointers by the call-site expression
-that produced them.  Branches are explored non-deterministically, and loops
-and (possibly recursive, side-effecting) calls are resolved by terminating
-fixed-point iteration: summaries accumulate monotonically over a finite
-state space.  Impossible operations never abort the analysis; they kill the
-offending branch and log a diagnostic.
+that produced them.  Branches are explored non-deterministically.  Loops
+and (possibly recursive, side-effecting) calls are both fixed points of
+their own unfolding, found by one top-down engine over a table of summaries
+keyed by (node id, entry state); summaries accumulate monotonically over a
+finite state space.  Impossible operations never abort the analysis; they
+kill the offending branch and log a diagnostic.
 """
 
 from __future__ import annotations
@@ -116,9 +117,14 @@ class AbstractInterpretation(kernel.Interpretation):
     def __init__(self, max_iterations=100_000):
         self.max_iterations = max_iterations
         self.diagnostics = set()
-        # (sid, entry state) -> frozenset of callee exit states
+        # (node id, entry state) -> frozenset of (exit state, payload)
         self._summaries = {}
-        self._active = set()
+        self._final = set()  # keys whose summaries are complete
+        # node id -> (depth, worklist in joining order) of each solve in
+        # progress, and per depth the lowest depth whose unfinished
+        # summary that solve has read
+        self._worklists = {}
+        self._low = []
         self.stats = {"max_call_iterations": 0, "max_loop_iterations": 0}
         # abstract-cell reuse history, consumed by the soundness harness
         self.reused_sites = set()
@@ -274,92 +280,72 @@ class AbstractInterpretation(kernel.Interpretation):
 
         return run
 
-    # fixed-point engines
+    # fixed-point engine
 
-    def run_call(self, f, sid, entry):
-        """Call summaries by fixed-point iteration.
+    def fixpoint(self, kind, nid, step):
+        """Loop and call summaries from one table, solved top-down.
 
-        Summaries are keyed by (function, entry state).  Starting from the
-        null hypothesis (no exit states), the body is re-evaluated with the
-        current summaries answering nested and recursive calls, and its exit
-        states accumulate into the key's summary until nothing changes.
+        Summaries are keyed by (node id, entry state) and only grow.  A key
+        whose node is not being solved starts a solve of that node; a key
+        whose node is already being solved joins the node's worklist and is
+        answered with its current summary.  When a solve ends without having
+        read an unfinished summary of another node, its keys are final and
+        later queries are answered from the table.
         """
-        key = (sid, entry)
-        if key in self._active:
+
+        def run(f, state):
+            key = (nid, state)
+            if key not in self._final:
+                if nid not in self._worklists:
+                    self._solve(kind, nid, step, f, state)
+                else:
+                    depth, worklist = self._worklists[nid]
+                    worklist.setdefault(state)
+                    self._low[-1] = min(self._low[-1], depth)
             return set(self._summaries.get(key, frozenset()))
-        _, transform = f.lookup(sid)
-        self._active.add(key)
+
+        return run
+
+    def _solve(self, kind, nid, step, f, state):
+        """Re-evaluate `step` on the node's worklist, newest state first,
+        until no summary grows and no state joins."""
+        depth, worklist = len(self._low), {state: None}
+        self._worklists[nid] = (depth, worklist)
+        self._low.append(depth)
         try:
             iterations = 0
             while True:
                 iterations += 1
                 if iterations > self.max_iterations:
                     raise AnalysisLimitError(
-                        f"call summary for function {sid} did not stabilize "
+                        f"{kind} summary for node {nid} did not stabilize "
                         f"within {self.max_iterations} iterations"
                     )
-                previous = self._summaries.get(key, frozenset())
-                exits = frozenset(transform(entry))
-                # summaries never shrink between iterations
-                assert previous <= exits, "call summary shrank"
-                new = previous | exits
-                if new == previous:
-                    break
-                self._summaries[key] = new
-            self.stats["max_call_iterations"] = max(
-                self.stats["max_call_iterations"], iterations
-            )
-            return set(self._summaries.get(key, frozenset()))
-        finally:
-            self._active.discard(key)
-
-    def fix_loop(self, unfold):
-        """Loop meaning by Kleene iteration from the empty transformer.
-
-        The approximation maps every state the loop has been entered from to
-        its current set of (state, payload) exits; re-evaluation continues
-        until the whole table stabilizes, so the result covers every number
-        of unfoldings including zero.
-        """
-
-        def engine(f, start):
-            cache = {}
-            queried = {start}
-
-            def approximation(_f, state):
-                queried.add(state)
-                return set(cache.get(state, frozenset()))
-
-            body = unfold(approximation)
-            iterations = 0
-            while True:
-                iterations += 1
-                if iterations > self.max_iterations:
-                    raise AnalysisLimitError(
-                        f"loop did not stabilize within "
-                        f"{self.max_iterations} iterations"
-                    )
+                joined = len(worklist)
                 changed = False
-                for state in list(queried):
-                    previous = cache.get(state, frozenset())
+                for entry in reversed(list(worklist)):
+                    key = (nid, entry)
+                    previous = self._summaries.get(key, frozenset())
                     try:
-                        out = frozenset(body(f, state))
+                        out = frozenset(step(f, entry))
                     except DeadBranch:
                         out = frozenset()
-                    # the unfolding is monotone: exits never shrink
-                    assert previous <= out, "loop exits shrank"
-                    new = previous | out
-                    if new != previous:
-                        cache[state] = new
+                    # summaries never shrink between iterations
+                    assert previous <= out, f"{kind} summary shrank"
+                    if out != previous:
+                        self._summaries[key] = previous | out
                         changed = True
-                if not changed:
+                if not changed and len(worklist) == joined:
                     break
-            self.stats["max_loop_iterations"] = max(
-                self.stats["max_loop_iterations"], iterations
-            )
-            return set(cache.get(start, frozenset()))
-
-        return engine
+        finally:
+            low = self._low.pop()
+            del self._worklists[nid]
+        stat = f"max_{kind}_iterations"
+        self.stats[stat] = max(self.stats[stat], iterations)
+        if low >= depth:
+            self._final.update((nid, entry) for entry in worklist)
+        else:
+            self._low[-1] = min(self._low[-1], low)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -19,15 +20,38 @@ class CliError(Exception):
     """Program-level failure, reported on stderr with exit code 1."""
 
 
-def _parse_vector(text) -> tuple:
+def _vector(text) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
 
 
-def _parse_vectors(text) -> list:
-    return [_parse_vector(part) for part in text.split(";")]
+def _vectors(text) -> list:
+    return [_vector(part) for part in text.split(";")]
+
+
+def _iteration_cap(text) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _attach_vectors(argv) -> list:
+    """Spell ``--input -3,9`` as ``--input=-3,9``: argparse takes a separate
+    value that starts with '-' and is not a single number for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--input", "--input-sets") and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _load(path) -> str:
@@ -45,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a program concretely")
     run.add_argument("file")
-    run.add_argument("--input", default="", help="comma-separated input integers")
+    run.add_argument(
+        "--input", type=_vector, default="", help="comma-separated input integers"
+    )
     run.add_argument("--trace", action="store_true")
     run.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -53,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("file")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--trace", action="store_true")
-    analyze.add_argument("--max-iterations", type=int, default=100_000)
+    analyze.add_argument("--max-iterations", type=_iteration_cap, default=100_000)
 
     check = sub.add_parser(
         "check-soundness", help="differential-test the analysis against concrete runs"
@@ -61,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("file", nargs="?")
     check.add_argument(
         "--input-sets",
+        type=_vectors,
         default="",
         help="semicolon-separated input vectors, e.g. '0;1;2,3'",
     )
@@ -69,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--count", type=int, default=200)
     check.add_argument("--size", type=int, default=None)
-    check.add_argument("--max-iterations", type=int, default=100_000)
+    check.add_argument("--max-iterations", type=_iteration_cap, default=100_000)
 
     dump = sub.add_parser("dump-ast", help="dump the id-annotated AST as JSON")
     dump.add_argument("file")
@@ -85,7 +112,7 @@ def _cmd_run(args) -> int:
             for state, _ in sorted(outcome, key=repr):
                 print(concrete.trace_line(node, state), file=sys.stderr)
 
-    result = concrete.run_program(program, _parse_vector(args.input), trace=trace)
+    result = concrete.run_program(program, args.input, trace=trace)
     if args.format == "json":
         print(json.dumps({"outputs": list(result.outputs)}))
     else:
@@ -141,7 +168,7 @@ def _cmd_check(args) -> int:
         raise CliError("check-soundness needs a file or --generate")
     report = soundness.differential_test(
         _load(args.file),
-        _parse_vectors(args.input_sets),
+        args.input_sets,
         label=args.file,
         per_statement=args.per_statement,
         max_iterations=args.max_iterations,
@@ -164,7 +191,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_vectors(argv))
     try:
         return _COMMANDS[args.command](args)
     except syntax.ParseError as err:

@@ -325,38 +325,27 @@ class Interpretation:
         )
         return after, callee.ret
 
-    # call-time hooks with default realizations
+    # fixed-point hook with its default realization
 
-    def run_call(self, f: "FunctionTable", sid, entry):
-        """Exit states of function `sid`'s body started from `entry`.
+    def fixpoint(self, kind, nid, step: Transformer) -> Transformer:
+        """Meaning of loop `nid` (kind ``"loop"``) or of the body of function
+        `nid` (kind ``"call"``): the fixed point of `step`, its one unfolding,
+        which re-enters the definition through this hook.
 
-        Default: run the body directly (recursion in the interpreted program
-        becomes recursion in the host).  The abstract interpretation replaces
-        this with its summary-table fixed-point engine.
+        Default: `step` itself, so recursion in the interpreted program
+        becomes recursion in the host.  The abstract interpretation replaces
+        this with its terminating summary-table engine.
         """
-        _, transform = f.lookup(sid)
-        return transform(entry)
-
-    def fix_loop(self, unfold) -> Transformer:
-        """Loop meaning as the fixed point of the unfolding function.
-
-        Default: lazy self-reference.  The abstract interpretation replaces
-        this with a terminating iterate-to-stability engine.
-        """
-
-        def loop(f, s):
-            return unfold(loop)(f, s)
-
-        return loop
+        return step
 
 
 class FunctionTable:
-    """The run's function space: sid -> (body statement, state transformation).
+    """The run's function space: sid -> meaning of the function's body.
 
-    The least fixed point of the function space, realized lazily: each
-    entry's transformation re-invokes the interpreter on the body, so
-    recursion in the interpreted program becomes recursion in the host (or,
-    abstractly, a query against the summary engine).
+    The least fixed point of the function space, realized lazily: a call
+    runs the body's meaning through the interpretation's fixed-point hook,
+    so recursion in the interpreted program becomes recursion in the host
+    (or, abstractly, a query against the summary engine).
 
     One immutable handle per run; it carries the interpretation so
     transformers can reach the primitives, plus an optional trace callback
@@ -369,17 +358,10 @@ class FunctionTable:
         self.trace = trace
         self._entries = {}
 
-    def lookup(self, sid):
-        entry = self._entries.get(sid)
-        if entry is None:
-            body = self.program.stm(sid)
-            meaning = stm_meaning(body)
-
-            def transform(state, _meaning=meaning):
-                return {s1 for s1, _ in _meaning(self, state)}
-
-            entry = self._entries[sid] = (body, transform)
-        return entry
+    def lookup(self, sid) -> Transformer:
+        if sid not in self._entries:
+            self._entries[sid] = stm_meaning(self.program.stm(sid))
+        return self._entries[sid]
 
 
 # --- Auxiliary call machinery --------------------------------------------------
@@ -388,16 +370,18 @@ class FunctionTable:
 def call(sid, args, this_value) -> Transformer:
     """Run function `sid` on `args` with receiver `this_value`.
 
-    Builds the callee entry state, runs the body via the interpretation's
-    call hook, and maps every exit state back through ``leave``.  A Void
-    return slot becomes the unusable ``VOID_VAL`` payload.
+    Builds the callee entry state, runs the body through the
+    interpretation's fixed-point hook, and maps every exit state back
+    through ``leave``.  A Void return slot becomes the unusable ``VOID_VAL``
+    payload.
     """
 
     def run(f, s):
         interp = f.interp
         entry = interp.enter(s, sid, args, this_value, f.program.param(sid))
         out = set()
-        for exit_state in interp.run_call(f, sid, entry):
+        body = interp.fixpoint("call", sid, f.lookup(sid))
+        for exit_state, _ in body(f, entry):
             after, ret = interp.leave(s, exit_state)
             out.add((after, VOID_VAL if ret is VOID else ret))
         return out
@@ -519,14 +503,13 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
             then_t, else_t = stm_meaning(then_body), stm_meaning(else_body)
             run = bind(exp_meaning(guard), lambda v: _cond(v, then_t, else_t))
         case syntax.While(guard=guard, body=body):
-            guard_t, body_t = exp_meaning(guard), stm_meaning(body)
+            # one self-referential transformer: `step` unfolds the loop once
+            # and re-enters it through the fixed-point hook
+            def run(f, s, _sid=node.sid):
+                return f.interp.fixpoint("loop", _sid, step)(f, s)
 
-            def unfold(x, _g=guard_t, _b=body_t):
-                loop_body = bind(_b, lambda _: x)
-                return bind(_g, lambda v: _cond(v, loop_body, pure(UNIT)))
-
-            def run(f, s, _unfold=unfold):
-                return f.interp.fix_loop(_unfold)(f, s)
+            loop_body = bind(stm_meaning(body), lambda _: run)
+            step = bind(exp_meaning(guard), lambda v: _cond(v, loop_body, pure(UNIT)))
 
         case syntax.FunDecl(name=name):
             run = _prim_s(lambda i, s, _sid=node.sid: i.fundecl(name, _sid)(s))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -11,7 +12,7 @@ from sdtl.abstract import (
     aval_to_json, state_to_json,
 )
 from sdtl.kernel import VOID, VOID_VAL
-from sdtl.syntax import parse
+from sdtl.syntax import While, iter_nodes, parse
 
 INTERP = AbstractInterpretation()
 
@@ -336,8 +337,54 @@ def test_idempotent_and_terminating(name):
 
 
 def test_iteration_cap_is_enforced():
-    with pytest.raises(abstract.AnalysisLimitError):
-        analyze_program(load_program("while_types.sdtl"), max_iterations=1)
+    program = load_program("while_types.sdtl")
+    (loop,) = [n for n in iter_nodes(program.root) if isinstance(n, While)]
+    message = f"loop summary for node {loop.sid} did not stabilize within 1 "
+    with pytest.raises(abstract.AnalysisLimitError, match=message):
+        analyze_program(program, max_iterations=1)
+
+
+def test_nested_loops_are_solved_once_per_entry_state():
+    lines = []
+    for level in range(6):
+        c = f"c{level}"
+        lines += [f"{c} = 2;", f"while ({c} > 0) {{", f"{c} = {c} - 1;"]
+    source = "\n".join(lines + ["a = c0;"] + ["}"] * 6)
+    evaluations = []
+    result = analyze_program(
+        parse(source), trace=lambda node, outcome: evaluations.append(node)
+    )
+    assert any("a" in s.env and "c5" in s.env for s in result.final_states)
+    # an engine that re-solves inner loops on every outer iteration needs
+    # hundreds of thousands of statement evaluations here
+    assert len(evaluations) < 1000
+
+
+def test_loop_states_join_the_worklist_without_host_recursion():
+    # The loop passes through k + 1 abstract states, shifting Bool along
+    # x0..xk.  One body evaluation takes about 4k host frames; starting a
+    # nested solve for each new state would add about 7 frames per state
+    # and overrun the lowered limit.
+    k = 20
+    source = (
+        "x0 = true;\n"
+        + "".join(f"x{i} = 1;\n" for i in range(1, k + 1))
+        + "while (input > 0) {\n"
+        + "".join(f"x{i} = x{i - 1};\n" for i in range(k, 0, -1))
+        + "}\n"
+    )
+    program = parse(source)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 170)
+    try:
+        result = analyze_program(program)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert {s.env[f"x{k}"] for s in result.final_states} == {NUM, BOOL}
+    assert len(result.final_states) == k + 1
 
 
 # --- serialization ------------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from helpers import GOLDEN, PROGRAMS
-from sdtl import cli
+from sdtl import cli, soundness
 
 GOLDEN_OUTPUT = PROGRAMS.parent / "golden"
 
@@ -89,6 +90,36 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", path("fact.sdtl"), "--input", "abc"),
+    ("run", path("fact.sdtl"), "--input", "1,,2"),
+    ("check-soundness", path("fact.sdtl"), "--input-sets", "1;x"),
+])
+def test_malformed_input_vector_is_usage_error(capsys, argv):
+    err = usage_error(capsys, *argv)
+    assert f"argument {argv[2]}: not a comma-separated list of integers" in err
+
+
+@pytest.mark.parametrize("spelling", [["--input", "-3,9,1"], ["--input=-3,9,1"]])
+def test_run_input_may_start_with_a_negative_number(capsys, spelling):
+    code, out, _ = run_cli(capsys, "run", path("showcase.sdtl"), *spelling)
+    assert code == 0 and out.splitlines()[:2] == ["1", "362880"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-soundness"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_iteration_cap_below_1_is_usage_error(capsys, command, cap):
+    err = usage_error(capsys, command, path("fact.sdtl"), "--max-iterations", cap)
+    assert "argument --max-iterations: not a positive integer" in err
+
+
 def test_analyze_while_example(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", path("while_types.sdtl"), "--format", "json"
@@ -127,6 +158,24 @@ def test_analyze_matches_golden_output(capsys, name):
     code, out, _ = run_cli(capsys, "analyze", path(name), "--format", "json")
     expected = (GOLDEN_OUTPUT / name).with_suffix(".json").read_text(encoding="utf-8")
     assert code == 0 and out == expected
+
+
+GENERATED_GOLDEN_DIGEST = (
+    "b4eafd38fc9e40c4afc5ff6630ba124086eb39ae98ac941d921cf4383f98253c"
+)
+
+
+def test_analyze_generated_matches_golden_digest(tmp_path, capsys):
+    """sha256 over the exit code and `analyze --format json` output of each
+    of ``generate_programs(2026, 60)``, recorded before the call and loop
+    engines were merged into one."""
+    digest = hashlib.sha256()
+    for index, source in enumerate(soundness.generate_programs(2026, 60)):
+        prog = tmp_path / f"p{index}.sdtl"
+        prog.write_text(source)
+        code, out, _ = run_cli(capsys, "analyze", str(prog), "--format", "json")
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == GENERATED_GOLDEN_DIGEST
 
 
 def test_analyze_output_is_stable(capsys):
@@ -174,12 +223,12 @@ def test_check_soundness_generated_iteration_cap(capsys):
 
 
 def test_check_soundness_per_statement(capsys):
-    # a leading negative number needs the --flag=value spelling
     code, out, _ = run_cli(
         capsys, "check-soundness", path("exceptions_basic.sdtl"),
-        "--input-sets=-5;7", "--per-statement",
+        "--input-sets", "-5;7", "--per-statement",
     )
-    assert code == 0 and json.loads(out)["violations"] == []
+    report = json.loads(out)
+    assert code == 0 and report["checked"] == 2 and report["violations"] == []
 
 
 def test_check_soundness_generated(capsys):
