@@ -36,10 +36,16 @@ def _vectors(text) -> list:
     return [_vector(part) for part in text.split(";")]
 
 
-def _iteration_cap(text) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return int(text)
+def _at_least(low, what):
+    def convert(text) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"not a {what} integer: {text!r}")
+        return int(text)
+
+    return convert
+
+
+_positive, _non_negative = _at_least(1, "positive"), _at_least(0, "non-negative")
 
 
 def _attach_vectors(argv) -> list:
@@ -79,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("file")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--trace", action="store_true")
-    analyze.add_argument("--max-iterations", type=_iteration_cap, default=100_000)
+    analyze.add_argument("--max-iterations", type=_positive, default=100_000)
 
     check = sub.add_parser(
         "check-soundness", help="differential-test the analysis against concrete runs"
@@ -94,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--per-statement", action="store_true")
     check.add_argument("--generate", action="store_true")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--count", type=int, default=200)
-    check.add_argument("--size", type=int, default=None)
-    check.add_argument("--max-iterations", type=_iteration_cap, default=100_000)
+    check.add_argument("--count", type=_non_negative, default=200)
+    check.add_argument("--size", type=_positive, default=None)
+    check.add_argument("--max-iterations", type=_positive, default=100_000)
 
     dump = sub.add_parser("dump-ast", help="dump the id-annotated AST as JSON")
     dump.add_argument("file")

@@ -496,9 +496,8 @@ class _ProgramBuilder:
             name = self.fresh("x")
             self.variables.append(name)
             lines.append(f"{name} = {self.literal()};")
-        kinds = [forced_kind] + [
-            self.pick(_KINDS) for _ in range(self.rng.randint(2, self.size))
-        ]
+        count = self.rng.randint(min(2, self.size), self.size)
+        kinds = [forced_kind] + [self.pick(_KINDS) for _ in range(count)]
         self.rng.shuffle(kinds)
         for kind in kinds:
             lines.extend(self.statement(kind, 0, 0))
@@ -510,10 +509,11 @@ def generate_programs(seed, count, size_bound=None) -> list:
     """Deterministically generate `count` well-formed SDTL programs.
 
     Program `i` force-includes statement kind ``i mod 12`` so the corpus
-    covers the whole grammar; every loop is counter-bounded so concrete
-    runs terminate.
+    covers the whole grammar, next to at most `size_bound` (default 6)
+    random top-level statement kinds; every loop is counter-bounded so
+    concrete runs terminate.
     """
-    size = size_bound or 6
+    size = 6 if size_bound is None else size_bound
     programs = []
     for index in range(count):
         rng = random.Random(f"sdtl-{seed}-{index}")

@@ -180,30 +180,41 @@ class Member(Lexp):
 
 Node = Union[Stm, Exp, Lexp]
 
-BINOPS = ("+", "-", "*", "/", ">", "<", "==")
-
 
 def node_id(node: Node) -> int:
     return node.sid if isinstance(node, Stm) else node.eid
 
 
-def child_nodes(node: Node) -> Iterator[Node]:
+_ROLES = {"Stm": "child", "Exp": "child", "Lexp": "child", "tuple[Exp, ...]": "children"}
+
+# per node class, (name, role) of each field after the id in source order;
+# the role, read off the field's annotation string, is "child" (a node),
+# "children" (a tuple of nodes) or "scalar"
+_LAYOUT = {
+    cls: tuple((f.name, _ROLES.get(f.type, "scalar")) for f in dataclasses.fields(cls)[1:])
+    for base in (Stm, Exp, Lexp)
+    for cls in base.__subclasses__()
+}
+
+
+def child_nodes(node: Node) -> list[Node]:
     """Children in source order (the order used for pre-order numbering)."""
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, (Stm, Exp, Lexp)):
-            yield value
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, (Stm, Exp, Lexp)):
-                    yield item
+    children = []
+    for name, role in _LAYOUT[type(node)]:
+        if role == "child":
+            children.append(getattr(node, name))
+        elif role == "children":
+            children.extend(getattr(node, name))
+    return children
 
 
 def iter_nodes(node: Node) -> Iterator[Node]:
     """Pre-order traversal of a subtree."""
-    yield node
-    for child in child_nodes(node):
-        yield from iter_nodes(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(child_nodes(node)))
 
 
 @dataclass(frozen=True)
@@ -297,8 +308,6 @@ def tokenize(source: str) -> list[Token]:
 
 
 # --- Parser ----------------------------------------------------------------
-
-_BLOCK_STARTERS = frozenset(["if", "while", "function", "try"])
 
 
 class _Parser:
@@ -537,39 +546,44 @@ def seq_normalize(stms: list[Stm]) -> Stm:
     return result
 
 
-def _renumber(node: Node, counter: Iterator[int]) -> Node:
-    updates = {"sid" if isinstance(node, Stm) else "eid": next(counter)}
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, (Stm, Exp, Lexp)):
-            updates[field.name] = _renumber(value, counter)
-        elif isinstance(value, tuple) and value and isinstance(value[0], (Stm, Exp, Lexp)):
-            updates[field.name] = tuple(_renumber(item, counter) for item in value)
-    return dataclasses.replace(node, **updates)
+def _renumber(node: Node, next_id, fun_table: dict) -> Node:
+    """Rebuild `node` with pre-order ids drawn from `next_id`, entering each
+    declaration into `fun_table` in ascending sid order."""
+    cls = type(node)
+    nid = next_id()
+    if cls is FunDecl:
+        fun_table[nid] = None  # holds the slot of an outer declaration
+    args = [nid]
+    for name, role in _LAYOUT[cls]:
+        value = getattr(node, name)
+        if role == "child":
+            value = _renumber(value, next_id, fun_table)
+        elif role == "children":
+            value = tuple([_renumber(item, next_id, fun_table) for item in value])
+        args.append(value)
+    node = cls(*args)
+    if cls is FunDecl:
+        fun_table[nid] = node
+    return node
 
 
 def parse(source: str) -> Program:
     """Parse SDTL source text into an id-annotated Program."""
     root = _Parser(tokenize(source)).parse_program()
-    root = _renumber(root, itertools.count(1))
-    fun_table = {n.sid: n for n in iter_nodes(root) if isinstance(n, FunDecl)}
+    fun_table = {}
+    root = _renumber(root, itertools.count(1).__next__, fun_table)
     return Program(root, fun_table)
 
 
 # --- Debug dump ------------------------------------------------------------
 
-_SCALAR_FIELDS = ("value", "op", "name", "member", "params", "exc_name")
-
-
 def node_to_json(node: Node) -> dict:
-    """Id-annotated AST node as {"id", "kind", "children", ...detail fields}."""
+    """Id-annotated AST node as {"id", "kind", "children", ...scalar fields}."""
     obj = {"id": node_id(node), "kind": type(node).__name__}
-    for field in dataclasses.fields(node):
-        if field.name in _SCALAR_FIELDS:
-            value = getattr(node, field.name)
-            if isinstance(value, (Stm, Exp, Lexp)):
-                continue  # e.g. Assign.value is a child node, not a literal
-            obj[field.name] = list(value) if isinstance(value, tuple) else value
+    for name, role in _LAYOUT[type(node)]:
+        if role == "scalar":
+            value = getattr(node, name)
+            obj[name] = list(value) if isinstance(value, tuple) else value
     obj["children"] = [node_to_json(child) for child in child_nodes(node)]
     return obj
 

@@ -57,3 +57,17 @@ def find_new_eid(program, ctor_name) -> int:
                 and node.callee.name == ctor_name:
             return node.eid
     raise LookupError(ctor_name)
+
+
+def straight_line(count: int) -> str:
+    """`count` top-level statements over eight variables and no control flow:
+    every tenth prints a variable, the rest assign nested arithmetic."""
+    lines = [f"x{index} = {index};" for index in range(min(count, 8))]
+    for index in range(len(lines), count):
+        if index % 10 == 0:
+            lines.append(f"output x{index % 8};")
+        else:
+            lines.append(
+                f"x{index % 8} = (x{(index + 3) % 8} - {index % 7}) * x{(index + 5) % 8};"
+            )
+    return "\n".join(lines) + "\n"

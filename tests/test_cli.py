@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sdtl
 from helpers import GOLDEN, PROGRAMS
 from sdtl import cli, soundness
 
@@ -118,6 +123,26 @@ def test_run_input_may_start_with_a_negative_number(capsys, spelling):
 def test_iteration_cap_below_1_is_usage_error(capsys, command, cap):
     err = usage_error(capsys, command, path("fact.sdtl"), "--max-iterations", cap)
     assert "argument --max-iterations: not a positive integer" in err
+
+
+@pytest.mark.parametrize("option, value, expected", [
+    ("--size", "0", "positive"),
+    ("--size", "-2", "positive"),
+    ("--count", "-1", "non-negative"),
+])
+def test_generator_bounds_out_of_range_are_usage_errors(capsys, option, value, expected):
+    err = usage_error(capsys, "check-soundness", "--generate", option, value)
+    assert f"argument {option}: not a {expected} integer: '{value}'" in err
+
+
+@pytest.mark.parametrize("option, value, checked", [
+    ("--size", "1", 12),
+    ("--count", "0", 0),
+])
+def test_generator_bounds_at_their_minimum(capsys, option, value, checked):
+    argv = ["check-soundness", "--generate", "--count", "12", option, value]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["checked"] == checked
 
 
 def test_analyze_while_example(capsys):
@@ -253,3 +278,13 @@ def test_dump_ast(capsys):
 
     collected = list(ids(tree))
     assert len(collected) == len(set(collected))
+
+
+def test_python_dash_m_sdtl_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtl.__file__).parent.parent))
+    completed = subprocess.run(
+        [sys.executable, "-m", "sdtl", "dump-ast", path("fact.sdtl")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    expected = (GOLDEN_OUTPUT / "ast" / "fact.json").read_text(encoding="utf-8")
+    assert completed.returncode == 0 and completed.stdout == expected

@@ -314,6 +314,14 @@ def test_generated_programs_parse():
         parse(source)
 
 
+def test_size_bound_defaults_to_6_and_may_be_1():
+    assert generate_programs(5, 12) == generate_programs(5, 12, size_bound=6)
+    smallest = generate_programs(5, 12, size_bound=1)
+    assert smallest != generate_programs(5, 12)
+    for source in smallest:
+        parse(source)
+
+
 def test_generated_kind_coverage_per_hundred():
     kinds_needed = {
         "Nil", "Seq", "ExpStm", "Output", "Assign", "If", "IfElse",

@@ -1,13 +1,18 @@
 import collections
+import hashlib
+import json
+import sys
 
 import pytest
 
-from helpers import GOLDEN, find_fundecl, load, load_program
-from sdtl import syntax
+from helpers import GOLDEN, PROGRAMS, find_fundecl, load, load_program, straight_line
+from sdtl import concrete, soundness, syntax
 from sdtl.syntax import (
     Assign, BinOp, Call, Con, FunDecl, Member, MethodCall, Nil, ParseError,
-    Seq, Var, iter_nodes, node_id, parse,
+    Seq, Var, child_nodes, iter_nodes, node_id, parse,
 )
+
+AST_GOLDEN = PROGRAMS.parent / "golden" / "ast"
 
 
 def test_smallest_program_ids():
@@ -191,3 +196,91 @@ def test_dump_ast_schema():
         type(n).__name__ for n in iter_nodes(program.root)
     )
     assert kinds["FunDecl"] == 3 and kinds["New"] == 1
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_dump_ast_matches_golden(name):
+    r"""The fixtures under tests/golden/ast were recorded, from the
+    repository root and before parsing was made linear, with
+
+        for f in tests/programs/*.sdtl; do
+            PYTHONPATH=src python -m sdtl.cli dump-ast $f \
+                > tests/golden/ast/$(basename $f .sdtl).json
+        done
+    """
+    expected = (AST_GOLDEN / name).with_suffix(".json").read_text(encoding="utf-8")
+    assert syntax.dump_ast(load_program(name)) + "\n" == expected
+
+
+GENERATED_AST_DIGEST = (
+    "39d5445c42cf86f867b7ce6567bc7353584d242f287d7775d4a93ffdf0144b76"
+)
+
+
+def test_ast_of_generated_and_long_programs_matches_digest():
+    """sha256 over the compact JSON of each tree and its function table's
+    sids (each followed by a newline), for ``generate_programs(2026, 200)``
+    and straight-line programs of 100, 300 and 800 statements, recorded
+    before parsing was made linear.  Turning a tree into JSON recurses once
+    per statement of a top-level sequence, so it runs with headroom."""
+    sources = [
+        *soundness.generate_programs(2026, 200),
+        *(straight_line(count) for count in (100, 300, 800)),
+    ]
+    digest = hashlib.sha256()
+    with concrete.recursion_headroom():
+        for source in sources:
+            program = parse(source)
+            tree = [syntax.node_to_json(program.root), list(program.fun_table)]
+            digest.update(json.dumps(tree).encode() + b"\n")
+    assert digest.hexdigest() == GENERATED_AST_DIGEST
+
+
+def _parse_calls(source) -> int:
+    """Python calls and generator resumes inside syntax.py during `parse`."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == syntax.__file__:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        parse(source)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def test_parse_work_grows_linearly():
+    """Four times the statements cost about four times the calls; a
+    traversal that re-walks the statement spine per statement costs well
+    over ten times as many."""
+    small, large = (_parse_calls(straight_line(count)) for count in (200, 800))
+    assert large / small < 5
+
+
+def _recursive_preorder(node):
+    yield node
+    for child in child_nodes(node):
+        yield from _recursive_preorder(child)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_iter_nodes_is_preorder_numbering(name):
+    root = load_program(name).root
+    nodes = list(iter_nodes(root))
+    assert [id(n) for n in nodes] == [id(n) for n in _recursive_preorder(root)]
+    assert [node_id(n) for n in nodes] == list(range(1, len(nodes) + 1))
+
+
+NESTED_DECLARATIONS = "function f() { function g() { function h() {} } }\nfunction k() {}"
+
+
+@pytest.mark.parametrize(
+    "source", [load(name) for name in GOLDEN] + [NESTED_DECLARATIONS], ids=GOLDEN + ["nested"]
+)
+def test_fun_table_is_in_ascending_sid_order(source):
+    table = parse(source).fun_table
+    assert list(table) == sorted(table)
+    assert all(isinstance(decl, FunDecl) and decl.sid == sid for sid, decl in table.items())
