@@ -12,7 +12,6 @@ kill the offending branch and log a diagnostic.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Union
@@ -57,8 +56,8 @@ class AFunPtr:
 AVal = Union[_Atom, AObjRef, AFunPtr]  # or VOID_VAL
 
 
-@dataclass(frozen=True)
-class AState:
+@dataclass(frozen=True, eq=False)
+class AState(kernel.Record):
     env: FrozenMap
     obj_mem: FrozenMap  # site -> FrozenMap of members
     this_site: int
@@ -161,14 +160,11 @@ class AbstractInterpretation(kernel.Interpretation):
 
         return run
 
-    def val(self, name):
-        def read(state):
-            try:
-                return state.env[name]
-            except KeyError:
-                self._dead(f"possibly undefined variable {name!r}")
-
-        return read
+    def val(self, state, name):
+        try:
+            return state.env[name]
+        except KeyError:
+            self._dead(f"possibly undefined variable {name!r}")
 
     def conval(self, constant):
         return BOOL if type(constant) is bool else NUM
@@ -179,8 +175,8 @@ class AbstractInterpretation(kernel.Interpretation):
 
         return run
 
-    def dooutput(self, value):
-        return kernel.singleton(lambda state: state)
+    def dooutput(self, state, value):
+        return {state}
 
     def bin(self, op, left, right):
         for value in (left, right):
@@ -230,9 +226,7 @@ class AbstractInterpretation(kernel.Interpretation):
                 old = state.curried.get(key)
                 if old is not None and old != lists:
                     self.reset_curried_keys.add(key)
-                new_state = dataclasses.replace(
-                    state, curried=state.curried.set(key, lists)
-                )
+                new_state = kernel.replace(state, curried=state.curried.set(key, lists))
                 return {(new_state, AFunPtr(sid, total, eid))}
             self._dead(
                 f"possible type error: too many arguments "
@@ -250,24 +244,18 @@ class AbstractInterpretation(kernel.Interpretation):
             )
         return state.obj_mem.get(ref.site)
 
-    def get(self, ref, member):
-        def read(state):
-            members = self._members(state, ref)
-            if members is None or member not in members:
-                self._dead(f"possibly undefined member {member!r}")
-            return members[member]
+    def get(self, state, ref, member):
+        members = self._members(state, ref)
+        if members is None or member not in members:
+            self._dead(f"possibly undefined member {member!r}")
+        return members[member]
 
-        return read
-
-    def set(self, ref, member, value):
-        def transform(state):
-            members = self._members(state, ref)
-            if members is None:
-                self._dead("possible write to an unallocated object")
-            obj_mem = state.obj_mem.set(ref.site, members.set(member, value))
-            return {dataclasses.replace(state, obj_mem=obj_mem)}
-
-        return transform
+    def set(self, state, ref, member, value):
+        members = self._members(state, ref)
+        if members is None:
+            self._dead("possible write to an unallocated object")
+        obj_mem = state.obj_mem.set(ref.site, members.set(member, value))
+        return {kernel.replace(state, obj_mem=obj_mem)}
 
     def newobj(self, eid):
         def run(f, state):
@@ -276,7 +264,7 @@ class AbstractInterpretation(kernel.Interpretation):
             if eid in state.obj_mem:
                 self.reused_sites.add(eid)
             obj_mem = state.obj_mem.set(eid, FrozenMap())
-            return {(dataclasses.replace(state, obj_mem=obj_mem), AObjRef(eid))}
+            return {(kernel.replace(state, obj_mem=obj_mem), AObjRef(eid))}
 
         return run
 

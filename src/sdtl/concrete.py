@@ -9,7 +9,6 @@ a deterministic I/O model (finite input queue, append-only output log).
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -41,14 +40,14 @@ class FunPtr:
 CValue = Union[int, bool, ObjRef, FunPtr]  # or VOID_VAL
 
 
-@dataclass(frozen=True)
-class IOState:
+@dataclass(frozen=True, eq=False)
+class IOState(kernel.Record):
     inputs: tuple = ()
     outputs: tuple = ()
 
 
-@dataclass(frozen=True)
-class CState:
+@dataclass(frozen=True, eq=False)
+class CState(kernel.Record):
     env: FrozenMap
     obj_mem: FrozenMap  # ref -> FrozenMap of members
     this_ref: int
@@ -87,6 +86,27 @@ def _check_not_void(value):
         raise EvalError("used void function result")
 
 
+def _pop(io):
+    if not io.inputs:
+        raise EvalError("input exhausted")
+    return IOState(io.inputs[1:], io.outputs), io.inputs[0]
+
+
+_pop_input = kernel.focus_update_returning("io", _pop)
+
+
+def _read_input(f, state):
+    return {_pop_input(state)}
+
+
+def _alloc(obj_mem):
+    ref = len(obj_mem)
+    return obj_mem.set(ref, FrozenMap()), ObjRef(ref)
+
+
+_allocate = kernel.focus_update_returning("obj_mem", _alloc)
+
+
 class ConcreteInterpretation(kernel.Interpretation):
     """Primitive operations of the executable semantics.
 
@@ -114,32 +134,19 @@ class ConcreteInterpretation(kernel.Interpretation):
         _check_not_void(value)
         raise EvalError(f"condition not boolean (got {_category(value)})")
 
-    def val(self, name):
-        def read(state):
-            try:
-                return state.env[name]
-            except KeyError:
-                raise EvalError(f"undefined variable {name!r}") from None
-
-        return read
+    def val(self, state, name):
+        try:
+            return state.env[name]
+        except KeyError:
+            raise EvalError(f"undefined variable {name!r}") from None
 
     def conval(self, constant):
         return constant
 
     def getinput(self):
-        def pop(io):
-            if not io.inputs:
-                raise EvalError("input exhausted")
-            return IOState(io.inputs[1:], io.outputs), io.inputs[0]
+        return _read_input
 
-        step = kernel.focus_update_returning("io", pop)
-
-        def run(f, state):
-            return {step(state)}
-
-        return run
-
-    def dooutput(self, value):
+    def dooutput(self, state, value):
         _check_not_void(value)
         if type(value) is bool:
             emitted = int(value)
@@ -147,15 +154,12 @@ class ConcreteInterpretation(kernel.Interpretation):
             emitted = value
         else:
             raise EvalError(f"unprintable value ({_category(value)})")
-        return kernel.singleton(
-            kernel.focus_update(
-                "io", lambda io: IOState(io.inputs, io.outputs + (emitted,))
-            )
-        )
+        io = state.io
+        return {kernel.replace(state, io=IOState(io.inputs, io.outputs + (emitted,)))}
 
     def bin(self, op, left, right):
-        _check_not_void(left)
-        _check_not_void(right)
+        if left is VOID_VAL or right is VOID_VAL:
+            raise EvalError("used void function result")
         if op == "==":
             if _category(left) != _category(right):
                 raise EvalError(
@@ -211,34 +215,22 @@ class ConcreteInterpretation(kernel.Interpretation):
             raise EvalError(f"member access on a non-object ({_category(ref)})")
         return state.obj_mem[ref.ref]
 
-    def get(self, ref, member):
-        def read(state):
-            members = self._members(state, ref)
-            try:
-                return members[member]
-            except KeyError:
-                raise EvalError(f"undefined member {member!r}") from None
+    def get(self, state, ref, member):
+        members = self._members(state, ref)
+        try:
+            return members[member]
+        except KeyError:
+            raise EvalError(f"undefined member {member!r}") from None
 
-        return read
-
-    def set(self, ref, member, value):
-        def transform(state):
-            members = self._members(state, ref)
-            obj_mem = state.obj_mem.set(ref.ref, members.set(member, value))
-            return {dataclasses.replace(state, obj_mem=obj_mem)}
-
-        return transform
+    def set(self, state, ref, member, value):
+        members = self._members(state, ref)
+        obj_mem = state.obj_mem.set(ref.ref, members.set(member, value))
+        return {kernel.replace(state, obj_mem=obj_mem)}
 
     def newobj(self, eid):
-        def alloc(obj_mem):
-            ref = len(obj_mem)
-            return obj_mem.set(ref, FrozenMap()), ObjRef(ref)
-
-        step = kernel.focus_update_returning("obj_mem", alloc)
-
         def run(f, state):
             self.site_allocations[eid] = self.site_allocations.get(eid, 0) + 1
-            return {step(state)}
+            return {_allocate(state)}
 
         return run
 

@@ -13,7 +13,6 @@ carriers and value-level primitives without touching either.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Mapping
 from typing import Any, Callable, Set, Tuple
 
@@ -100,53 +99,61 @@ class FrozenMap(Mapping):
         return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in items) + "}"
 
 
-# --- Record focus utilities --------------------------------------------------
+# --- State records -----------------------------------------------------------
 # States are records (frozen dataclasses); operations written against a few
 # named fields are reusable when the state grows new dimensions.
 
 
-def _as_fields(field_selection) -> tuple:
-    if isinstance(field_selection, str):
-        return (field_selection,)
-    return tuple(field_selection)
+class Record:
+    """Base of state records declared ``@dataclass(frozen=True, eq=False)``:
+    equal when their fields are, hashed as their field tuple (the value a
+    frozen dataclass would generate) once, in a slot that :func:`replace`
+    does not copy."""
+
+    __slots__ = ("_hash", "__dict__")
+
+    def __new__(cls, *args, **kwargs):
+        record = object.__new__(cls)
+        object.__setattr__(record, "_hash", None)
+        return record
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash(tuple(self.__dict__.values()))
+            object.__setattr__(self, "_hash", value)
+        return value
 
 
-def focus_update(field_selection, update):
-    """Project the selected fields, apply `update`, inject the result back.
-
-    With one selected field `update` maps a bare value to a bare value; with
-    several it maps the values positionally to a tuple of replacements.
-    """
-    fields = _as_fields(field_selection)
-
-    def apply(record):
-        out = update(*(getattr(record, name) for name in fields))
-        if len(fields) == 1:
-            out = (out,)
-        return dataclasses.replace(record, **dict(zip(fields, out)))
-
-    return apply
+def replace(record, **changes):
+    """Copy of the frozen record with `changes` applied; unlike
+    ``dataclasses.replace`` it neither re-reads the fields nor runs __init__."""
+    cls = record.__class__
+    copy = cls.__new__(cls)
+    fields = copy.__dict__
+    fields.update(record.__dict__)
+    fields.update(changes)
+    return copy
 
 
 def focus_update_returning(field_selection, update):
-    """Like :func:`focus_update`, but `update` also returns an auxiliary
-    value: it maps the selected fields to (replacements, auxiliary)."""
-    fields = _as_fields(field_selection)
+    """Project the selected fields, apply `update`, inject the result back.
+
+    `update` maps the fields' values to (replacements, auxiliary), the
+    replacement bare for one field and a tuple for several; returns the
+    copied record and the auxiliary value."""
+    fields = (field_selection,) if isinstance(field_selection, str) else tuple(field_selection)
 
     def apply(record):
         out, aux = update(*(getattr(record, name) for name in fields))
         if len(fields) == 1:
             out = (out,)
-        return dataclasses.replace(record, **dict(zip(fields, out))), aux
-
-    return apply
-
-
-def singleton(fn):
-    """Wrap a function's result in a one-element set."""
-
-    def apply(x):
-        return {fn(x)}
+        return replace(record, **dict(zip(fields, out))), aux
 
     return apply
 
@@ -208,25 +215,25 @@ class Interpretation:
     """Parameter set of the semantics: state and value carriers plus the
     primitive operations the equations below defer to.
 
-    States are records (frozen dataclasses) with fields ``env``, ``ret``,
-    ``ex`` and a receiver field holding the key of the ``this`` object.  The
-    record-state primitives are written here once against those fields, and
-    any further field (heap, I/O, ...) is carried through calls untouched.
-    A domain declares its object-pointer class (one field: the heap key, 0
-    for the global object), its function-pointer class (built from a sid)
-    and the name of its receiver field, and writes the value-level
-    primitives.
+    States are records (frozen dataclasses, usually :class:`Record`s) with
+    fields ``env``, ``ret``, ``ex`` and a receiver field holding the key of
+    the ``this`` object.  The record-state primitives are written here once
+    against those fields, and any further field (heap, I/O, ...) is carried
+    through calls untouched.  A domain declares its object-pointer class (one
+    field: the heap key, 0 for the global object), its function-pointer
+    class (built from a sid) and the name of its receiver field, and writes
+    the value-level primitives.
 
-    State equality must be decidable; distinct states are never compared for
-    order.  Methods documented as ``State -> ...`` return functions of the
-    state so the equations can lift them point-wise.
+    Primitives with a ``state`` argument take it first and return a value, a
+    state or the set of successor states; ``cond``, ``getinput``, ``apply``
+    and ``newobj`` return transformers.  State equality must be decidable.
     """
 
     obj_ref_class = None
     fun_ptr_class = None
     this_field = None
 
-    # node under evaluation, maintained by the kernel (single-threaded per run)
+    # id of the node whose primitive step runs, set by the step (one thread)
     current_node = None
 
     # value-level primitives: written by each domain
@@ -237,7 +244,7 @@ class Interpretation:
     def cond(self, value, then_t: Transformer, else_t: Transformer) -> Transformer:
         raise NotImplementedError
 
-    def val(self, name):  # State -> Value
+    def val(self, state, name):  # -> Value
         raise NotImplementedError
 
     def conval(self, constant):  # -> Value
@@ -246,7 +253,7 @@ class Interpretation:
     def getinput(self) -> Transformer:
         raise NotImplementedError
 
-    def dooutput(self, value):  # State -> set of States
+    def dooutput(self, state, value):  # -> set of States
         raise NotImplementedError
 
     def bin(self, op, left, right):  # -> Value
@@ -255,10 +262,10 @@ class Interpretation:
     def apply(self, fun_value, args, this_value, eid) -> Transformer:
         raise NotImplementedError
 
-    def get(self, ref, member):  # State -> Value
+    def get(self, state, ref, member):  # -> Value
         raise NotImplementedError
 
-    def set(self, ref, member, value):  # State -> set of States
+    def set(self, state, ref, member, value):  # -> set of States
         raise NotImplementedError
 
     def newobj(self, eid) -> Transformer:
@@ -269,31 +276,28 @@ class Interpretation:
     def esc(self, state) -> bool:
         return state.ret is not VOID or state.ex is not VOID
 
-    def asg(self, name, value):  # State -> set of States
-        return singleton(focus_update("env", lambda env: env.set(name, value)))
+    def asg(self, state, name, value):  # -> set of States
+        return {replace(state, env=state.env.set(name, value))}
 
-    def ret(self, value):  # State -> set of States
-        return singleton(focus_update("ret", lambda _: value))
+    def ret(self, state, value):  # -> set of States
+        return {replace(state, ret=value)}
 
-    def throw(self, value):  # State -> set of States
-        return singleton(focus_update("ex", lambda _: value))
+    def throw(self, state, value):  # -> set of States
+        return {replace(state, ex=value)}
 
     def catch(self, exc_name, handler_t: Transformer) -> Transformer:
         def run(f, state):
             if state.ex is VOID:
                 return {(state, UNIT)}
-            return handler_t(f, self.exs(exc_name)(state))
+            return handler_t(f, self.exs(state, exc_name))
 
         return run
 
-    def exs(self, exc_name):  # State -> State
-        return focus_update(
-            ("env", "ex"), lambda env, ex: (env.set(exc_name, ex), VOID)
-        )
+    def exs(self, state, exc_name):  # -> State
+        return replace(state, env=state.env.set(exc_name, state.ex), ex=VOID)
 
-    def fundecl(self, name, sid):  # State -> set of States
-        pointer = self.fun_ptr_class(sid)
-        return singleton(focus_update("env", lambda env: env.set(name, pointer)))
+    def fundecl(self, state, name, sid):  # -> set of States
+        return {replace(state, env=state.env.set(name, self.fun_ptr_class(sid)))}
 
     def getglobal(self, state):  # -> Value
         return self.obj_ref_class(0)
@@ -306,7 +310,7 @@ class Interpretation:
         empty slots, and every other field carried in from the caller."""
         assert isinstance(this_value, self.obj_ref_class), this_value
         (key,) = vars(this_value).values()
-        return dataclasses.replace(
+        return replace(
             caller,
             env=FrozenMap(dict(zip(params, args))),
             ret=VOID,
@@ -317,7 +321,7 @@ class Interpretation:
     def leave(self, caller, callee):  # -> (State, return slot)
         """Caller state after the call: the caller's env and receiver, the
         callee's pending exception and every other field of the callee."""
-        after = dataclasses.replace(
+        after = replace(
             callee,
             env=caller.env,
             ret=VOID,
@@ -391,84 +395,86 @@ def call(sid, args, this_value) -> Transformer:
 
 def eval_params(exps) -> Transformer:
     """Evaluate expressions left to right, collecting their values."""
+    meanings = [exp_meaning(exp) for exp in exps]
 
     def step(index, collected):
-        if index == len(exps):
+        if index == len(meanings):
             return pure(collected)
-        exp_t = exp_meaning(exps[index])
-        return bind(exp_t, lambda v: step(index + 1, collected + (v,)))
+        return bind(meanings[index], lambda v: step(index + 1, collected + (v,)))
 
     return step(0, ())
 
 
 # --- Semantic equations ---------------------------------------------------------
+# Each primitive step of an equation carries the id of its node: it makes
+# that id the interpretation's current node before it calls the primitive,
+# and tags a run-time error that has no node id yet with it.
 
 
-def _prim_v(read) -> Transformer:
-    """Value-yielding primitive: read(interp, state) -> value."""
-
-    def run(f, s):
-        try:
-            return {(s, read(f.interp, s))}
-        except DeadBranch:
-            return set()
-
-    return run
-
-
-def _prim_s(transform) -> Transformer:
-    """State-transforming primitive: transform(interp, state) -> states."""
+def _step(nid, body) -> Transformer:
+    """Primitive step of node `nid`: body(interp, f, state) -> outcome set."""
 
     def run(f, s):
-        try:
-            return {(s1, UNIT) for s1 in transform(f.interp, s)}
-        except DeadBranch:
-            return set()
-
-    return run
-
-
-def _cond(value, then_t, else_t) -> Transformer:
-    def run(f, s):
-        return f.interp.cond(value, then_t, else_t)(f, s)
-
-    return run
-
-
-def _apply(fun_value, args, this_value, eid) -> Transformer:
-    def run(f, s):
-        return f.interp.apply(fun_value, args, this_value, eid)(f, s)
-
-    return run
-
-
-def _with_node(node, run) -> Transformer:
-    """Maintain the current-node context, tag run-time errors with the node
-    id, and report statement outcomes to the trace hook."""
-    nid = syntax.node_id(node)
-    trace_stm = isinstance(node, syntax.Stm)
-
-    def wrapped(f, s):
         interp = f.interp
-        previous = interp.current_node
         interp.current_node = nid
         try:
-            out = run(f, s)
+            return body(interp, f, s)
+        except DeadBranch:
+            return set()
         except EvalError as err:
             if err.node_id is None:
                 err.node_id = nid
             raise
-        finally:
-            interp.current_node = previous
-        if trace_stm and f.trace is not None:
+
+    return run
+
+
+def _prim_v(nid, read) -> Transformer:
+    """Value-yielding step: read(interp, state) -> value (hot: not on `_step`)."""
+
+    def run(f, s):
+        interp = f.interp
+        interp.current_node = nid
+        try:
+            return {(s, read(interp, s))}
+        except DeadBranch:
+            return set()
+        except EvalError as err:
+            if err.node_id is None:
+                err.node_id = nid
+            raise
+
+    return run
+
+
+def _prim_s(nid, transform) -> Transformer:
+    """State-transforming step: transform(interp, state) -> set of states."""
+    return _step(nid, lambda i, f, s: {(s1, UNIT) for s1 in transform(i, s)})
+
+
+def _cond(nid, value, then_t, else_t) -> Transformer:
+    return _step(nid, lambda i, f, s: i.cond(value, then_t, else_t)(f, s))
+
+
+def _apply(fun_value, args, this_value, eid) -> Transformer:
+    return _step(eid, lambda i, f, s: i.apply(fun_value, args, this_value, eid)(f, s))
+
+
+def _traced(node, run) -> Transformer:
+    """Report each outcome of statement `node` to the run's trace hook."""
+
+    def traced(f, s):
+        out = run(f, s)
+        if f.trace is not None:
             f.trace(node, out)
         return out
 
-    return wrapped
+    return traced
 
 
 def stm_meaning(node: syntax.Stm) -> Transformer:
     """Meaning of a statement (payloads are UNIT, or NULL once escaped)."""
+    sid = node.sid
     match node:
         case syntax.Nil():
             run = pure(UNIT)
@@ -480,12 +486,12 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
         case syntax.Output(exp=exp):
             run = bind(
                 exp_meaning(exp),
-                lambda v: _prim_s(lambda i, s: i.dooutput(v)(s)),
+                lambda v: _prim_s(sid, lambda i, s: i.dooutput(s, v)),
             )
         case syntax.Assign(target=syntax.Var(name=name), value=value):
             run = bind(
                 exp_meaning(value),
-                lambda v: _prim_s(lambda i, s: i.asg(name, v)(s)),
+                lambda v: _prim_s(sid, lambda i, s: i.asg(s, name, v)),
             )
         case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
             value_t = exp_meaning(value)
@@ -493,84 +499,73 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                 exp_meaning(obj),
                 lambda r: bind(
                     value_t,
-                    lambda v: _prim_s(lambda i, s: i.set(r, member, v)(s)),
+                    lambda v: _prim_s(sid, lambda i, s: i.set(s, r, member, v)),
                 ),
             )
         case syntax.If(guard=guard, then_body=then_body):
             then_t = stm_meaning(then_body)
-            run = bind(exp_meaning(guard), lambda v: _cond(v, then_t, pure(UNIT)))
+            run = bind(exp_meaning(guard), lambda v: _cond(sid, v, then_t, pure(UNIT)))
         case syntax.IfElse(guard=guard, then_body=then_body, else_body=else_body):
             then_t, else_t = stm_meaning(then_body), stm_meaning(else_body)
-            run = bind(exp_meaning(guard), lambda v: _cond(v, then_t, else_t))
+            run = bind(exp_meaning(guard), lambda v: _cond(sid, v, then_t, else_t))
         case syntax.While(guard=guard, body=body):
             # one self-referential transformer: `step` unfolds the loop once
             # and re-enters it through the fixed-point hook
-            def run(f, s, _sid=node.sid):
-                return f.interp.fixpoint("loop", _sid, step)(f, s)
+            def run(f, s):
+                return f.interp.fixpoint("loop", sid, step)(f, s)
 
             loop_body = bind(stm_meaning(body), lambda _: run)
-            step = bind(exp_meaning(guard), lambda v: _cond(v, loop_body, pure(UNIT)))
+            step = bind(exp_meaning(guard), lambda v: _cond(sid, v, loop_body, pure(UNIT)))
 
         case syntax.FunDecl(name=name):
-            run = _prim_s(lambda i, s, _sid=node.sid: i.fundecl(name, _sid)(s))
+            run = _prim_s(sid, lambda i, s: i.fundecl(s, name, sid))
         case syntax.Return(exp=exp):
             run = bind(
                 exp_meaning(exp),
-                lambda v: _prim_s(lambda i, s: i.ret(v)(s)),
+                lambda v: _prim_s(sid, lambda i, s: i.ret(s, v)),
             )
         case syntax.TryCatch(body=body, exc_name=exc_name, handler=handler):
             handler_t = stm_meaning(handler)
-
-            def catch_k(_payload, _name=exc_name, _h=handler_t):
-                def run_catch(f, s):
-                    return f.interp.catch(_name, _h)(f, s)
-
-                return run_catch
-
-            run = bind_noesc(stm_meaning(body), catch_k)
+            catch_t = _step(sid, lambda i, f, s: i.catch(exc_name, handler_t)(f, s))
+            run = bind_noesc(stm_meaning(body), lambda _: catch_t)
         case syntax.Throw(exp=exp):
             run = bind(
                 exp_meaning(exp),
-                lambda v: _prim_s(lambda i, s: i.throw(v)(s)),
+                lambda v: _prim_s(sid, lambda i, s: i.throw(s, v)),
             )
         case _:
             raise TypeError(f"not a statement node: {node!r}")
-    return _with_node(node, run)
+    return _traced(node, run)
 
 
 def exp_meaning(node: syntax.Exp) -> Transformer:
     """Meaning of an expression (payloads are values)."""
+    eid = node.eid
     match node:
         case syntax.Con(value=value):
-            def run(f, s, _v=value):
-                return {(s, f.interp.conval(_v))}
+            def run(f, s):
+                return {(s, f.interp.conval(value))}
 
         case syntax.LexpRef(lexp=lexp):
             run = lexp_meaning(lexp)
         case syntax.Input():
-            def run(f, s):
-                return f.interp.getinput()(f, s)
-
+            run = _step(eid, lambda i, f, s: i.getinput()(f, s))
         case syntax.Call(callee=callee, args=args):
             params_t = eval_params(args)
-            eid = node.eid
+            this_t = _prim_v(eid, lambda i, s: i.getthis(s))
             run = bind(
                 lexp_meaning(callee),
                 lambda n: bind(
                     params_t,
-                    lambda p: bind(
-                        _prim_v(lambda i, s: i.getthis(s)),
-                        lambda t: _apply(n, p, t, eid),
-                    ),
+                    lambda p: bind(this_t, lambda t: _apply(n, p, t, eid)),
                 ),
             )
         case syntax.MethodCall(receiver=receiver, member=member, args=args):
             params_t = eval_params(args)
-            eid = node.eid
             run = bind(
                 exp_meaning(receiver),
                 lambda t: bind(
-                    _prim_v(lambda i, s: i.get(t, member)(s)),
+                    _prim_v(eid, lambda i, s: i.get(s, t, member)),
                     lambda n: bind(params_t, lambda p: _apply(n, p, t, eid)),
                 ),
             )
@@ -580,22 +575,18 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
                 exp_meaning(left),
                 lambda c1: bind(
                     right_t,
-                    lambda c2: _prim_v(lambda i, s: i.bin(op, c1, c2)),
+                    lambda c2: _prim_v(eid, lambda i, s: i.bin(op, c1, c2)),
                 ),
             )
         case syntax.Paren(inner=inner):
             run = exp_meaning(inner)
         case syntax.Global():
-            run = _prim_v(lambda i, s: i.getglobal(s))
+            run = _prim_v(eid, lambda i, s: i.getglobal(s))
         case syntax.This():
-            run = _prim_v(lambda i, s: i.getthis(s))
+            run = _prim_v(eid, lambda i, s: i.getthis(s))
         case syntax.New(callee=callee, args=args):
             params_t = eval_params(args)
-            eid = node.eid
-
-            def new_obj_t(f, s, _eid=eid):
-                return f.interp.newobj(_eid)(f, s)
-
+            new_obj_t = _step(eid, lambda i, f, s: i.newobj(eid)(f, s))
             run = bind(
                 lexp_meaning(callee),
                 lambda n: bind(
@@ -608,19 +599,20 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
             )
         case _:
             raise TypeError(f"not an expression node: {node!r}")
-    return _with_node(node, run)
+    return run
 
 
 def lexp_meaning(node: syntax.Lexp) -> Transformer:
     """Meaning of a left-expression (payloads are values)."""
+    eid = node.eid
     match node:
         case syntax.Var(name=name):
-            run = _prim_v(lambda i, s: i.val(name)(s))
+            run = _prim_v(eid, lambda i, s: i.val(s, name))
         case syntax.Member(obj=obj, member=member):
             run = bind(
                 exp_meaning(obj),
-                lambda v: _prim_v(lambda i, s: i.get(v, member)(s)),
+                lambda v: _prim_v(eid, lambda i, s: i.get(s, v, member)),
             )
         case _:
             raise TypeError(f"not a left-expression node: {node!r}")
-    return _with_node(node, run)
+    return run

@@ -577,16 +577,44 @@ def parse(source: str) -> Program:
 
 # --- Debug dump ------------------------------------------------------------
 
-def node_to_json(node: Node) -> dict:
-    """Id-annotated AST node as {"id", "kind", "children", ...scalar fields}."""
+def _head_json(node: Node) -> dict:
+    """{"id", "kind", ...scalar fields, "children": []} of one node."""
     obj = {"id": node_id(node), "kind": type(node).__name__}
     for name, role in _LAYOUT[type(node)]:
         if role == "scalar":
             value = getattr(node, name)
             obj[name] = list(value) if isinstance(value, tuple) else value
+    obj["children"] = []
+    return obj
+
+
+def node_to_json(node: Node) -> dict:
+    """Id-annotated AST node as {"id", "kind", "children", ...scalar fields}."""
+    obj = _head_json(node)
     obj["children"] = [node_to_json(child) for child in child_nodes(node)]
     return obj
 
 
 def dump_ast(program: Program) -> str:
-    return json.dumps(node_to_json(program.root), indent=2)
+    """The text of ``json.dumps(node_to_json(program.root), indent=2)``,
+    written from an explicit stack one node at a time, so that calls and
+    host stack stay linear in the number of nodes however deep the tree."""
+    chunks = []
+    todo = [(program.root, "")]  # (node, its indent) or text to emit
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            chunks.append(item)
+            continue
+        node, pad = item
+        text = json.dumps(_head_json(node), indent=2).replace("\n", "\n" + pad)
+        children = child_nodes(node)
+        if not children:
+            chunks.append(text)
+            continue
+        chunks.append(text[: -len("[]\n}" + pad)])
+        todo.append("\n" + pad + "  ]\n" + pad + "}")
+        for index in reversed(range(len(children))):
+            todo.append((children[index], pad + "    "))
+            todo.append(("," if index else "[") + "\n" + pad + "    ")
+    return "".join(chunks)

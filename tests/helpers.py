@@ -5,6 +5,8 @@ sids/eids by locating the relevant node in the parsed tree instead of
 hard-coding numbers.
 """
 
+import collections
+import sys
 from pathlib import Path
 
 from sdtl import syntax
@@ -71,3 +73,19 @@ def straight_line(count: int) -> str:
                 f"x{index % 8} = (x{(index + 3) % 8} - {index % 7}) * x{(index + 5) % 8};"
             )
     return "\n".join(lines) + "\n"
+
+
+def calls_by_file(run) -> collections.Counter:
+    """Python calls and generator resumes during `run()`, per source file."""
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_filename] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls

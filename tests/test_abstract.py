@@ -71,8 +71,8 @@ def test_fundecl_binds_uncurried_pointer():
 
 def test_exs_moves_exception_into_environment():
     state = abstract.initial_state()
-    thrown = kernel.focus_update("ex", lambda _: NUM)(state)
-    after = INTERP.exs("e")(thrown)
+    thrown = kernel.replace(state, ex=NUM)
+    after = INTERP.exs(thrown, "e")
     assert after.env["e"] is NUM and after.ex is VOID
 
 

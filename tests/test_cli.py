@@ -203,6 +203,26 @@ def test_analyze_generated_matches_golden_digest(tmp_path, capsys):
     assert digest.hexdigest() == GENERATED_GOLDEN_DIGEST
 
 
+ERROR_GOLDEN = json.loads((GOLDEN_OUTPUT / "errors.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_GOLDEN))
+def test_error_node_ids_match_golden(tmp_path, capsys, name):
+    """One program per run-time error site.  tests/golden/errors.json holds
+    each program's source and input vector with the exit code, stdout and
+    stderr of ``sdtl run --input <input>`` (stderr names the node the error
+    is tagged with) and the stdout of ``sdtl analyze --format json`` (which
+    names the node of each diagnostic), recorded through ``cli.main`` on
+    the program written to a file with a trailing newline."""
+    case = ERROR_GOLDEN[name]
+    prog = tmp_path / f"{name}.sdtl"
+    prog.write_text(case["source"] + "\n")
+    code, out, err = run_cli(capsys, "run", str(prog), "--input", case["input"])
+    assert (code, out, err) == (case["run_exit"], case["run_stdout"], case["run_stderr"])
+    code, out, err = run_cli(capsys, "analyze", str(prog), "--format", "json")
+    assert (code, out, err) == (0, case["analyze"], "")
+
+
 def test_analyze_output_is_stable(capsys):
     _, first, _ = run_cli(capsys, "analyze", path("showcase.sdtl"), "--format", "json")
     _, second, _ = run_cli(capsys, "analyze", path("showcase.sdtl"), "--format", "json")

@@ -1,13 +1,19 @@
+import dataclasses
+import math
+import os
+import random
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdtl import concrete, kernel, syntax
+from helpers import calls_by_file, load_program
+from perfbench import programs
+from sdtl import abstract, concrete, kernel, syntax
 from sdtl.kernel import (
     NULL, UNIT, VOID, FrozenMap, FunctionTable, bind, bind_noesc, eval_params,
-    pure, singleton,
+    pure,
 )
 from sdtl.syntax import parse
 
@@ -25,23 +31,30 @@ class Contact:
 BOB = Contact("bob", "17 st", 30)
 
 
-def test_focus_update_adds_age():
-    add_age = kernel.focus_update("age", lambda a: a + 2)
-    assert add_age(BOB) == Contact("bob", "17 st", 32)
-
-
 def test_focus_update_returning_old_age():
     step = kernel.focus_update_returning("age", lambda a: (a + 2, a))
     assert step(BOB) == (Contact("bob", "17 st", 32), 30)
 
 
 def test_focus_on_several_fields():
-    swap = kernel.focus_update(("name", "address"), lambda n, a: (a, n))
-    assert swap(BOB) == Contact("17 st", "bob", 30)
+    swap = kernel.focus_update_returning(("name", "address"), lambda n, a: ((a, n), n))
+    assert swap(BOB) == (Contact("17 st", "bob", 30), "bob")
 
 
-def test_singleton_wraps_result():
-    assert singleton(lambda x: x + 1)(3) == {4}
+def test_replace_copies_with_changed_fields():
+    older = kernel.replace(BOB, age=31, address="18 st")
+    assert older == Contact("bob", "18 st", 31) and BOB.age == 30
+    assert hash(older) == hash(Contact("bob", "18 st", 31))
+
+
+def test_record_hash_is_the_field_tuple_hash_and_not_copied():
+    state = concrete.initial_state((4,))
+    fields = (state.env, state.obj_mem, state.this_ref, state.ret, state.ex, state.io)
+    assert hash(state) == hash(fields)
+    moved = kernel.replace(state, this_ref=3)
+    assert hash(moved) == hash(fields[:2] + (3,) + fields[3:]) != hash(state)
+    assert moved != state and kernel.replace(moved, this_ref=0) == state
+    assert hash(state.io) == hash((state.io.inputs, state.io.outputs))
 
 
 def test_frozen_map_behaves_like_mapping():
@@ -301,3 +314,55 @@ def test_trace_hook_reports_statements():
         n.sid for n in syntax.iter_nodes(program.root) if isinstance(n, syntax.Stm)
     }
     assert set(seen) == stm_sids
+
+
+def test_argument_meanings_are_built_once(monkeypatch):
+    """Meanings are built with the program's meaning, not per evaluation:
+    the number of `exp_meaning` calls does not depend on how often the
+    recursive call's arguments are evaluated."""
+    program = load_program("fact.sdtl")
+    builds = []
+    original = kernel.exp_meaning
+
+    def counting(node):
+        builds.append(node)
+        return original(node)
+
+    monkeypatch.setattr(kernel, "exp_meaning", counting)
+    counts = []
+    for n in (5, 20):
+        builds.clear()
+        assert concrete.run_program(program, (n,)).outputs == (math.factorial(n),)
+        counts.append(len(builds))
+    assert counts[0] == counts[1]
+
+
+def _package_and_dataclasses_calls(run) -> tuple:
+    calls = calls_by_file(run)
+    package = os.path.dirname(kernel.__file__) + os.sep
+    in_package = sum(n for name, n in calls.items() if name.startswith(package))
+    return in_package, calls[dataclasses.__file__]
+
+
+def test_concrete_loop_work_per_iteration():
+    """One iteration of a counter loop costs a bounded number of calls into
+    the package (about 183 when every node saved and restored the current
+    node and every primitive built closures and copied states with
+    `dataclasses.replace`), and none into `dataclasses`."""
+    case = programs.counter_loop(random.Random(1), 200)
+    program = parse(case.source)
+    in_package, in_dataclasses = _package_and_dataclasses_calls(
+        lambda: concrete.run_program(program, case.inputs)
+    )
+    assert in_dataclasses == 0 and in_package <= 150 * 200
+
+
+def test_analysis_work_on_straight_line():
+    """Analysing 300 straight-line statements makes at most 20,000 calls
+    into the package (about 24,000 before)."""
+    program = parse(programs.straight_line(random.Random(1), 300).source)
+    with concrete.recursion_headroom():
+        in_package, in_dataclasses = _package_and_dataclasses_calls(
+            lambda: abstract.analyze_program(program)
+        )
+    assert in_dataclasses == 0 and in_package <= 20_000
