@@ -169,11 +169,8 @@ class AbstractInterpretation(kernel.Interpretation):
     def conval(self, constant):
         return BOOL if type(constant) is bool else NUM
 
-    def getinput(self):
-        def run(f, state):
-            return {(state, NUM)}
-
-        return run
+    def getinput(self, state):
+        return {(state, NUM)}
 
     def dooutput(self, state, value):
         return {state}
@@ -196,44 +193,41 @@ class AbstractInterpretation(kernel.Interpretation):
             )
         return NUM if op in ("+", "-", "*", "/") else BOOL
 
-    def apply(self, fun_value, args, this_value, eid):
-        def run(f, state):
-            if fun_value is VOID_VAL:
-                self._dead("possible use of void function result")
-            if not isinstance(fun_value, AFunPtr):
-                self._dead(
-                    f"possible type error: calling a {_category(fun_value)}"
-                )
-            sid, count, anchor = fun_value.sid, fun_value.count, fun_value.anchor
-            arity = f.program.arity(sid)
-            if count == 0:
-                prefixes = ((),)
-            else:
-                prefixes = state.curried.get((sid, count, anchor), frozenset())
-            total = count + len(args)
-            if total == arity:
-                out = set()
-                for prefix in prefixes:
-                    out |= kernel.call(sid, prefix + tuple(args), this_value)(f, state)
-                return out
-            if total < arity:
-                if total == 0:
-                    # zero arguments were supplied: the pointer is unchanged
-                    # (uncurried pointers stay unanchored)
-                    return {(state, fun_value)}
-                key = (sid, total, eid)
-                lists = frozenset(prefix + tuple(args) for prefix in prefixes)
-                old = state.curried.get(key)
-                if old is not None and old != lists:
-                    self.reset_curried_keys.add(key)
-                new_state = kernel.replace(state, curried=state.curried.set(key, lists))
-                return {(new_state, AFunPtr(sid, total, eid))}
+    def apply(self, f, state, fun_value, args, this_value, eid):
+        if fun_value is VOID_VAL:
+            self._dead("possible use of void function result")
+        if not isinstance(fun_value, AFunPtr):
             self._dead(
-                f"possible type error: too many arguments "
-                f"({total} for arity {arity})"
+                f"possible type error: calling a {_category(fun_value)}"
             )
-
-        return run
+        sid, count, anchor = fun_value.sid, fun_value.count, fun_value.anchor
+        arity = f.program.arity(sid)
+        if count == 0:
+            prefixes = ((),)
+        else:
+            prefixes = state.curried.get((sid, count, anchor), frozenset())
+        total = count + len(args)
+        if total == arity:
+            out = set()
+            for prefix in prefixes:
+                out |= kernel.call(f, state, sid, prefix + tuple(args), this_value)
+            return out
+        if total < arity:
+            if total == 0:
+                # zero arguments were supplied: the pointer is unchanged
+                # (uncurried pointers stay unanchored)
+                return {(state, fun_value)}
+            key = (sid, total, eid)
+            lists = frozenset(prefix + tuple(args) for prefix in prefixes)
+            old = state.curried.get(key)
+            if old is not None and old != lists:
+                self.reset_curried_keys.add(key)
+            new_state = kernel.replace(state, curried=state.curried.set(key, lists))
+            return {(new_state, AFunPtr(sid, total, eid))}
+        self._dead(
+            f"possible type error: too many arguments "
+            f"({total} for arity {arity})"
+        )
 
     def _members(self, state, ref):
         if ref is VOID_VAL:
@@ -257,16 +251,13 @@ class AbstractInterpretation(kernel.Interpretation):
         obj_mem = state.obj_mem.set(ref.site, members.set(member, value))
         return {kernel.replace(state, obj_mem=obj_mem)}
 
-    def newobj(self, eid):
-        def run(f, state):
-            # allocation-site abstraction: the site's previous abstract
-            # object, if any, is reset to empty
-            if eid in state.obj_mem:
-                self.reused_sites.add(eid)
-            obj_mem = state.obj_mem.set(eid, FrozenMap())
-            return {(kernel.replace(state, obj_mem=obj_mem), AObjRef(eid))}
-
-        return run
+    def newobj(self, state, eid):
+        # allocation-site abstraction: the site's previous abstract object,
+        # if any, is reset to empty
+        if eid in state.obj_mem:
+            self.reused_sites.add(eid)
+        obj_mem = state.obj_mem.set(eid, FrozenMap())
+        return {(kernel.replace(state, obj_mem=obj_mem), AObjRef(eid))}
 
     # fixed-point engine
 

@@ -65,6 +65,8 @@ def _load(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise CliError(f"cannot read {path}: {err.strerror or err}")
+    except UnicodeDecodeError as err:
+        raise CliError(f"cannot read {path}: {err}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -86,27 +86,6 @@ def _check_not_void(value):
         raise EvalError("used void function result")
 
 
-def _pop(io):
-    if not io.inputs:
-        raise EvalError("input exhausted")
-    return IOState(io.inputs[1:], io.outputs), io.inputs[0]
-
-
-_pop_input = kernel.focus_update_returning("io", _pop)
-
-
-def _read_input(f, state):
-    return {_pop_input(state)}
-
-
-def _alloc(obj_mem):
-    ref = len(obj_mem)
-    return obj_mem.set(ref, FrozenMap()), ObjRef(ref)
-
-
-_allocate = kernel.focus_update_returning("obj_mem", _alloc)
-
-
 class ConcreteInterpretation(kernel.Interpretation):
     """Primitive operations of the executable semantics.
 
@@ -143,8 +122,12 @@ class ConcreteInterpretation(kernel.Interpretation):
     def conval(self, constant):
         return constant
 
-    def getinput(self):
-        return _read_input
+    def getinput(self, state):
+        io = state.io
+        if not io.inputs:
+            raise EvalError("input exhausted")
+        rest = IOState(io.inputs[1:], io.outputs)
+        return {(kernel.replace(state, io=rest), io.inputs[0])}
 
     def dooutput(self, state, value):
         _check_not_void(value)
@@ -190,24 +173,21 @@ class ConcreteInterpretation(kernel.Interpretation):
             return left < right
         raise AssertionError(f"unknown operator {op!r}")
 
-    def apply(self, fun_value, args, this_value, eid):
-        def run(f, state):
-            _check_not_void(fun_value)
-            if not isinstance(fun_value, FunPtr):
-                raise EvalError(
-                    f"calling a non-function ({_category(fun_value)})"
-                )
-            combined = fun_value.curried + tuple(args)
-            arity = f.program.arity(fun_value.sid)
-            if len(combined) == arity:
-                return kernel.call(fun_value.sid, combined, this_value)(f, state)
-            if len(combined) < arity:
-                return {(state, FunPtr(fun_value.sid, combined))}
+    def apply(self, f, state, fun_value, args, this_value, eid):
+        _check_not_void(fun_value)
+        if not isinstance(fun_value, FunPtr):
             raise EvalError(
-                f"too many arguments ({len(combined)} for arity {arity})"
+                f"calling a non-function ({_category(fun_value)})"
             )
-
-        return run
+        combined = fun_value.curried + tuple(args)
+        arity = f.program.arity(fun_value.sid)
+        if len(combined) == arity:
+            return kernel.call(f, state, fun_value.sid, combined, this_value)
+        if len(combined) < arity:
+            return {(state, FunPtr(fun_value.sid, combined))}
+        raise EvalError(
+            f"too many arguments ({len(combined)} for arity {arity})"
+        )
 
     def _members(self, state, ref):
         _check_not_void(ref)
@@ -227,12 +207,11 @@ class ConcreteInterpretation(kernel.Interpretation):
         obj_mem = state.obj_mem.set(ref.ref, members.set(member, value))
         return {kernel.replace(state, obj_mem=obj_mem)}
 
-    def newobj(self, eid):
-        def run(f, state):
-            self.site_allocations[eid] = self.site_allocations.get(eid, 0) + 1
-            return {_allocate(state)}
-
-        return run
+    def newobj(self, state, eid):
+        self.site_allocations[eid] = self.site_allocations.get(eid, 0) + 1
+        ref = len(state.obj_mem)
+        obj_mem = state.obj_mem.set(ref, FrozenMap())
+        return {(kernel.replace(state, obj_mem=obj_mem), ObjRef(ref))}
 
 
 @dataclass(frozen=True)

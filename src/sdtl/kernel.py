@@ -141,23 +141,6 @@ def replace(record, **changes):
     return copy
 
 
-def focus_update_returning(field_selection, update):
-    """Project the selected fields, apply `update`, inject the result back.
-
-    `update` maps the fields' values to (replacements, auxiliary), the
-    replacement bare for one field and a tuple for several; returns the
-    copied record and the auxiliary value."""
-    fields = (field_selection,) if isinstance(field_selection, str) else tuple(field_selection)
-
-    def apply(record):
-        out, aux = update(*(getattr(record, name) for name in fields))
-        if len(fields) == 1:
-            out = (out,)
-        return replace(record, **dict(zip(fields, out))), aux
-
-    return apply
-
-
 # --- Transformer combinators -------------------------------------------------
 
 
@@ -168,6 +151,9 @@ def pure(value) -> Transformer:
         return {(s, value)}
 
     return run
+
+
+_SKIP = pure(UNIT)  # the meaning of ``nil``, shared by every equation that skips
 
 
 def bind(t: Transformer, k) -> Transformer:
@@ -224,9 +210,11 @@ class Interpretation:
     class (built from a sid) and the name of its receiver field, and writes
     the value-level primitives.
 
-    Primitives with a ``state`` argument take it first and return a value, a
-    state or the set of successor states; ``cond``, ``getinput``, ``apply``
-    and ``newobj`` return transformers.  State equality must be decidable.
+    Every primitive but ``cond`` takes the state (after the run's function
+    table, where it needs one) and returns its result: a value, a state, a
+    set of successor states, or a set of (state, payload) outcomes.  ``cond``
+    selects between the two transformers it is given.  State equality must
+    be decidable.
     """
 
     obj_ref_class = None
@@ -250,7 +238,7 @@ class Interpretation:
     def conval(self, constant):  # -> Value
         raise NotImplementedError
 
-    def getinput(self) -> Transformer:
+    def getinput(self, state):  # -> set of (State, Value)
         raise NotImplementedError
 
     def dooutput(self, state, value):  # -> set of States
@@ -259,7 +247,7 @@ class Interpretation:
     def bin(self, op, left, right):  # -> Value
         raise NotImplementedError
 
-    def apply(self, fun_value, args, this_value, eid) -> Transformer:
+    def apply(self, f, state, fun_value, args, this_value, eid):  # -> outcomes
         raise NotImplementedError
 
     def get(self, state, ref, member):  # -> Value
@@ -268,7 +256,7 @@ class Interpretation:
     def set(self, state, ref, member, value):  # -> set of States
         raise NotImplementedError
 
-    def newobj(self, eid) -> Transformer:
+    def newobj(self, state, eid):  # -> set of (State, Value)
         raise NotImplementedError
 
     # record-state primitives: shared by every domain
@@ -285,13 +273,10 @@ class Interpretation:
     def throw(self, state, value):  # -> set of States
         return {replace(state, ex=value)}
 
-    def catch(self, exc_name, handler_t: Transformer) -> Transformer:
-        def run(f, state):
-            if state.ex is VOID:
-                return {(state, UNIT)}
-            return handler_t(f, self.exs(state, exc_name))
-
-        return run
+    def catch(self, f, state, exc_name, handler_t: Transformer):  # -> outcomes
+        if state.ex is VOID:
+            return {(state, UNIT)}
+        return handler_t(f, self.exs(state, exc_name))
 
     def exs(self, state, exc_name):  # -> State
         return replace(state, env=state.env.set(exc_name, state.ex), ex=VOID)
@@ -371,26 +356,22 @@ class FunctionTable:
 # --- Auxiliary call machinery --------------------------------------------------
 
 
-def call(sid, args, this_value) -> Transformer:
-    """Run function `sid` on `args` with receiver `this_value`.
+def call(f, s, sid, args, this_value):  # -> outcomes
+    """Run function `sid` on `args` with receiver `this_value` from state `s`.
 
     Builds the callee entry state, runs the body through the
     interpretation's fixed-point hook, and maps every exit state back
     through ``leave``.  A Void return slot becomes the unusable ``VOID_VAL``
     payload.
     """
-
-    def run(f, s):
-        interp = f.interp
-        entry = interp.enter(s, sid, args, this_value, f.program.param(sid))
-        out = set()
-        body = interp.fixpoint("call", sid, f.lookup(sid))
-        for exit_state, _ in body(f, entry):
-            after, ret = interp.leave(s, exit_state)
-            out.add((after, VOID_VAL if ret is VOID else ret))
-        return out
-
-    return run
+    interp = f.interp
+    entry = interp.enter(s, sid, args, this_value, f.program.param(sid))
+    out = set()
+    body = interp.fixpoint("call", sid, f.lookup(sid))
+    for exit_state, _ in body(f, entry):
+        after, ret = interp.leave(s, exit_state)
+        out.add((after, VOID_VAL if ret is VOID else ret))
+    return out
 
 
 def eval_params(exps) -> Transformer:
@@ -457,7 +438,7 @@ def _cond(nid, value, then_t, else_t) -> Transformer:
 
 
 def _apply(fun_value, args, this_value, eid) -> Transformer:
-    return _step(eid, lambda i, f, s: i.apply(fun_value, args, this_value, eid)(f, s))
+    return _step(eid, lambda i, f, s: i.apply(f, s, fun_value, args, this_value, eid))
 
 
 def _traced(node, run) -> Transformer:
@@ -477,12 +458,12 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
     sid = node.sid
     match node:
         case syntax.Nil():
-            run = pure(UNIT)
+            run = _SKIP
         case syntax.Seq(first=first, second=second):
             second_t = stm_meaning(second)
             run = bind(stm_meaning(first), lambda _: second_t)
         case syntax.ExpStm(exp=exp):
-            run = bind(exp_meaning(exp), lambda _: pure(UNIT))
+            run = bind(exp_meaning(exp), lambda _: _SKIP)
         case syntax.Output(exp=exp):
             run = bind(
                 exp_meaning(exp),
@@ -504,7 +485,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
             )
         case syntax.If(guard=guard, then_body=then_body):
             then_t = stm_meaning(then_body)
-            run = bind(exp_meaning(guard), lambda v: _cond(sid, v, then_t, pure(UNIT)))
+            run = bind(exp_meaning(guard), lambda v: _cond(sid, v, then_t, _SKIP))
         case syntax.IfElse(guard=guard, then_body=then_body, else_body=else_body):
             then_t, else_t = stm_meaning(then_body), stm_meaning(else_body)
             run = bind(exp_meaning(guard), lambda v: _cond(sid, v, then_t, else_t))
@@ -515,7 +496,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                 return f.interp.fixpoint("loop", sid, step)(f, s)
 
             loop_body = bind(stm_meaning(body), lambda _: run)
-            step = bind(exp_meaning(guard), lambda v: _cond(sid, v, loop_body, pure(UNIT)))
+            step = bind(exp_meaning(guard), lambda v: _cond(sid, v, loop_body, _SKIP))
 
         case syntax.FunDecl(name=name):
             run = _prim_s(sid, lambda i, s: i.fundecl(s, name, sid))
@@ -526,7 +507,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
             )
         case syntax.TryCatch(body=body, exc_name=exc_name, handler=handler):
             handler_t = stm_meaning(handler)
-            catch_t = _step(sid, lambda i, f, s: i.catch(exc_name, handler_t)(f, s))
+            catch_t = _step(sid, lambda i, f, s: i.catch(f, s, exc_name, handler_t))
             run = bind_noesc(stm_meaning(body), lambda _: catch_t)
         case syntax.Throw(exp=exp):
             run = bind(
@@ -549,7 +530,7 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
         case syntax.LexpRef(lexp=lexp):
             run = lexp_meaning(lexp)
         case syntax.Input():
-            run = _step(eid, lambda i, f, s: i.getinput()(f, s))
+            run = _step(eid, lambda i, f, s: i.getinput(s))
         case syntax.Call(callee=callee, args=args):
             params_t = eval_params(args)
             this_t = _prim_v(eid, lambda i, s: i.getthis(s))
@@ -586,7 +567,7 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
             run = _prim_v(eid, lambda i, s: i.getthis(s))
         case syntax.New(callee=callee, args=args):
             params_t = eval_params(args)
-            new_obj_t = _step(eid, lambda i, f, s: i.newobj(eid)(f, s))
+            new_obj_t = _step(eid, lambda i, f, s: i.newobj(s, eid))
             run = bind(
                 lexp_meaning(callee),
                 lambda n: bind(

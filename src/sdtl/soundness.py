@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import abstract, concrete, kernel, syntax
-from .kernel import VOID, VOID_VAL, DeadBranch, EvalError
+from .kernel import VOID, VOID_VAL, EvalError
 
 
 # --- The abstraction relation --------------------------------------------------
@@ -140,34 +140,31 @@ def abstracts_outcome(astates, cstates) -> Judgment:
 # --- Differential testing --------------------------------------------------------
 
 
-def _top_level_statements(root):
-    node = root
+_esc = kernel.Interpretation().esc  # the escape test every domain shares
+
+
+def _stage_recorder(program):
+    """A trace hook that collects the states after each top-level statement
+    by sid, and a generator of the state sets after each statement in
+    order, escaped states carried forward."""
+    sids, node = [], program.root
     while isinstance(node, syntax.Seq):
-        yield node.first
+        sids.append(node.first.sid)
         node = node.second
-    yield node
+    sids.append(node.sid)
+    outcomes = {sid: set() for sid in sids}
 
+    def trace(node, outcome):
+        if node.sid in outcomes:
+            outcomes[node.sid].update(state for state, _ in outcome)
 
-def _staged_states(program, interp):
-    """State sets after each top-level statement (escaped states persist)."""
-    table = kernel.FunctionTable(program, interp)
-    states = {interp.initial_state()}
-    stages = []
-    with concrete.recursion_headroom():
-        for stm in _top_level_statements(program.root):
-            meaning = kernel.stm_meaning(stm)
-            successors = set()
-            for state in states:
-                if interp.esc(state):
-                    successors.add(state)
-                    continue
-                try:
-                    successors |= {s for s, _ in meaning(table, state)}
-                except DeadBranch:
-                    pass
-            states = successors
-            stages.append(frozenset(states))
-    return stages
+    def stages():
+        stage = frozenset()
+        for sid in sids:
+            stage = frozenset(outcomes[sid]).union(s for s in stage if _esc(s))
+            yield stage
+
+    return trace, stages
 
 
 def differential_test(
@@ -182,17 +179,22 @@ def differential_test(
     The program is analyzed once and run concretely per input vector;
     vectors that hit run-time errors are skipped and reported separately.
     With `per_statement`, the abstraction relation is also required after
-    every top-level statement, not just at the end.
+    every top-level statement, not just at the end: a trace hook on the
+    analysis and on each run collects the states after each statement.
     """
     program = syntax.parse(source)
-    analysis = abstract.analyze_program(program, max_iterations=max_iterations)
-    abstract_stages = None
+    trace, stages = _stage_recorder(program) if per_statement else (None, None)
+    analysis = abstract.analyze_program(
+        program, max_iterations=max_iterations, trace=trace
+    )
+    abstract_stages = list(stages()) if per_statement else None
     violations, errors = [], []
     checked = 0
     for vector in input_vectors:
         vector = tuple(vector)
+        trace, stages = _stage_recorder(program) if per_statement else (None, None)
         try:
-            result = concrete.run_program(program, vector)
+            result = concrete.run_program(program, vector, trace=trace)
         except EvalError as err:
             errors.append({"inputs": list(vector), "error": str(err)})
             continue
@@ -200,17 +202,7 @@ def differential_test(
         judgment = abstracts_outcome(analysis.final_states, set(result.final_states))
         _collect_violations(violations, vector, judgment, stage=None)
         if per_statement:
-            if abstract_stages is None:
-                abstract_stages = _staged_states(
-                    program,
-                    abstract.AbstractInterpretation(max_iterations=max_iterations),
-                )
-            concrete_stages = _staged_states(
-                program, concrete.ConcreteInterpretation(vector)
-            )
-            for index, (astage, cstage) in enumerate(
-                zip(abstract_stages, concrete_stages)
-            ):
+            for index, (astage, cstage) in enumerate(zip(abstract_stages, stages())):
                 judgment = abstracts_outcome(astage, cstage)
                 _collect_violations(violations, vector, judgment, stage=index)
     return {

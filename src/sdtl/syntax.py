@@ -279,9 +279,9 @@ def tokenize(source: str) -> list[Token]:
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start, start_col = i, col
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
                 col += 1
             tokens.append(Token("num", int(source[start:i]), line, start_col))

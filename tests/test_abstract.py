@@ -44,8 +44,7 @@ def test_conval_approximates_by_type():
 
 def test_getinput_yields_num_without_state_change():
     state = abstract.initial_state()
-    table = kernel.FunctionTable(program=None, interp=INTERP)
-    assert INTERP.getinput()(table, state) == {(state, NUM)}
+    assert INTERP.getinput(state) == {(state, NUM)}
 
 
 def test_bin_by_operator_class():

@@ -76,6 +76,15 @@ def test_missing_file(capsys):
     assert code == 1 and "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["run", "analyze", "dump-ast", "check-soundness"])
+def test_non_utf8_file_exits_1_without_traceback(tmp_path, capsys, command):
+    prog = tmp_path / "utf16.sdtl"
+    prog.write_bytes(b"\xff\xfex\x00 \x00=\x00 \x001\x00;\x00")
+    code, out, err = run_cli(capsys, command, str(prog))
+    assert code == 1 and out == ""
+    assert err.startswith(f"cannot read {prog}: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("command", ["run", "analyze", "dump-ast"])
 @pytest.mark.parametrize("source", [
     "output " + "(" * 300 + "1" + ")" * 300 + ";",
@@ -274,6 +283,27 @@ def test_check_soundness_per_statement(capsys):
     )
     report = json.loads(out)
     assert code == 0 and report["checked"] == 2 and report["violations"] == []
+
+
+@pytest.mark.parametrize("name", ["caveat_site_reset", "caveat_curried_reset"])
+def test_per_statement_report_matches_golden(capsys, monkeypatch, name):
+    r"""The two documented caveat programs violate after statements 3 and 4,
+    so their reports pin the staged states and the explanations.  The
+    fixtures under tests/golden_per_statement were recorded, from the
+    repository root, with
+
+        sdtl check-soundness tests/programs/$name.sdtl --per-statement \
+            --input-sets "0;1" > tests/golden_per_statement/$name.json
+    """
+    monkeypatch.chdir(PROGRAMS.parent.parent)
+    code, out, _ = run_cli(
+        capsys, "check-soundness", f"tests/programs/{name}.sdtl",
+        "--per-statement", "--input-sets", "0;1",
+    )
+    expected = PROGRAMS.parent / "golden_per_statement" / f"{name}.json"
+    assert code == 3 and out == expected.read_text(encoding="utf-8")
+    stages = {v.get("afterStatement") for v in json.loads(out)["violations"]}
+    assert stages == {None, 3, 4}
 
 
 def test_check_soundness_generated(capsys):

@@ -31,16 +31,6 @@ class Contact:
 BOB = Contact("bob", "17 st", 30)
 
 
-def test_focus_update_returning_old_age():
-    step = kernel.focus_update_returning("age", lambda a: (a + 2, a))
-    assert step(BOB) == (Contact("bob", "17 st", 32), 30)
-
-
-def test_focus_on_several_fields():
-    swap = kernel.focus_update_returning(("name", "address"), lambda n, a: ((a, n), n))
-    assert swap(BOB) == (Contact("17 st", "bob", 30), "bob")
-
-
 def test_replace_copies_with_changed_fields():
     older = kernel.replace(BOB, age=31, address="18 st")
     assert older == Contact("bob", "18 st", 31) and BOB.age == 30
@@ -355,6 +345,20 @@ def test_concrete_loop_work_per_iteration():
         lambda: concrete.run_program(program, case.inputs)
     )
     assert in_dataclasses == 0 and in_package <= 150 * 200
+
+
+def test_host_stack_budget_of_loops_and_calls():
+    """Concrete loops and calls recurse in the host under
+    `recursion_headroom`'s 10,000 frames: a 1,800-iteration counter loop and
+    `fact(fact, 690)` fit (the limits are about 1,995 and 713).  One more
+    host frame per iteration or per call, as when `cond` runs the branch it
+    selects, lowers the limits to about 1,662 and 665."""
+    for case in (
+        programs.counter_loop(random.Random(1), 1800),
+        programs.self_passing_fact(random.Random(1), 690),
+    ):
+        result = concrete.run_program(parse(case.source), case.inputs)
+        assert result.outputs == case.outputs
 
 
 def test_analysis_work_on_straight_line():

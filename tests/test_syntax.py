@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     GOLDEN, PROGRAMS, calls_by_file, find_fundecl, load, load_program, straight_line,
@@ -181,6 +183,24 @@ def test_callee_must_be_variable_or_member():
 def test_keywords_are_not_identifiers():
     with pytest.raises(ParseError):
         parse("while = 1;")
+
+
+def test_numbers_are_decimal_digits_only():
+    # '²' is a digit to str.isdigit but not to int()
+    assert parse("x = 12;").root.value.value == 12
+    with pytest.raises(ParseError, match="unexpected character '²'"):
+        parse("x = 1²;")
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=40))
+@example("²")
+def test_parse_returns_a_program_or_raises_parse_error(source):
+    try:
+        program = parse(source)
+    except ParseError:
+        return
+    assert isinstance(program, syntax.Program)
 
 
 def test_dump_ast_schema():
