@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 run-time or program error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -69,6 +70,7 @@ def _load(path) -> str:
         raise CliError(f"cannot read {path}: {err}")
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdtl", description="SDTL interpreter, type analyzer and soundness checker"
@@ -128,7 +130,8 @@ def _cmd_run(args) -> int:
             print(value)
     final = result.final_state
     if final.ex is not VOID:
-        print(f"uncaught exception: {concrete.value_to_json(final.ex)}", file=sys.stderr)
+        thrown = json.dumps(concrete.value_to_json(final.ex))
+        print(f"uncaught exception: {thrown}", file=sys.stderr)
         return 1
     return 0
 

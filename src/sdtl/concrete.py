@@ -89,8 +89,8 @@ def _check_not_void(value):
 class ConcreteInterpretation(kernel.Interpretation):
     """Primitive operations of the executable semantics.
 
-    Run-time errors raise :class:`EvalError`; the kernel tags them with the
-    id of the node being evaluated.
+    Run-time errors raise :class:`EvalError`; :func:`run_program` tags them
+    with the id of the node whose step raised them.
     """
 
     obj_ref_class = ObjRef
@@ -233,7 +233,10 @@ def recursion_headroom(limit=10_000):
     try:
         yield
     except RecursionError:
-        raise EvalError("recursion limit exceeded (non-terminating program?)") from None
+        raise EvalError(
+            f"host recursion limit exceeded ({sys.getrecursionlimit():,} frames): "
+            "loop or call nesting too deep"
+        ) from None
     finally:
         sys.setrecursionlimit(previous)
 
@@ -248,7 +251,13 @@ def run_program(program: Program, inputs=(), trace=None, interp=None) -> RunResu
         interp = ConcreteInterpretation(inputs)
     f = kernel.FunctionTable(program, interp, trace)
     with recursion_headroom():
-        outcome = kernel.stm_meaning(program.root)(f, interp.initial_state())
+        try:
+            outcome = kernel.stm_meaning(program.root)(f, interp.initial_state())
+        except EvalError as err:
+            # the step that raised was the last to set the current node
+            if err.node_id is None:
+                err.node_id = interp.current_node
+            raise
     finals = tuple(state for state, _ in outcome)
     assert len(finals) == 1, "internal error: concrete run must be deterministic"
     return RunResult(finals, finals[0].io.outputs)

@@ -9,6 +9,11 @@ exception).  The semantic equations here are written once against the
 state record's ``env``, ``ret``, ``ex`` and receiver fields.  The concrete
 interpreter and the abstract type analysis plug in their own state/value
 carriers and value-level primitives without touching either.
+
+Every transformer is built once, with the program's meaning: evaluating a
+node loops over its parts' outcomes and calls primitives, and builds no
+closure.  Each primitive step first makes its node the interpretation's
+``current_node``; ``concrete.run_program`` tags a run-time error with it.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ class EvalError(Exception):
 class DeadBranch(Exception):
     """Raised by abstract primitives when a branch cannot proceed.
 
-    The surrounding bind discards the branch; a diagnostic has already been
-    logged by the interpretation.
+    The step that called the primitive discards the branch; a diagnostic has
+    already been logged by the interpretation.
     """
 
 
@@ -156,42 +161,70 @@ def pure(value) -> Transformer:
 _SKIP = pure(UNIT)  # the meaning of ``nil``, shared by every equation that skips
 
 
-def bind(t: Transformer, k) -> Transformer:
-    """Sequence `t` with `k`, short-circuiting escaping states.
-
-    Each escaping successor of `t` is emitted as (state, NULL); every other
-    successor flows into ``k(payload)``.
-    """
+def _seq(t: Transformer, u: Transformer) -> Transformer:
+    """`t` then `u`: each escaping successor of `t` is emitted as
+    (state, NULL), and every other one flows into `u`."""
 
     def run(f, s):
+        esc = f.interp.esc
         out = set()
-        for s1, a in t(f, s):
-            if f.interp.esc(s1):
+        for s1, _ in t(f, s):
+            if esc(s1):
                 out.add((s1, NULL))
             else:
-                try:
-                    out |= k(a)(f, s1)
-                except DeadBranch:
-                    pass
+                out |= u(f, s1)
         return out
 
     return run
 
 
-def bind_noesc(t: Transformer, k) -> Transformer:
-    """Sequence without the escape filter: `k` sees every successor state,
-    escaping or not, and receives the raw payload (possibly NULL)."""
+def _step(nid, t: Transformer, body) -> Transformer:
+    """Primitive step of node `nid` after `t` (the monadic bind).
+
+    Each escaping successor of `t` is emitted as (state, NULL).  For every
+    other (state, payload) the step makes `nid` the interpretation's current
+    node and adds ``body(interp, f, state, payload)``, an outcome set, or
+    nothing if the body raises :class:`DeadBranch`.
+    """
 
     def run(f, s):
+        interp = f.interp
         out = set()
         for s1, a in t(f, s):
+            if interp.esc(s1):
+                out.add((s1, NULL))
+                continue
+            interp.current_node = nid
             try:
-                out |= k(a)(f, s1)
+                out |= body(interp, f, s1, a)
             except DeadBranch:
                 pass
         return out
 
     return run
+
+
+def _collect(first: Transformer, exps) -> Transformer:
+    """`first`, then the expressions `exps` left to right, each run from
+    every non-escaping successor of the one before; the payload is the tuple
+    of their payloads."""
+    rest = _collect(exp_meaning(exps[0]), exps[1:]) if exps else pure(())
+
+    def run(f, s):
+        out = set()
+        for s1, a in first(f, s):
+            if f.interp.esc(s1):
+                out.add((s1, NULL))
+            else:
+                out |= {(s2, v if v is NULL else (a,) + v) for s2, v in rest(f, s1)}
+        return out
+
+    return run
+
+
+def _units(states):
+    """Outcomes of a statement step: each successor state with ``UNIT``."""
+    return {(s, UNIT) for s in states}
 
 
 # --- The interpretation contract ----------------------------------------------
@@ -374,71 +407,7 @@ def call(f, s, sid, args, this_value):  # -> outcomes
     return out
 
 
-def eval_params(exps) -> Transformer:
-    """Evaluate expressions left to right, collecting their values."""
-    meanings = [exp_meaning(exp) for exp in exps]
-
-    def step(index, collected):
-        if index == len(meanings):
-            return pure(collected)
-        return bind(meanings[index], lambda v: step(index + 1, collected + (v,)))
-
-    return step(0, ())
-
-
 # --- Semantic equations ---------------------------------------------------------
-# Each primitive step of an equation carries the id of its node: it makes
-# that id the interpretation's current node before it calls the primitive,
-# and tags a run-time error that has no node id yet with it.
-
-
-def _step(nid, body) -> Transformer:
-    """Primitive step of node `nid`: body(interp, f, state) -> outcome set."""
-
-    def run(f, s):
-        interp = f.interp
-        interp.current_node = nid
-        try:
-            return body(interp, f, s)
-        except DeadBranch:
-            return set()
-        except EvalError as err:
-            if err.node_id is None:
-                err.node_id = nid
-            raise
-
-    return run
-
-
-def _prim_v(nid, read) -> Transformer:
-    """Value-yielding step: read(interp, state) -> value (hot: not on `_step`)."""
-
-    def run(f, s):
-        interp = f.interp
-        interp.current_node = nid
-        try:
-            return {(s, read(interp, s))}
-        except DeadBranch:
-            return set()
-        except EvalError as err:
-            if err.node_id is None:
-                err.node_id = nid
-            raise
-
-    return run
-
-
-def _prim_s(nid, transform) -> Transformer:
-    """State-transforming step: transform(interp, state) -> set of states."""
-    return _step(nid, lambda i, f, s: {(s1, UNIT) for s1 in transform(i, s)})
-
-
-def _cond(nid, value, then_t, else_t) -> Transformer:
-    return _step(nid, lambda i, f, s: i.cond(value, then_t, else_t)(f, s))
-
-
-def _apply(fun_value, args, this_value, eid) -> Transformer:
-    return _step(eid, lambda i, f, s: i.apply(f, s, fun_value, args, this_value, eid))
 
 
 def _traced(node, run) -> Transformer:
@@ -460,60 +429,68 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
         case syntax.Nil():
             run = _SKIP
         case syntax.Seq(first=first, second=second):
-            second_t = stm_meaning(second)
-            run = bind(stm_meaning(first), lambda _: second_t)
+            run = _seq(stm_meaning(first), stm_meaning(second))
         case syntax.ExpStm(exp=exp):
-            run = bind(exp_meaning(exp), lambda _: _SKIP)
+            run = _seq(exp_meaning(exp), _SKIP)
         case syntax.Output(exp=exp):
-            run = bind(
-                exp_meaning(exp),
-                lambda v: _prim_s(sid, lambda i, s: i.dooutput(s, v)),
-            )
+            run = _step(sid, exp_meaning(exp), lambda i, f, s, v: _units(i.dooutput(s, v)))
         case syntax.Assign(target=syntax.Var(name=name), value=value):
-            run = bind(
-                exp_meaning(value),
-                lambda v: _prim_s(sid, lambda i, s: i.asg(s, name, v)),
-            )
-        case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
             value_t = exp_meaning(value)
-            run = bind(
-                exp_meaning(obj),
-                lambda r: bind(
-                    value_t,
-                    lambda v: _prim_s(sid, lambda i, s: i.set(s, r, member, v)),
-                ),
+
+            def run(f, s):
+                interp = f.interp
+                out = set()
+                for s1, v in value_t(f, s):
+                    if interp.esc(s1):
+                        out.add((s1, NULL))
+                        continue
+                    interp.current_node = sid
+                    try:
+                        for s2 in interp.asg(s1, name, v):
+                            out.add((s2, UNIT))
+                    except DeadBranch:
+                        pass
+                return out
+
+        case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
+            run = _step(
+                sid, _collect(exp_meaning(obj), (value,)),
+                lambda i, f, s, rv: _units(i.set(s, rv[0], member, rv[1])),
             )
-        case syntax.If(guard=guard, then_body=then_body):
-            then_t = stm_meaning(then_body)
-            run = bind(exp_meaning(guard), lambda v: _cond(sid, v, then_t, _SKIP))
-        case syntax.IfElse(guard=guard, then_body=then_body, else_body=else_body):
-            then_t, else_t = stm_meaning(then_body), stm_meaning(else_body)
-            run = bind(exp_meaning(guard), lambda v: _cond(sid, v, then_t, else_t))
+        case syntax.If() | syntax.IfElse():
+            then_t = stm_meaning(node.then_body)
+            else_t = _SKIP if type(node) is syntax.If else stm_meaning(node.else_body)
+            guard_t = exp_meaning(node.guard)
+            run = _step(sid, guard_t, lambda i, f, s, v: i.cond(v, then_t, else_t)(f, s))
         case syntax.While(guard=guard, body=body):
-            # one self-referential transformer: `step` unfolds the loop once
+            # one self-referential transformer: `unfold` runs the loop once
             # and re-enters it through the fixed-point hook
             def run(f, s):
-                return f.interp.fixpoint("loop", sid, step)(f, s)
+                return f.interp.fixpoint("loop", sid, unfold)(f, s)
 
-            loop_body = bind(stm_meaning(body), lambda _: run)
-            step = bind(exp_meaning(guard), lambda v: _cond(sid, v, loop_body, _SKIP))
-
+            loop_t, guard_t = _seq(stm_meaning(body), run), exp_meaning(guard)
+            unfold = _step(sid, guard_t, lambda i, f, s, v: i.cond(v, loop_t, _SKIP)(f, s))
         case syntax.FunDecl(name=name):
-            run = _prim_s(sid, lambda i, s: i.fundecl(s, name, sid))
+            run = _step(sid, _SKIP, lambda i, f, s, _: _units(i.fundecl(s, name, sid)))
         case syntax.Return(exp=exp):
-            run = bind(
-                exp_meaning(exp),
-                lambda v: _prim_s(sid, lambda i, s: i.ret(s, v)),
-            )
+            run = _step(sid, exp_meaning(exp), lambda i, f, s, v: _units(i.ret(s, v)))
         case syntax.TryCatch(body=body, exc_name=exc_name, handler=handler):
-            handler_t = stm_meaning(handler)
-            catch_t = _step(sid, lambda i, f, s: i.catch(f, s, exc_name, handler_t))
-            run = bind_noesc(stm_meaning(body), lambda _: catch_t)
+            # every outcome of the body reaches the handler, escaping or not
+            body_t, handler_t = stm_meaning(body), stm_meaning(handler)
+
+            def run(f, s):
+                interp = f.interp
+                out = set()
+                for s1, _ in body_t(f, s):
+                    interp.current_node = sid
+                    try:
+                        out |= interp.catch(f, s1, exc_name, handler_t)
+                    except DeadBranch:
+                        pass
+                return out
+
         case syntax.Throw(exp=exp):
-            run = bind(
-                exp_meaning(exp),
-                lambda v: _prim_s(sid, lambda i, s: i.throw(s, v)),
-            )
+            run = _step(sid, exp_meaning(exp), lambda i, f, s, v: _units(i.throw(s, v)))
         case _:
             raise TypeError(f"not a statement node: {node!r}")
     return _traced(node, run)
@@ -530,54 +507,58 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
         case syntax.LexpRef(lexp=lexp):
             run = lexp_meaning(lexp)
         case syntax.Input():
-            run = _step(eid, lambda i, f, s: i.getinput(s))
+            run = _step(eid, _SKIP, lambda i, f, s, _: i.getinput(s))
         case syntax.Call(callee=callee, args=args):
-            params_t = eval_params(args)
-            this_t = _prim_v(eid, lambda i, s: i.getthis(s))
-            run = bind(
-                lexp_meaning(callee),
-                lambda n: bind(
-                    params_t,
-                    lambda p: bind(this_t, lambda t: _apply(n, p, t, eid)),
-                ),
+            run = _step(
+                eid, _collect(lexp_meaning(callee), args),
+                lambda i, f, s, p: i.apply(f, s, p[0], p[1:], i.getthis(s), eid),
             )
-        case syntax.MethodCall(receiver=receiver, member=member, args=args):
-            params_t = eval_params(args)
-            run = bind(
-                exp_meaning(receiver),
-                lambda t: bind(
-                    _prim_v(eid, lambda i, s: i.get(s, t, member)),
-                    lambda n: bind(params_t, lambda p: _apply(n, p, t, eid)),
-                ),
+        case syntax.MethodCall(receiver=obj, member=member, args=args):
+            # `method_t` yields (receiver, method), read before the arguments run
+            method_t = _step(
+                eid, exp_meaning(obj), lambda i, f, s, r: {(s, (r, i.get(s, r, member)))}
+            )
+            run = _step(
+                eid, _collect(method_t, args),
+                lambda i, f, s, p: i.apply(f, s, p[0][1], p[1:], p[0][0], eid),
             )
         case syntax.BinOp(op=op, left=left, right=right):
-            right_t = exp_meaning(right)
-            run = bind(
-                exp_meaning(left),
-                lambda c1: bind(
-                    right_t,
-                    lambda c2: _prim_v(eid, lambda i, s: i.bin(op, c1, c2)),
-                ),
-            )
+            left_t, right_t = exp_meaning(left), exp_meaning(right)
+
+            def run(f, s):
+                interp = f.interp
+                out = set()
+                for s1, c1 in left_t(f, s):
+                    if interp.esc(s1):
+                        out.add((s1, NULL))
+                        continue
+                    for s2, c2 in right_t(f, s1):
+                        if interp.esc(s2):
+                            out.add((s2, NULL))
+                            continue
+                        interp.current_node = eid
+                        try:
+                            out.add((s2, interp.bin(op, c1, c2)))
+                        except DeadBranch:
+                            pass
+                return out
+
         case syntax.Paren(inner=inner):
             run = exp_meaning(inner)
         case syntax.Global():
-            run = _prim_v(eid, lambda i, s: i.getglobal(s))
+            run = _step(eid, _SKIP, lambda i, f, s, _: {(s, i.getglobal(s))})
         case syntax.This():
-            run = _prim_v(eid, lambda i, s: i.getthis(s))
+            run = _step(eid, _SKIP, lambda i, f, s, _: {(s, i.getthis(s))})
         case syntax.New(callee=callee, args=args):
-            params_t = eval_params(args)
-            new_obj_t = _step(eid, lambda i, f, s: i.newobj(s, eid))
-            run = bind(
-                lexp_meaning(callee),
-                lambda n: bind(
-                    params_t,
-                    lambda p: bind(
-                        new_obj_t,
-                        lambda m: bind(_apply(n, p, m, eid), lambda _: pure(m)),
-                    ),
-                ),
-            )
+            # a fresh object, on which the constructor runs, is the value
+            def construct(i, f, s, p):
+                out = set()
+                for s1, obj in i.newobj(s, eid):
+                    for s2, _ in i.apply(f, s1, p[0], p[1:], obj, eid):
+                        out.add((s2, NULL if i.esc(s2) else obj))
+                return out
+
+            run = _step(eid, _collect(lexp_meaning(callee), args), construct)
         case _:
             raise TypeError(f"not an expression node: {node!r}")
     return run
@@ -588,12 +569,16 @@ def lexp_meaning(node: syntax.Lexp) -> Transformer:
     eid = node.eid
     match node:
         case syntax.Var(name=name):
-            run = _prim_v(eid, lambda i, s: i.val(s, name))
-        case syntax.Member(obj=obj, member=member):
-            run = bind(
-                exp_meaning(obj),
-                lambda v: _prim_v(eid, lambda i, s: i.get(s, v, member)),
-            )
+            def run(f, s):
+                interp = f.interp
+                interp.current_node = eid
+                try:
+                    return {(s, interp.val(s, name))}
+                except DeadBranch:
+                    return set()
+
+        case syntax.Member(obj=obj, member=name):
+            run = _step(eid, exp_meaning(obj), lambda i, f, s, v: {(s, i.get(s, v, name))})
         case _:
             raise TypeError(f"not a left-expression node: {node!r}")
     return run

@@ -75,13 +75,14 @@ def straight_line(count: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def calls_by_file(run) -> collections.Counter:
-    """Python calls and generator resumes during `run()`, per source file."""
+def calls_by_file(run, key=lambda code: code.co_filename) -> collections.Counter:
+    """Python calls and generator resumes during `run()`, per source file
+    (or per ``key(code object)`` of the called function)."""
     calls = collections.Counter()
 
     def profile(frame, event, arg):
         if event == "call":
-            calls[frame.f_code.co_filename] += 1
+            calls[key(frame.f_code)] += 1
 
     sys.setprofile(profile)
     try:

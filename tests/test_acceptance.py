@@ -17,7 +17,7 @@ from helpers import (
 from sdtl import kernel
 from sdtl.abstract import NUM, AFunPtr, AObjRef, analyze_program, aval_to_json
 from sdtl.concrete import run_program
-from sdtl.kernel import NULL, VOID, bind, pure
+from sdtl.kernel import NULL, VOID, pure
 from sdtl.soundness import check_generated_corpus, differential_test
 from sdtl.syntax import iter_nodes, node_id, parse
 
@@ -159,7 +159,14 @@ def test_criterion_09_property_suite():
             return lambda f, s: set(mapping.get(s, ()))
 
         def kont(mapping):
-            return lambda payload: from_map(mapping.get(payload, {}))
+            # a step body: the transformer `mapping` gives for the payload
+            return lambda i, f, s, payload: from_map(mapping.get(payload, {}))(f, s)
+
+        def unit(interp, f, s, payload):
+            return {(s, payload)}
+
+        def bind(t, body):
+            return kernel._step(1, t, body)
 
         for _ in range(1000):
             t_map = _toy_transformer(rng)
@@ -168,7 +175,7 @@ def test_criterion_09_property_suite():
             k_map = {p: _toy_transformer(rng) for p in range(4)}
             t, t_big, k = from_map(t_map), from_map(bigger), kont(k_map)
             for start in range(3):
-                # monotonicity of bind in its first argument
+                # monotonicity of the step in its first argument
                 assert bind(t, k)(table, start) <= bind(t_big, k)(table, start)
             # escape short-circuit law
             escaping = {s: {(2, p) for _, p in t_map[s]} for s in range(3)}
@@ -176,15 +183,18 @@ def test_criterion_09_property_suite():
             for start in range(3):
                 expected = {(2, NULL)} if escaping[start] else set()
                 assert bind(esc_t, k)(table, start) == expected
+                assert kernel._seq(esc_t, t)(table, start) == expected
             # identity and associativity on non-escaping flows
             tame = {s: {(s1, p) for s1, p in t_map[s] if s1 != 2} for s in range(3)}
             tame_t = from_map(tame)
             for start in range(2):
-                assert bind(pure(1), k)(table, start) == k(1)(table, start)
-                assert bind(tame_t, pure)(table, start) == tame_t(table, start)
+                assert bind(pure(1), k)(table, start) == k(None, table, start, 1)
+                assert bind(tame_t, unit)(table, start) == tame_t(table, start)
                 h = kont({p: _toy_transformer(rng) for p in range(4)})
                 left = bind(bind(t, k), h)(table, start)
-                right = bind(t, lambda a: bind(k(a), h))(table, start)
+                right = bind(
+                    t, lambda i, f, s, a: bind(lambda f1, s1: k(i, f1, s1, a), h)(f, s)
+                )(table, start)
                 assert left == right
 
         # abstract engines: idempotence (monotone accumulation is asserted

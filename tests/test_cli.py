@@ -64,6 +64,17 @@ def test_run_uncaught_exception(tmp_path, capsys):
     assert code == 1 and out == "1\n" and "uncaught exception: 3" in err
 
 
+@pytest.mark.parametrize("source, shown", [
+    ("throw true;", "true"),
+    ("function F(){ this.a = 1; } o = new F(); throw o;", '{"obj": 1}'),
+], ids=["boolean", "object"])
+def test_run_uncaught_exception_is_printed_as_json(tmp_path, capsys, source, shown):
+    bad = tmp_path / "boom.sdtl"
+    bad.write_text(source)
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 1 and out == "" and err == f"uncaught exception: {shown}\n"
+
+
 def test_parse_error_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.sdtl"
     bad.write_text("x = ;")
@@ -109,6 +120,16 @@ def usage_error(capsys, *argv):
         cli.main(list(argv))
     assert exc.value.code == 2
     return capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_still_reports_usage_errors(capsys):
+    cli.build_parser.cache_clear()
+    code, out, _ = run_cli(capsys, "run", path("fact.sdtl"), "--input", "3")
+    assert code == 0 and out == "6\n"
+    err = usage_error(capsys, "run", path("fact.sdtl"), "--frobnicate")
+    assert err.startswith("usage: sdtl ")
+    assert "error: unrecognized arguments: --frobnicate" in err
+    assert cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [

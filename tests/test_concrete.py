@@ -378,3 +378,14 @@ def test_run_result_shape():
 def test_nonterminating_loop_raises():
     with pytest.raises(EvalError, match="recursion limit"):
         run("while(true){ nil; }")
+
+
+def test_host_recursion_limit_is_named_not_called_non_termination():
+    """A long terminating loop meets the same limit as an endless one, so
+    the error names the limit and makes no claim about termination."""
+    source = "n = input; while (n > 0) { n = n - 1; } output n;"
+    with pytest.raises(EvalError) as exc:
+        run(source, (20_000,))
+    assert str(exc.value) == (
+        "host recursion limit exceeded (10,000 frames): loop or call nesting too deep"
+    )

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import os
 import random
@@ -11,10 +12,7 @@ from hypothesis import strategies as st
 from helpers import calls_by_file, load_program
 from perfbench import programs
 from sdtl import abstract, concrete, kernel, syntax
-from sdtl.kernel import (
-    NULL, UNIT, VOID, FrozenMap, FunctionTable, bind, bind_noesc, eval_params,
-    pure,
-)
+from sdtl.kernel import NULL, UNIT, VOID, FrozenMap, FunctionTable, pure
 from sdtl.syntax import parse
 
 
@@ -56,7 +54,9 @@ def test_frozen_map_behaves_like_mapping():
 
 
 # --- Bind laws on a three-state toy domain -----------------------------------
-# states are 0, 1, 2; state 2 escapes
+# states are 0, 1, 2; state 2 escapes.  A primitive step `_step(nid, t, body)`
+# is the monadic bind of `t` with the continuation `body`; `_seq` and
+# `_collect` sequence without a primitive.
 
 STATES = (0, 1, 2)
 PAYLOADS = (0, 1, 2, 3)
@@ -80,12 +80,16 @@ def from_table(mapping):
 
 
 def cont_from_table(mapping):
-    """Continuation from a dict: payload -> (state -> pairs)."""
+    """Step body from a dict: payload -> (state -> pairs)."""
 
-    def k(payload):
-        return from_table(mapping.get(payload, {}))
+    def body(interp, f, s, payload):
+        return from_table(mapping.get(payload, {}))(f, s)
 
-    return k
+    return body
+
+
+def step(t, body):
+    return kernel._step(7, t, body)
 
 
 pairs_st = st.frozensets(
@@ -101,29 +105,25 @@ def test_bind_preserves_monotonicity(table, extra, start, kont):
     bigger = {s: table[s] | (extra if s == start else frozenset()) for s in STATES}
     t, t_big, k = from_table(table), from_table(bigger), cont_from_table(kont)
     for s in STATES:
-        assert bind(t, k)(TOY, s) <= bind(t_big, k)(TOY, s)
+        assert step(t, k)(TOY, s) <= step(t_big, k)(TOY, s)
 
 
 @settings(max_examples=300)
-@given(transformer_st, continuation_st, st.sampled_from(STATES))
-def test_escape_short_circuit(table, kont, start):
+@given(transformer_st, continuation_st, transformer_st, st.sampled_from(STATES))
+def test_escape_short_circuit(table, kont, then_table, start):
     escaping_only = {s: {(2, p) for _, p in table[s]} for s in STATES}
     t, k = from_table(escaping_only), cont_from_table(kont)
     expected = {(2, NULL)} if escaping_only[start] else set()
-    assert bind(t, k)(TOY, start) == expected
-    # the non-escaping bind still applies the continuation everywhere
-    loose = bind_noesc(t, k)(TOY, start)
-    manual = set()
-    for s1, p in escaping_only[start]:
-        manual |= k(p)(TOY, s1)
-    assert loose == manual
+    assert step(t, k)(TOY, start) == expected
+    assert kernel._seq(t, from_table(then_table))(TOY, start) == expected
+    assert kernel._collect(t, ())(TOY, start) == expected
 
 
 @settings(max_examples=300)
 @given(st.sampled_from(PAYLOADS), continuation_st, st.sampled_from((0, 1)))
 def test_bind_left_identity(value, kont, start):
     k = cont_from_table(kont)
-    assert bind(pure(value), k)(TOY, start) == k(value)(TOY, start)
+    assert step(pure(value), k)(TOY, start) == k(TOY.interp, TOY, start, value)
 
 
 @settings(max_examples=300)
@@ -131,22 +131,29 @@ def test_bind_left_identity(value, kont, start):
 def test_bind_right_identity_on_non_escaping_flows(table, start):
     non_escaping = {s: {(s1, p) for s1, p in table[s] if s1 != 2} for s in STATES}
     t = from_table(non_escaping)
-    assert bind(t, pure)(TOY, start) == t(TOY, start)
+    assert step(t, lambda i, f, s, a: {(s, a)})(TOY, start) == t(TOY, start)
+    assert kernel._collect(t, ())(TOY, start) == {(s1, (p,)) for s1, p in t(TOY, start)}
 
 
 @settings(max_examples=300)
 @given(transformer_st, continuation_st, continuation_st, st.sampled_from(STATES))
 def test_bind_associativity(table, kont1, kont2, start):
     t, k, h = from_table(table), cont_from_table(kont1), cont_from_table(kont2)
-    left = bind(bind(t, k), h)(TOY, start)
-    right = bind(t, lambda a: bind(k(a), h))(TOY, start)
-    assert left == right
+    left = step(step(t, k), h)(TOY, start)
+    right = step(t, lambda i, f, s, a: step(lambda f1, s1: k(i, f1, s1, a), h)(f, s))
+    assert left == right(TOY, start)
 
 
 def test_bind_maps_both_branches():
     t = from_table({0: {(0, 1), (1, 2)}})
-    k = lambda v: pure(v + 1)
-    assert bind(t, k)(TOY, 0) == {(0, 2), (1, 3)}
+    seen = []
+
+    def body(interp, f, s, v):
+        seen.append(interp.current_node)
+        return {(s, v + 1)}
+
+    assert step(t, body)(TOY, 0) == {(0, 2), (1, 3)}
+    assert seen == [7, 7]  # the step makes its node current before the body
 
 
 # --- Equation fidelity: one micro-program per semantic equation ---------------
@@ -176,7 +183,7 @@ def test_seq_is_bind_of_parts():
     program, table, outcome = outcome_of("x = 1; y = 2;")
     first_t = kernel.stm_meaning(program.root.first)
     second_t = kernel.stm_meaning(program.root.second)
-    manual = bind(first_t, lambda _: second_t)
+    manual = kernel._seq(first_t, second_t)
     interp = concrete.ConcreteInterpretation()
     assert outcome == manual(table, interp.initial_state())
 
@@ -243,9 +250,9 @@ def test_eval_params_empty_and_constants():
     interp = concrete.ConcreteInterpretation()
     table = FunctionTable(program, interp)
     state = interp.initial_state()
-    assert eval_params(())(table, state) == {(state, ())}
+    assert kernel._collect(pure(3), ())(table, state) == {(state, (3,))}
     exps = (syntax.Con(0, 5), syntax.Con(0, 7))
-    assert eval_params(exps)(table, state) == {(state, (5, 7))}
+    assert kernel._collect(pure(3), exps)(table, state) == {(state, (3, 5, 7))}
 
 
 def test_eval_params_threads_input_stream():
@@ -253,7 +260,8 @@ def test_eval_params_threads_input_stream():
     interp = concrete.ConcreteInterpretation((1, 2))
     table = FunctionTable(program, interp)
     state = interp.initial_state()
-    ((after, values),) = eval_params((syntax.Input(0), syntax.Input(0)))(table, state)
+    first_input = kernel.exp_meaning(syntax.Input(0))
+    ((after, values),) = kernel._collect(first_input, (syntax.Input(0),))(table, state)
     assert values == (1, 2)
     assert after.io.inputs == ()
 
@@ -336,23 +344,48 @@ def _package_and_dataclasses_calls(run) -> tuple:
 
 def test_concrete_loop_work_per_iteration():
     """One iteration of a counter loop costs a bounded number of calls into
-    the package (about 183 when every node saved and restored the current
-    node and every primitive built closures and copied states with
-    `dataclasses.replace`), and none into `dataclasses`."""
+    the package (about 84 since transformers are built with the meaning;
+    about 138 when every evaluation built its continuations, and about 183
+    when every node also saved and restored the current node and copied
+    states with `dataclasses.replace`), and none into `dataclasses`."""
     case = programs.counter_loop(random.Random(1), 200)
     program = parse(case.source)
     in_package, in_dataclasses = _package_and_dataclasses_calls(
         lambda: concrete.run_program(program, case.inputs)
     )
-    assert in_dataclasses == 0 and in_package <= 150 * 200
+    assert in_dataclasses == 0 and in_package <= 92 * 200
+
+
+def test_no_transformer_is_built_per_loop_iteration():
+    """Every kernel function that returns a transformer runs while the
+    meanings are built, as often for 200 iterations of a counter loop as for
+    100 (the meanings that bound a closure per `bind` built 4 `bind`, 4
+    `_prim_v` and 3 `_step` transformers per iteration)."""
+    constructors = {
+        name for name, value in vars(kernel).items()
+        if inspect.isfunction(value) and value.__module__ == kernel.__name__
+        and value.__annotations__.get("return") == "Transformer"
+    }
+    counts = []
+    for iterations in (100, 200):
+        case = programs.counter_loop(random.Random(1), iterations)
+        program = parse(case.source)
+        calls = calls_by_file(
+            lambda: concrete.run_program(program, case.inputs),
+            key=lambda code: (code.co_filename, code.co_name),
+        )
+        counts.append({name: calls[kernel.__file__, name] for name in constructors})
+    assert {"stm_meaning", "exp_meaning", "_step", "_seq"} <= constructors
+    assert counts[0] == counts[1] and counts[0]["stm_meaning"] > 0
 
 
 def test_host_stack_budget_of_loops_and_calls():
     """Concrete loops and calls recurse in the host under
     `recursion_headroom`'s 10,000 frames: a 1,800-iteration counter loop and
-    `fact(fact, 690)` fit (the limits are about 1,995 and 713).  One more
+    `fact(fact, 690)` fit (the limits are about 2,494 and 998, and were
+    1,995 and 713 when every evaluation built its continuations).  One more
     host frame per iteration or per call, as when `cond` runs the branch it
-    selects, lowers the limits to about 1,662 and 665."""
+    selects, lowers the limits."""
     for case in (
         programs.counter_loop(random.Random(1), 1800),
         programs.self_passing_fact(random.Random(1), 690),
