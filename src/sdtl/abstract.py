@@ -143,22 +143,12 @@ class AbstractInterpretation(kernel.Interpretation):
     def initial_state(self) -> AState:
         return initial_state()
 
-    def cond(self, value, then_t, else_t):
+    def cond(self, value):
         if value is not BOOL:
             self._diag(
                 f"possible type error: condition is {_category(value)}, not boolean"
             )
-
-        def run(f, s):
-            out = set()
-            for branch in (then_t, else_t):
-                try:
-                    out |= branch(f, s)
-                except DeadBranch:
-                    pass
-            return out
-
-        return run
+        return (True, False)
 
     def val(self, state, name):
         try:
@@ -217,8 +207,10 @@ class AbstractInterpretation(kernel.Interpretation):
                 # zero arguments were supplied: the pointer is unchanged
                 # (uncurried pointers stay unanchored)
                 return {(state, fun_value)}
-            key = (sid, total, eid)
-            lists = frozenset(prefix + tuple(args) for prefix in prefixes)
+            key, lists = (sid, total, eid), set()
+            for prefix in prefixes:
+                lists.add(prefix + tuple(args))
+            lists = frozenset(lists)
             old = state.curried.get(key)
             if old is not None and old != lists:
                 self.reset_curried_keys.add(key)
@@ -261,8 +253,9 @@ class AbstractInterpretation(kernel.Interpretation):
 
     # fixed-point engine
 
-    def fixpoint(self, kind, nid, step):
-        """Loop and call summaries from one table, solved top-down.
+    def fixpoint(self, kind, nid, step, f, state):
+        """Loop and call summaries from one table, solved top-down: the query
+        (`nid`, `state`) is answered with its summary.
 
         Summaries are keyed by (node id, entry state) and only grow.  A key
         whose node is not being solved starts a solve of that node; a key
@@ -271,19 +264,15 @@ class AbstractInterpretation(kernel.Interpretation):
         read an unfinished summary of another node, its keys are final and
         later queries are answered from the table.
         """
-
-        def run(f, state):
-            key = (nid, state)
-            if key not in self._final:
-                if nid not in self._worklists:
-                    self._solve(kind, nid, step, f, state)
-                else:
-                    depth, worklist = self._worklists[nid]
-                    worklist.setdefault(state)
-                    self._low[-1] = min(self._low[-1], depth)
-            return set(self._summaries.get(key, frozenset()))
-
-        return run
+        key = (nid, state)
+        if key not in self._final:
+            if nid not in self._worklists:
+                self._solve(kind, nid, step, f, state)
+            else:
+                depth, worklist = self._worklists[nid]
+                worklist.setdefault(state)
+                self._low[-1] = min(self._low[-1], depth)
+        return set(self._summaries.get(key, frozenset()))
 
     def _solve(self, kind, nid, step, f, state):
         """Re-evaluate `step` on the node's worklist, newest state first,
@@ -305,10 +294,7 @@ class AbstractInterpretation(kernel.Interpretation):
                 for entry in reversed(list(worklist)):
                     key = (nid, entry)
                     previous = self._summaries.get(key, frozenset())
-                    try:
-                        out = frozenset(step(f, entry))
-                    except DeadBranch:
-                        out = frozenset()
+                    out = frozenset(step(f, entry))
                     # summaries never shrink between iterations
                     assert previous <= out, f"{kind} summary shrank"
                     if out != previous:
@@ -322,7 +308,8 @@ class AbstractInterpretation(kernel.Interpretation):
         stat = f"max_{kind}_iterations"
         self.stats[stat] = max(self.stats[stat], iterations)
         if low >= depth:
-            self._final.update((nid, entry) for entry in worklist)
+            for entry in worklist:
+                self._final.add((nid, entry))
         else:
             self._low[-1] = min(self._low[-1], low)
 
@@ -342,15 +329,12 @@ def analyze_program(program: Program, max_iterations=100_000, trace=None) -> Ana
     diagnostic log."""
     interp = AbstractInterpretation(max_iterations=max_iterations)
     f = kernel.FunctionTable(program, interp, trace)
-    try:
-        outcome = kernel.stm_meaning(program.root)(f, interp.initial_state())
-    except DeadBranch:
-        outcome = set()
+    outcome = kernel.stm_meaning(program.root)(f, interp.initial_state())
     stats = dict(interp.stats)
     stats["reused_allocation_sites"] = frozenset(interp.reused_sites)
     stats["reset_curried_keys"] = frozenset(interp.reset_curried_keys)
     return AnalysisResult(
-        final_states=frozenset(state for state, _ in outcome),
+        final_states=frozenset(dict(outcome)),  # the outcomes' states
         diagnostics=tuple(sorted(interp.diagnostics)),
         stats=stats,
     )

@@ -203,8 +203,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_vectors(argv))
+    # SDTL integers are unbounded: lift the host's limit on the digits of an
+    # int converted to or from text (Python 3.10.7 and later) for the
+    # command, and restore it, since `main` also runs in-process
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(_attach_vectors(argv))
         return _COMMANDS[args.command](args)
     except syntax.ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
@@ -221,6 +227,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("input nests too deeply: recursion limit exceeded", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

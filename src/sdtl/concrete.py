@@ -105,11 +105,9 @@ class ConcreteInterpretation(kernel.Interpretation):
     def initial_state(self) -> CState:
         return initial_state(self._inputs)
 
-    def cond(self, value, then_t, else_t):
-        if value is True:
-            return then_t
-        if value is False:
-            return else_t
+    def cond(self, value):
+        if value is True or value is False:
+            return (value,)
         _check_not_void(value)
         raise EvalError(f"condition not boolean (got {_category(value)})")
 

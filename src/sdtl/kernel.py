@@ -184,7 +184,8 @@ def _step(nid, t: Transformer, body) -> Transformer:
     Each escaping successor of `t` is emitted as (state, NULL).  For every
     other (state, payload) the step makes `nid` the interpretation's current
     node and adds ``body(interp, f, state, payload)``, an outcome set, or
-    nothing if the body raises :class:`DeadBranch`.
+    nothing if the body raises :class:`DeadBranch`.  Only a primitive raises
+    it, and only inside a step that catches it, so no transformer does.
     """
 
     def run(f, s):
@@ -199,6 +200,25 @@ def _step(nid, t: Transformer, body) -> Transformer:
                 out |= body(interp, f, s1, a)
             except DeadBranch:
                 pass
+        return out
+
+    return run
+
+
+def _branch(nid, guard_t, then_t, else_t) -> Transformer:
+    """Selection of node `nid`: each non-escaping outcome of `guard_t` runs
+    `then_t` and/or `else_t`, as ``cond`` of its value allows."""
+
+    def run(f, s):
+        interp = f.interp
+        out = set()
+        for s1, v in guard_t(f, s):
+            if interp.esc(s1):
+                out.add((s1, NULL))
+                continue
+            interp.current_node = nid
+            for taken in interp.cond(v):
+                out |= (then_t if taken else else_t)(f, s1)
         return out
 
     return run
@@ -243,11 +263,13 @@ class Interpretation:
     class (built from a sid) and the name of its receiver field, and writes
     the value-level primitives.
 
-    Every primitive but ``cond`` takes the state (after the run's function
-    table, where it needs one) and returns its result: a value, a state, a
-    set of successor states, or a set of (state, payload) outcomes.  ``cond``
-    selects between the two transformers it is given.  State equality must
-    be decidable.
+    Every primitive takes the state (after the run's function table, where
+    it needs one) and returns its result: a value, a state, a set of
+    successor states, or a set of (state, payload) outcomes; ``cond`` takes
+    only a guard value and returns the branches that may run, ``(True,)``,
+    ``(False,)`` or both.  No primitive takes or returns a transformer except
+    ``fixpoint``, which takes one unfolding.  State equality must be
+    decidable.
     """
 
     obj_ref_class = None
@@ -262,7 +284,7 @@ class Interpretation:
     def initial_state(self):
         raise NotImplementedError
 
-    def cond(self, value, then_t: Transformer, else_t: Transformer) -> Transformer:
+    def cond(self, value):  # -> tuple of branches (True: then, False: else)
         raise NotImplementedError
 
     def val(self, state, name):  # -> Value
@@ -306,11 +328,6 @@ class Interpretation:
     def throw(self, state, value):  # -> set of States
         return {replace(state, ex=value)}
 
-    def catch(self, f, state, exc_name, handler_t: Transformer):  # -> outcomes
-        if state.ex is VOID:
-            return {(state, UNIT)}
-        return handler_t(f, self.exs(state, exc_name))
-
     def exs(self, state, exc_name):  # -> State
         return replace(state, env=state.env.set(exc_name, state.ex), ex=VOID)
 
@@ -349,16 +366,16 @@ class Interpretation:
 
     # fixed-point hook with its default realization
 
-    def fixpoint(self, kind, nid, step: Transformer) -> Transformer:
-        """Meaning of loop `nid` (kind ``"loop"``) or of the body of function
-        `nid` (kind ``"call"``): the fixed point of `step`, its one unfolding,
-        which re-enters the definition through this hook.
+    def fixpoint(self, kind, nid, step: Transformer, f, state):  # -> outcomes
+        """Outcomes from `state` of loop `nid` (kind ``"loop"``) or of the
+        body of function `nid` (kind ``"call"``): the fixed point of `step`,
+        its one unfolding, which re-enters the definition through this hook.
 
-        Default: `step` itself, so recursion in the interpreted program
-        becomes recursion in the host.  The abstract interpretation replaces
-        this with its terminating summary-table engine.
+        Default: ``step(f, state)``, so recursion in the interpreted program
+        becomes recursion in the host.  The abstract interpretation answers
+        the query from its terminating summary-table engine instead.
         """
-        return step
+        return step(f, state)
 
 
 class FunctionTable:
@@ -400,8 +417,7 @@ def call(f, s, sid, args, this_value):  # -> outcomes
     interp = f.interp
     entry = interp.enter(s, sid, args, this_value, f.program.param(sid))
     out = set()
-    body = interp.fixpoint("call", sid, f.lookup(sid))
-    for exit_state, _ in body(f, entry):
+    for exit_state, _ in interp.fixpoint("call", sid, f.lookup(sid), f, entry):
         after, ret = interp.leave(s, exit_state)
         out.add((after, VOID_VAL if ret is VOID else ret))
     return out
@@ -445,11 +461,8 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                         out.add((s1, NULL))
                         continue
                     interp.current_node = sid
-                    try:
-                        for s2 in interp.asg(s1, name, v):
-                            out.add((s2, UNIT))
-                    except DeadBranch:
-                        pass
+                    for s2 in interp.asg(s1, name, v):
+                        out.add((s2, UNIT))
                 return out
 
         case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
@@ -460,33 +473,33 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
         case syntax.If() | syntax.IfElse():
             then_t = stm_meaning(node.then_body)
             else_t = _SKIP if type(node) is syntax.If else stm_meaning(node.else_body)
-            guard_t = exp_meaning(node.guard)
-            run = _step(sid, guard_t, lambda i, f, s, v: i.cond(v, then_t, else_t)(f, s))
+            run = _branch(sid, exp_meaning(node.guard), then_t, else_t)
         case syntax.While(guard=guard, body=body):
             # one self-referential transformer: `unfold` runs the loop once
             # and re-enters it through the fixed-point hook
             def run(f, s):
-                return f.interp.fixpoint("loop", sid, unfold)(f, s)
+                return f.interp.fixpoint("loop", sid, unfold, f, s)
 
-            loop_t, guard_t = _seq(stm_meaning(body), run), exp_meaning(guard)
-            unfold = _step(sid, guard_t, lambda i, f, s, v: i.cond(v, loop_t, _SKIP)(f, s))
+            loop_t = _seq(stm_meaning(body), run)
+            unfold = _branch(sid, exp_meaning(guard), loop_t, _SKIP)
         case syntax.FunDecl(name=name):
             run = _step(sid, _SKIP, lambda i, f, s, _: _units(i.fundecl(s, name, sid)))
         case syntax.Return(exp=exp):
             run = _step(sid, exp_meaning(exp), lambda i, f, s, v: _units(i.ret(s, v)))
         case syntax.TryCatch(body=body, exc_name=exc_name, handler=handler):
-            # every outcome of the body reaches the handler, escaping or not
+            # every outcome of the body with a pending exception runs the
+            # handler; any other, escaping by return or not, passes through
             body_t, handler_t = stm_meaning(body), stm_meaning(handler)
 
             def run(f, s):
                 interp = f.interp
                 out = set()
                 for s1, _ in body_t(f, s):
-                    interp.current_node = sid
-                    try:
-                        out |= interp.catch(f, s1, exc_name, handler_t)
-                    except DeadBranch:
-                        pass
+                    if s1.ex is VOID:
+                        out.add((s1, UNIT))
+                    else:
+                        interp.current_node = sid
+                        out |= handler_t(f, interp.exs(s1, exc_name))
                 return out
 
         case syntax.Throw(exp=exp):

@@ -284,7 +284,13 @@ def tokenize(source: str) -> list[Token]:
             while i < n and source[i].isdecimal():
                 i += 1
                 col += 1
-            tokens.append(Token("num", int(source[start:i]), line, start_col))
+            try:
+                value = int(source[start:i])
+            except ValueError:  # over the host's digit limit for int()
+                raise ParseError(
+                    f"integer literal too long ({i - start:,} digits)", line, start_col
+                ) from None
+            tokens.append(Token("num", value, line, start_col))
             continue
         if ch.isalpha():
             start, start_col = i, col

@@ -359,3 +359,62 @@ def test_python_dash_m_sdtl_runs_the_cli():
     )
     expected = (GOLDEN_OUTPUT / "ast" / "fact.json").read_text(encoding="utf-8")
     assert completed.returncode == 0 and completed.stdout == expected
+
+
+# SDTL integers are unbounded; 10 squared 13 times has 8,193 digits, more than
+# the host converts to text by default (4,300, from Python 3.10.7 on)
+SQUARING = "x = 10; i = 0; while (i < 13) {{ x = x * x; i = i + 1; }} {last}\n"
+BIG = "1" + "0" * 8192
+
+
+def _squaring(tmp_path, last="output x;"):
+    prog = tmp_path / "squaring.sdtl"
+    prog.write_text(SQUARING.format(last=last))
+    return str(prog)
+
+
+def test_run_prints_integers_of_any_length(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", _squaring(tmp_path))
+    assert (code, out, err) == (0, BIG + "\n", "")
+    code, out, err = run_cli(capsys, "run", _squaring(tmp_path), "--format", "json")
+    assert (code, out, err) == (0, '{"outputs": [' + BIG + "]}\n", "")
+
+
+def test_run_trace_prints_integers_of_any_length(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", _squaring(tmp_path), "--trace")
+    assert code == 0 and out == BIG + "\n"
+    assert f"i: 13, x: {BIG}}}" in err
+
+
+def test_uncaught_exception_prints_integers_of_any_length(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", _squaring(tmp_path, "throw x;"))
+    assert (code, out, err) == (1, "", f"uncaught exception: {BIG}\n")
+
+
+def test_check_soundness_reports_on_integers_of_any_length(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "check-soundness", _squaring(tmp_path))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["checked"] == 1 and report["violations"] == report["errors"] == []
+
+
+def test_long_integer_literal_runs_and_dumps(tmp_path, capsys):
+    digits = "1" * 5000
+    prog = tmp_path / "long.sdtl"
+    prog.write_text(f"x = {digits}; output x;\n")
+    code, out, err = run_cli(capsys, "run", str(prog))
+    assert (code, out, err) == (0, digits + "\n", "")
+    code, out, err = run_cli(capsys, "dump-ast", str(prog))
+    assert code == 0 and f'"value": {digits}' in out and err == ""
+
+
+def test_main_restores_the_int_digit_limit(tmp_path, capsys):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no limit on the digits of int conversions")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run_cli(capsys, "run", _squaring(tmp_path))[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(previous)

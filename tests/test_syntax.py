@@ -180,6 +180,15 @@ def test_callee_must_be_variable_or_member():
         parse("(f)(1);")
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() converts any number of digits",
+)
+def test_long_integer_literal_is_a_parse_error_at_its_position():
+    with pytest.raises(ParseError, match=r"^1:5: integer literal too long \(5,000 digits\)"):
+        parse("x = " + "1" * 5000 + ";")
+
+
 def test_keywords_are_not_identifiers():
     with pytest.raises(ParseError):
         parse("while = 1;")
@@ -195,6 +204,7 @@ def test_numbers_are_decimal_digits_only():
 @settings(max_examples=300)
 @given(st.text(max_size=40))
 @example("²")
+@example("x = " + "1" * 5000 + ";")  # over the host's 4,300-digit limit for int()
 def test_parse_returns_a_program_or_raises_parse_error(source):
     try:
         program = parse(source)
