@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -211,7 +212,14 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(_attach_vectors(argv))
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout fails here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; Python flushes it again at exit, so
+        # point it at devnull, as the docs' note on SIGPIPE advises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except syntax.ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 1

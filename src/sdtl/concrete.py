@@ -99,8 +99,6 @@ class ConcreteInterpretation(kernel.Interpretation):
 
     def __init__(self, inputs=()):
         self._inputs = tuple(inputs)
-        # allocation-site history, consumed by the soundness harness
-        self.site_allocations = {}
 
     def initial_state(self) -> CState:
         return initial_state(self._inputs)
@@ -206,7 +204,6 @@ class ConcreteInterpretation(kernel.Interpretation):
         return {kernel.replace(state, obj_mem=obj_mem)}
 
     def newobj(self, state, eid):
-        self.site_allocations[eid] = self.site_allocations.get(eid, 0) + 1
         ref = len(state.obj_mem)
         obj_mem = state.obj_mem.set(ref, FrozenMap())
         return {(kernel.replace(state, obj_mem=obj_mem), ObjRef(ref))}
@@ -223,11 +220,11 @@ class RunResult:
 
 
 @contextlib.contextmanager
-def recursion_headroom(limit=10_000):
-    """Interpreted recursion and loops consume host stack; give them room
-    and surface exhaustion as a run-time error."""
+def recursion_headroom():
+    """Interpreted recursion and loops consume host stack; give them room,
+    10,000 frames, and surface exhaustion as a run-time error."""
     previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous, limit))
+    sys.setrecursionlimit(max(previous, 10_000))
     try:
         yield
     except RecursionError:
@@ -239,14 +236,13 @@ def recursion_headroom(limit=10_000):
         sys.setrecursionlimit(previous)
 
 
-def run_program(program: Program, inputs=(), trace=None, interp=None) -> RunResult:
+def run_program(program: Program, inputs=(), trace=None) -> RunResult:
     """Run a program on a finite input queue.
 
     The concrete semantics is deterministic: there is exactly one final
     state, whose output log is returned alongside it.
     """
-    if interp is None:
-        interp = ConcreteInterpretation(inputs)
+    interp = ConcreteInterpretation(inputs)
     f = kernel.FunctionTable(program, interp, trace)
     with recursion_headroom():
         try:

@@ -120,10 +120,13 @@ class Judgment:
 
 
 def abstracts_outcome(astates, cstates) -> Judgment:
-    """Powerset abstraction: every concrete state needs an abstract cover."""
+    """Powerset abstraction: every concrete state needs an abstract cover.
+
+    The concrete states are taken in the order given: a run has one final
+    state, and each per-statement stage holds at most one."""
     witnesses = []
     candidates = sorted(astates, key=repr)
-    for cstate in sorted(cstates, key=repr):
+    for cstate in cstates:
         explanations = []
         for astate in candidates:
             mismatch = state_mismatch(astate, cstate)
@@ -199,7 +202,7 @@ def differential_test(
             errors.append({"inputs": list(vector), "error": str(err)})
             continue
         checked += 1
-        judgment = abstracts_outcome(analysis.final_states, set(result.final_states))
+        judgment = abstracts_outcome(analysis.final_states, result.final_states)
         _collect_violations(violations, vector, judgment, stage=None)
         if per_statement:
             for index, (astage, cstage) in enumerate(zip(abstract_stages, stages())):
@@ -556,13 +559,13 @@ def default_input_vectors(seed, index, count=4, length=8) -> list:
 
 
 def check_generated_corpus(
-    seed, count, size_bound=None, vectors=4, max_iterations=100_000
+    seed, count, size_bound=None, max_iterations=100_000
 ) -> list:
     """Differential-test a generated corpus; violating programs are
     minimized and classified against the documented abstraction caveats."""
     reports = []
     for index, source in enumerate(generate_programs(seed, count, size_bound)):
-        input_vectors = default_input_vectors(seed, index, count=vectors)
+        input_vectors = default_input_vectors(seed, index)
         label = f"generated:{seed}:{index}"
 
         def check(candidate):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
@@ -249,9 +250,6 @@ KEYWORDS = frozenset(
     ]
 )
 
-# longest symbols first so '==' wins over '='
-SYMBOLS = ("==", ";", ",", "(", ")", "{", "}", ".", "=", "+", "-", "*", "/", "<", ">")
-
 
 class Token(NamedTuple):
     kind: str  # 'id', 'num', a keyword, a symbol, or 'eof'
@@ -260,56 +258,41 @@ class Token(NamedTuple):
     col: int
 
 
+# one alternative per token, '==' before '='; in `re`, \d is a character for
+# which str.isdecimal holds and [^\W_] one for which str.isalnum does
+_TOKEN = re.compile(
+    r"(?P<blank>[ \t\r]+)|(?P<num>\d+)|(?P<word>[^\W_]+)"
+    r"|(?P<symbol>==|[;,(){}.=+\-*/<>])|(?P<newline>\n)|(?P<comment>#.*)|(?P<other>.)"
+)
+
+
 def tokenize(source: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "blank" or kind == "comment":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdecimal():
-            start, start_col = i, col
-            while i < n and source[i].isdecimal():
-                i += 1
-                col += 1
+        text, col = match[0], match.start() - line_start + 1
+        if kind == "word" and text[0].isalpha():  # a word starts with a letter
+            tokens.append(Token(text if text in KEYWORDS else "id", text, line, col))
+        elif kind == "symbol":
+            tokens.append(Token(text, text, line, col))
+        elif kind == "num":
             try:
-                value = int(source[start:i])
+                value = int(text)
             except ValueError:  # over the host's digit limit for int()
                 raise ParseError(
-                    f"integer literal too long ({i - start:,} digits)", line, start_col
+                    f"integer literal too long ({len(text):,} digits)", line, col
                 ) from None
-            tokens.append(Token("num", value, line, start_col))
-            continue
-        if ch.isalpha():
-            start, start_col = i, col
-            while i < n and source[i].isalnum():
-                i += 1
-                col += 1
-            word = source[start:i]
-            kind = word if word in KEYWORDS else "id"
-            tokens.append(Token(kind, word, line, start_col))
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+            tokens.append(Token("num", value, line, col))
+        elif kind == "newline":
+            line, line_start = line + 1, match.end()
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", None, line, col))
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+    # a comment on the last line puts the end of input at its '#'
+    before_comment = source[line_start:].partition("#")[0]
+    tokens.append(Token("eof", None, line, len(before_comment) + 1))
     return tokens
 
 
@@ -321,11 +304,13 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, offset=0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    # only a token that was peeked is consumed, so the parser reads past
+    # 'eof' only through the final expect("eof")
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -438,20 +423,17 @@ class _Parser:
             return Assign(0, exp.lexp, self.parse_exp())
         return ExpStm(0, exp)
 
-    # expressions, by descending precedence level
+    # expressions
 
-    def parse_exp(self) -> Exp:
-        return self.parse_binop(0)
+    _PRECEDENCE = {">": 0, "<": 0, "==": 0, "+": 1, "-": 1, "*": 2, "/": 2}
 
-    _LEVELS = ((">", "<", "=="), ("+", "-"), ("*", "/"))
-
-    def parse_binop(self, level) -> Exp:
-        if level == len(self._LEVELS):
-            return self.parse_unary()
-        exp = self.parse_binop(level + 1)
-        while self.peek().kind in self._LEVELS[level]:
+    def parse_exp(self, min_level=0) -> Exp:
+        """Precedence climbing: operators of `min_level` or tighter, each
+        level left-associative."""
+        exp = self.parse_unary()
+        while (level := self._PRECEDENCE.get(self.peek().kind, -1)) >= min_level:
             op = self.next().kind
-            exp = BinOp(0, op, exp, self.parse_binop(level + 1))
+            exp = BinOp(0, op, exp, self.parse_exp(level + 1))
         return exp
 
     def parse_unary(self) -> Exp:

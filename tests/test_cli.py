@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sdtl
-from helpers import GOLDEN, PROGRAMS
+from helpers import GOLDEN, PROGRAMS, straight_line
 from sdtl import cli, soundness
 
 GOLDEN_OUTPUT = PROGRAMS.parent / "golden"
@@ -359,6 +359,24 @@ def test_python_dash_m_sdtl_runs_the_cli():
     )
     expected = (GOLDEN_OUTPUT / "ast" / "fact.json").read_text(encoding="utf-8")
     assert completed.returncode == 0 and completed.stdout == expected
+
+
+@pytest.mark.parametrize("module", ["sdtl", "sdtl.cli"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, module):
+    """A reader that closes the pipe after one line, as `| head -n 1` does:
+    the tree of 300 statements is far larger than a pipe's buffer."""
+    prog = tmp_path / "long.sdtl"
+    prog.write_text(straight_line(300))
+    env = dict(os.environ, PYTHONPATH=str(Path(sdtl.__file__).parent.parent))
+    with subprocess.Popen(
+        [sys.executable, "-m", module, "dump-ast", str(prog)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (1, "")
 
 
 # SDTL integers are unbounded; 10 squared 13 times has 8,193 digits, more than
