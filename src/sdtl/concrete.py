@@ -97,8 +97,9 @@ class ConcreteInterpretation(kernel.Interpretation):
     fun_ptr_class = FunPtr
     this_field = "this_ref"
 
-    def __init__(self, inputs=()):
+    def __init__(self, inputs=(), max_loop_iterations=1_000_000):
         self._inputs = tuple(inputs)
+        self.max_loop_iterations = max_loop_iterations
 
     def initial_state(self) -> CState:
         return initial_state(self._inputs)
@@ -221,8 +222,9 @@ class RunResult:
 
 @contextlib.contextmanager
 def recursion_headroom():
-    """Interpreted recursion and loops consume host stack; give them room,
-    10,000 frames, and surface exhaustion as a run-time error."""
+    """Interpreted calls, and hashing or comparing values that nest, consume
+    host stack; give them room, 10,000 frames, and surface exhaustion as a
+    run-time error."""
     previous = sys.getrecursionlimit()
     sys.setrecursionlimit(max(previous, 10_000))
     try:
@@ -230,19 +232,23 @@ def recursion_headroom():
     except RecursionError:
         raise EvalError(
             f"host recursion limit exceeded ({sys.getrecursionlimit():,} frames): "
-            "loop or call nesting too deep"
+            "call or value nesting too deep"
         ) from None
     finally:
         sys.setrecursionlimit(previous)
 
 
-def run_program(program: Program, inputs=(), trace=None) -> RunResult:
+def run_program(
+    program: Program, inputs=(), trace=None, max_loop_iterations=1_000_000
+) -> RunResult:
     """Run a program on a finite input queue.
 
     The concrete semantics is deterministic: there is exactly one final
-    state, whose output log is returned alongside it.
+    state, whose output log is returned alongside it.  A run that takes more
+    than `max_loop_iterations` loop iterations, over all its loops, stops
+    with a run-time error that names the budget.
     """
-    interp = ConcreteInterpretation(inputs)
+    interp = ConcreteInterpretation(inputs, max_loop_iterations)
     f = kernel.FunctionTable(program, interp, trace)
     with recursion_headroom():
         try:

@@ -178,6 +178,52 @@ def _seq(t: Transformer, u: Transformer) -> Transformer:
     return run
 
 
+def _block(node) -> Transformer:
+    """The chain of ``Seq`` nodes on the right spine of `node` as one block:
+    its statements run in turn, each once from every distinct state the one
+    before left, and escaping states pass through as (state, NULL).
+
+    Each inner ``Seq`` node that a state reached is reported to the trace
+    hook once per run of the block, innermost first, with the outcomes of
+    the rest of the chain: the final outcomes plus the escapes from its
+    position onward.  The outer node is reported by its own equation.
+    """
+    seqs, parts = [], []
+    while type(node) is syntax.Seq:
+        seqs.append(node)
+        parts.append(stm_meaning(node.first))
+        node = node.second
+    last = stm_meaning(node)
+
+    def run(f, s):
+        esc = f.interp.esc
+        states, escaped = (s,), []  # escaped: (position, outcome)
+        for position, t in enumerate(parts):
+            after = []
+            for s0 in states:
+                for s1, _ in t(f, s0):
+                    if esc(s1):
+                        escaped.append((position, (s1, NULL)))
+                    else:
+                        after.append(s1)
+            states = set(after) if len(after) > 1 else after
+            if not states:
+                break
+        out = set()
+        for s0 in states:
+            out |= last(f, s0)
+        if f.trace is not None:
+            for position in range(position, 0, -1):
+                while escaped and escaped[-1][0] >= position:
+                    out.add(escaped.pop()[1])
+                f.trace(seqs[position], set(out))
+        for _, outcome in escaped:
+            out.add(outcome)
+        return out
+
+    return run
+
+
 def _step(nid, t: Transformer, body) -> Transformer:
     """Primitive step of node `nid` after `t` (the monadic bind).
 
@@ -366,16 +412,46 @@ class Interpretation:
 
     # fixed-point hook with its default realization
 
+    # the default's innermost activation, (node id, frontier of states to
+    # run), and the loop iterations of the run against their budget
+    _active = None
+    loop_iterations = 0
+    max_loop_iterations = 1_000_000
+
     def fixpoint(self, kind, nid, step: Transformer, f, state):  # -> outcomes
         """Outcomes from `state` of loop `nid` (kind ``"loop"``) or of the
         body of function `nid` (kind ``"call"``): the fixed point of `step`,
         its one unfolding, which re-enters the definition through this hook.
 
-        Default: ``step(f, state)``, so recursion in the interpreted program
-        becomes recursion in the host.  The abstract interpretation answers
-        the query from its terminating summary-table engine instead.
+        Default: an activation runs `step` from each state of its frontier
+        until the frontier is empty.  A loop re-enters itself in tail
+        position, so a query for the loop of the innermost activation adds
+        its state to the frontier, counted against the run's loop iteration
+        budget, and has no outcomes of its own.  Any other query starts an
+        activation; a call's stands between a loop and a recursive call that
+        reaches it again, so only interpreted calls recurse in the host.  The
+        abstract interpretation answers the query from its terminating
+        summary-table engine instead.
         """
-        return step(f, state)
+        active = self._active
+        if kind == "loop" and active is not None and active[0] == nid:
+            self.loop_iterations += 1
+            if self.loop_iterations > self.max_loop_iterations:
+                raise EvalError(
+                    "loop iteration budget exceeded "
+                    f"({self.max_loop_iterations:,} iterations)", nid
+                )
+            active[1].append(state)
+            return set()
+        frontier = [state]
+        self._active = (nid, frontier)
+        out = set()
+        try:
+            while frontier:
+                out |= step(f, frontier.pop())
+        finally:
+            self._active = active
+        return out
 
 
 class FunctionTable:
@@ -444,8 +520,8 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
     match node:
         case syntax.Nil():
             run = _SKIP
-        case syntax.Seq(first=first, second=second):
-            run = _seq(stm_meaning(first), stm_meaning(second))
+        case syntax.Seq():
+            run = _block(node)
         case syntax.ExpStm(exp=exp):
             run = _seq(exp_meaning(exp), _SKIP)
         case syntax.Output(exp=exp):

@@ -551,11 +551,9 @@ def shrink_program(source, still_failing) -> str:
     return "\n".join(chunks) + "\n"
 
 
-def default_input_vectors(seed, index, count=4, length=8) -> list:
+def default_input_vectors(seed, index, count=4) -> list:
     rng = random.Random(f"sdtl-inputs-{seed}-{index}")
-    return [
-        tuple(rng.randint(-3, 9) for _ in range(length)) for _ in range(count)
-    ]
+    return [tuple(rng.randint(-3, 9) for _ in range(8)) for _ in range(count)]
 
 
 def check_generated_corpus(

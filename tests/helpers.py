@@ -90,3 +90,24 @@ def calls_by_file(run, key=lambda code: code.co_filename) -> collections.Counter
     finally:
         sys.setprofile(None)
     return calls
+
+
+def max_depth(run) -> int:
+    """Deepest Python call depth reached during `run()`, counted from its
+    caller as ``sys.setprofile`` sees calls and returns."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return deepest

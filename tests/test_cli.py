@@ -155,6 +155,21 @@ def test_iteration_cap_below_1_is_usage_error(capsys, command, cap):
     assert "argument --max-iterations: not a positive integer" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_loop_budget_below_1_is_usage_error(capsys, budget):
+    err = usage_error(capsys, "run", path("fact.sdtl"), "--max-loop-iterations", budget)
+    assert "argument --max-loop-iterations: not a positive integer" in err
+
+
+def test_loop_budget_ends_an_endless_run_with_one_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "run", path("currying_loop.sdtl"), "--max-loop-iterations", "1000"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("run-time error: loop iteration budget exceeded (1,000 iterations)")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("option, value, expected", [
     ("--size", "0", "positive"),
     ("--size", "-2", "positive"),

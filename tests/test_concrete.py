@@ -376,16 +376,34 @@ def test_run_result_shape():
 
 
 def test_nonterminating_loop_raises():
-    with pytest.raises(EvalError, match="recursion limit"):
-        run("while(true){ nil; }")
+    """An endless loop stops at the run's loop iteration budget, and the
+    error names the budget; a loop of exactly that many iterations ends."""
+    with pytest.raises(EvalError) as exc:
+        run_program(parse("while(true){ nil; }"), max_loop_iterations=1_000)
+    assert exc.value.message == "loop iteration budget exceeded (1,000 iterations)"
+    counter = "n = input; while (n > 0) { n = n - 1; } output n;"
+    assert run_program(parse(counter), (1_000,), max_loop_iterations=1_000).outputs == (0,)
 
 
 def test_host_recursion_limit_is_named_not_called_non_termination():
-    """A long terminating loop meets the same limit as an endless one, so
-    the error names the limit and makes no claim about termination."""
+    """Loops take no host stack per iteration, so a 20,000-iteration loop
+    ends; interpreted calls still recurse in the host, and exhausting it is
+    reported as the host's limit, with no claim about termination."""
     source = "n = input; while (n > 0) { n = n - 1; } output n;"
+    assert run(source, (20_000,)).outputs == (0,)
+    fact = "function fact(f, n) { if (n > 1) { return f(f, n - 1) * n; } return 1; }"
     with pytest.raises(EvalError) as exc:
-        run(source, (20_000,))
+        run(fact + " output fact(fact, input);", (5_000,))
     assert str(exc.value) == (
-        "host recursion limit exceeded (10,000 frames): loop or call nesting too deep"
+        "host recursion limit exceeded (10,000 frames): call or value nesting too deep"
     )
+
+
+def test_recursive_call_reaching_a_running_loop_starts_it_afresh():
+    """A call inside a loop's body that reaches the same loop runs it to its
+    own end: f(n) = n * f(n - 1) + 1, so f(3) is 16."""
+    source = """
+    function f(g, n) { i = 0; s = 0; while (i < n) { i = i + 1; s = s + g(g, n - 1); } return s + 1; }
+    output f(f, input);
+    """
+    assert run(source, (3,)).outputs == (16,)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import calls_by_file, load_program
+from helpers import calls_by_file, load_program, max_depth
 from perfbench import programs
 from sdtl import abstract, concrete, kernel, syntax
 from sdtl.kernel import NULL, UNIT, VOID, FrozenMap, FunctionTable, pure
@@ -314,6 +314,27 @@ def test_trace_hook_reports_statements():
     assert set(seen) == stm_sids
 
 
+@pytest.mark.parametrize("source, reached", [
+    ("x = 1; y = 2; z = 3;", 3),
+    ("x = 1; throw x; y = 2; z = 3;", 2),  # nothing after the throw runs
+])
+def test_trace_reports_sequences_innermost_first_after_their_statements(source, reached):
+    """Each sequence a state reached is reported after its statements,
+    inner ones first, with the outcomes of the rest of the chain."""
+    program = parse(source)
+    seqs, node = [], program.root
+    while isinstance(node, syntax.Seq):
+        seqs.append(node)
+        node = node.second
+    statements = [seq.first for seq in seqs] + [node]
+    seen = []
+    concrete.run_program(program, trace=lambda node, out: seen.append((node, out)))
+    expected = statements[:reached] + seqs[:reached][::-1]
+    assert [node.sid for node, _ in seen] == [node.sid for node in expected]
+    outcomes = [out for _, out in seen[reached:]]
+    assert all(out == outcomes[-1] for out in outcomes) and len(outcomes[-1]) == 1
+
+
 def test_argument_meanings_are_built_once(monkeypatch):
     """Meanings are built with the program's meaning, not per evaluation:
     the number of `exp_meaning` calls does not depend on how often the
@@ -380,18 +401,50 @@ def test_no_transformer_is_built_per_loop_iteration():
 
 
 def test_host_stack_budget_of_loops_and_calls():
-    """Concrete loops and calls recurse in the host under
-    `recursion_headroom`'s 10,000 frames: a 1,800-iteration counter loop and
-    `fact(fact, 690)` fit (the limits are about 2,494 and 998, and were
-    1,995 and 713 when every evaluation built its continuations).  One more
-    host frame per iteration or per call, as when a step's body called the
-    branch that `cond` selected, lowers the limits."""
+    """Concrete calls recurse in the host under `recursion_headroom`'s
+    10,000 frames: `fact(fact, 690)` fits (the limit is about 998, and was
+    713 when every evaluation built its continuations).  One more host frame
+    per call, as when a step's body called the branch that `cond` selected,
+    lowers the limit.  Loops take no host stack per iteration (they took
+    four frames each, for a limit of about 2,494 iterations), so the
+    1,800-iteration counter loop fits with room to spare."""
     for case in (
         programs.counter_loop(random.Random(1), 1800),
         programs.self_passing_fact(random.Random(1), 690),
     ):
         result = concrete.run_program(parse(case.source), case.inputs)
         assert result.outputs == case.outputs
+
+
+def test_host_depth_of_a_run_does_not_grow_with_statements_or_iterations():
+    """A statement sequence runs as one block and a loop from its frontier,
+    so the deepest host call of a run is the same for 100 and 800
+    statements and for 100 and 5,000 iterations (it grew by 2 frames per
+    statement and 4 per iteration when both recursed in the host)."""
+    for make, sizes in (
+        (programs.straight_line, (100, 800)),
+        (programs.counter_loop, (100, 5_000)),
+    ):
+        depths = []
+        for size in sizes:
+            case = make(random.Random(1), size)
+            program = parse(case.source)
+            depths.append(max_depth(lambda: concrete.run_program(program, case.inputs)))
+        assert depths[0] == depths[1], (make.__name__, depths)
+
+
+def test_analysis_runs_a_statement_once_per_distinct_state():
+    """Each branch of the if/else leaves its own state and the assignment
+    after it joins them, so analysing twelve such pairs makes 85 trace-hook
+    calls; when every successor state ran the rest of the sequence, the
+    count doubled with each pair (36,856)."""
+    source = "if (input > 0) { x = 1; } else { x = true; } x = 1;\n" * 12 + "output x;\n"
+    calls = []
+    result = abstract.analyze_program(
+        parse(source), trace=lambda node, outcome: calls.append(node)
+    )
+    assert len(calls) <= 200
+    assert len(result.final_states) == 1 and result.diagnostics == ()
 
 
 def test_analysis_builds_no_closure_per_evaluation():
