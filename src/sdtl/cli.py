@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--trace", action="store_true")
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument("--max-loop-iterations", type=_positive, default=1_000_000)
 
     analyze = sub.add_parser("analyze", help="run the type analysis")
     analyze.add_argument("file")
@@ -124,9 +123,7 @@ def _cmd_run(args) -> int:
             for state, _ in sorted(outcome, key=repr):
                 print(concrete.trace_line(node, state), file=sys.stderr)
 
-    result = concrete.run_program(
-        program, args.input, trace=trace, max_loop_iterations=args.max_loop_iterations
-    )
+    result = concrete.run_program(program, args.input, trace=trace)
     if args.format == "json":
         print(json.dumps({"outputs": list(result.outputs)}))
     else:

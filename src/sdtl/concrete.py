@@ -26,8 +26,8 @@ class ObjRef:
         return f"obj({self.ref})"
 
 
-@dataclass(frozen=True)
-class FunPtr:
+@dataclass(frozen=True, eq=False)
+class FunPtr(kernel.Record):
     sid: int
     curried: tuple = ()
 
@@ -97,9 +97,8 @@ class ConcreteInterpretation(kernel.Interpretation):
     fun_ptr_class = FunPtr
     this_field = "this_ref"
 
-    def __init__(self, inputs=(), max_loop_iterations=1_000_000):
+    def __init__(self, inputs=()):
         self._inputs = tuple(inputs)
-        self.max_loop_iterations = max_loop_iterations
 
     def initial_state(self) -> CState:
         return initial_state(self._inputs)
@@ -238,17 +237,15 @@ def recursion_headroom():
         sys.setrecursionlimit(previous)
 
 
-def run_program(
-    program: Program, inputs=(), trace=None, max_loop_iterations=1_000_000
-) -> RunResult:
+def run_program(program: Program, inputs=(), trace=None) -> RunResult:
     """Run a program on a finite input queue.
 
     The concrete semantics is deterministic: there is exactly one final
     state, whose output log is returned alongside it.  A run that takes more
-    than `max_loop_iterations` loop iterations, over all its loops, stops
-    with a run-time error that names the budget.
+    than ``Interpretation.max_loop_iterations`` loop iterations, over all its
+    loops, stops with a run-time error that names the budget.
     """
-    interp = ConcreteInterpretation(inputs, max_loop_iterations)
+    interp = ConcreteInterpretation(inputs)
     f = kernel.FunctionTable(program, interp, trace)
     with recursion_headroom():
         try:

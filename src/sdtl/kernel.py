@@ -213,10 +213,11 @@ def _block(node) -> Transformer:
         for s0 in states:
             out |= last(f, s0)
         if f.trace is not None:
-            for position in range(position, 0, -1):
-                while escaped and escaped[-1][0] >= position:
+            reached = position  # the last statement that ran
+            for inner in range(reached, 0, -1):
+                while escaped and escaped[-1][0] >= inner:
                     out.add(escaped.pop()[1])
-                f.trace(seqs[position], set(out))
+                f.trace(seqs[inner], set(out))
         for _, outcome in escaped:
             out.add(outcome)
         return out

@@ -375,14 +375,15 @@ def test_run_result_shape():
     assert result.final_states == (result.final_state,)
 
 
-def test_nonterminating_loop_raises():
+def test_nonterminating_loop_raises(monkeypatch):
     """An endless loop stops at the run's loop iteration budget, and the
     error names the budget; a loop of exactly that many iterations ends."""
+    assert kernel.Interpretation.max_loop_iterations == 1_000_000
+    monkeypatch.setattr(kernel.Interpretation, "max_loop_iterations", 1_000)
     with pytest.raises(EvalError) as exc:
-        run_program(parse("while(true){ nil; }"), max_loop_iterations=1_000)
+        run("while(true){ nil; }")
     assert exc.value.message == "loop iteration budget exceeded (1,000 iterations)"
-    counter = "n = input; while (n > 0) { n = n - 1; } output n;"
-    assert run_program(parse(counter), (1_000,), max_loop_iterations=1_000).outputs == (0,)
+    assert run("n = input; while (n > 0) { n = n - 1; } output n;", (1_000,)).outputs == (0,)
 
 
 def test_host_recursion_limit_is_named_not_called_non_termination():
