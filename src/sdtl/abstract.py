@@ -60,7 +60,7 @@ AVal = Union[_Atom, AObjRef, AFunPtr]  # or VOID_VAL
 class AState(kernel.Record):
     env: FrozenMap
     obj_mem: FrozenMap  # site -> FrozenMap of members
-    this_site: int
+    this: int
     curried: FrozenMap  # (sid, count, anchor) -> frozenset of value tuples
     ret: object
     ex: object
@@ -70,7 +70,7 @@ def initial_state() -> AState:
     return AState(
         env=FrozenMap(),
         obj_mem=FrozenMap({0: FrozenMap()}),
-        this_site=0,
+        this=0,
         curried=FrozenMap(),
         ret=VOID,
         ex=VOID,
@@ -111,10 +111,10 @@ class AbstractInterpretation(kernel.Interpretation):
 
     obj_ref_class = AObjRef
     fun_ptr_class = AFunPtr
-    this_field = "this_site"
+    max_iterations = 100_000  # per solve, before AnalysisLimitError
 
-    def __init__(self, max_iterations=100_000):
-        self.max_iterations = max_iterations
+    def __init__(self, program, trace=None):
+        super().__init__(program, trace)
         self.diagnostics = set()
         # (node id, entry state) -> frozenset of (exit state, payload)
         self._summaries = {}
@@ -183,7 +183,7 @@ class AbstractInterpretation(kernel.Interpretation):
             )
         return NUM if op in ("+", "-", "*", "/") else BOOL
 
-    def apply(self, f, state, fun_value, args, this_value, eid):
+    def apply(self, state, fun_value, args, this_value, eid):
         if fun_value is VOID_VAL:
             self._dead("possible use of void function result")
         if not isinstance(fun_value, AFunPtr):
@@ -191,7 +191,7 @@ class AbstractInterpretation(kernel.Interpretation):
                 f"possible type error: calling a {_category(fun_value)}"
             )
         sid, count, anchor = fun_value.sid, fun_value.count, fun_value.anchor
-        arity = f.program.arity(sid)
+        arity = self.program.arity(sid)
         if count == 0:
             prefixes = ((),)
         else:
@@ -200,7 +200,7 @@ class AbstractInterpretation(kernel.Interpretation):
         if total == arity:
             out = set()
             for prefix in prefixes:
-                out |= kernel.call(f, state, sid, prefix + tuple(args), this_value)
+                out |= kernel.call(self, state, sid, prefix + tuple(args), this_value)
             return out
         if total < arity:
             if total == 0:
@@ -253,7 +253,7 @@ class AbstractInterpretation(kernel.Interpretation):
 
     # fixed-point engine
 
-    def fixpoint(self, kind, nid, step, f, state):
+    def fixpoint(self, kind, nid, step, state):
         """Loop and call summaries from one table, solved top-down: the query
         (`nid`, `state`) is answered with its summary.
 
@@ -267,14 +267,14 @@ class AbstractInterpretation(kernel.Interpretation):
         key = (nid, state)
         if key not in self._final:
             if nid not in self._worklists:
-                self._solve(kind, nid, step, f, state)
+                self._solve(kind, nid, step, state)
             else:
                 depth, worklist = self._worklists[nid]
                 worklist.setdefault(state)
                 self._low[-1] = min(self._low[-1], depth)
         return set(self._summaries.get(key, frozenset()))
 
-    def _solve(self, kind, nid, step, f, state):
+    def _solve(self, kind, nid, step, state):
         """Re-evaluate `step` on the node's worklist, newest state first,
         until no summary grows and no state joins."""
         depth, worklist = len(self._low), {state: None}
@@ -294,7 +294,7 @@ class AbstractInterpretation(kernel.Interpretation):
                 for entry in reversed(list(worklist)):
                     key = (nid, entry)
                     previous = self._summaries.get(key, frozenset())
-                    out = frozenset(step(f, entry))
+                    out = frozenset(step(self, entry))
                     # summaries never shrink between iterations
                     assert previous <= out, f"{kind} summary shrank"
                     if out != previous:
@@ -324,12 +324,11 @@ class AnalysisResult:
         return sorted(self.final_states, key=lambda s: json.dumps(state_to_json(s)))
 
 
-def analyze_program(program: Program, max_iterations=100_000, trace=None) -> AnalysisResult:
+def analyze_program(program: Program, trace=None) -> AnalysisResult:
     """Analyze a program, returning all final abstract states plus the
     diagnostic log."""
-    interp = AbstractInterpretation(max_iterations=max_iterations)
-    f = kernel.FunctionTable(program, interp, trace)
-    outcome = kernel.stm_meaning(program.root)(f, interp.initial_state())
+    interp = AbstractInterpretation(program, trace)
+    outcome = kernel.stm_meaning(program.root)(interp, interp.initial_state())
     stats = dict(interp.stats)
     stats["reused_allocation_sites"] = frozenset(interp.reused_sites)
     stats["reset_curried_keys"] = frozenset(interp.reset_curried_keys)
@@ -375,7 +374,7 @@ def state_to_json(state: AState) -> dict:
             str(site): {name: aval_to_json(v) for name, v in sorted(members.items())}
             for site, members in sorted(state.obj_mem.items())
         },
-        "this": state.this_site,
+        "this": state.this,
         "curried": curried,
         "ret": _slot_to_json(state.ret),
         "ex": _slot_to_json(state.ex),

@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("file")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--trace", action="store_true")
-    analyze.add_argument("--max-iterations", type=_positive, default=100_000)
 
     check = sub.add_parser(
         "check-soundness", help="differential-test the analysis against concrete runs"
@@ -99,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--input-sets",
         type=_vectors,
-        default="",
         help="semicolon-separated input vectors, e.g. '0;1;2,3'",
     )
     check.add_argument("--per-statement", action="store_true")
@@ -107,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--count", type=_non_negative, default=200)
     check.add_argument("--size", type=_positive, default=None)
-    check.add_argument("--max-iterations", type=_positive, default=100_000)
 
     dump = sub.add_parser("dump-ast", help="dump the id-annotated AST as JSON")
     dump.add_argument("file")
@@ -144,9 +141,7 @@ def _cmd_analyze(args) -> int:
         def trace(node, outcome):
             print(f"sid={node.sid} states={len(outcome)}", file=sys.stderr)
 
-    result = abstract.analyze_program(
-        program, max_iterations=args.max_iterations, trace=trace
-    )
+    result = abstract.analyze_program(program, trace=trace)
     if args.format == "json":
         print(json.dumps(abstract.result_to_json(result), indent=2, sort_keys=True))
         return 0
@@ -162,11 +157,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.generate:
+        # a generated corpus brings its own programs and input vectors
+        if args.file or args.per_statement or args.input_sets is not None:
+            build_parser().error("argument --generate: not allowed with "
+                                 "a file, --per-statement or --input-sets")
         reports = soundness.check_generated_corpus(
-            args.seed,
-            args.count,
-            size_bound=args.size,
-            max_iterations=args.max_iterations,
+            args.seed, args.count, size_bound=args.size
         )
         violating = [r for r in reports if r["violations"]]
         summary = {
@@ -180,10 +176,9 @@ def _cmd_check(args) -> int:
         raise CliError("check-soundness needs a file or --generate")
     report = soundness.differential_test(
         _load(args.file),
-        args.input_sets,
+        args.input_sets or [()],  # by default, one run on no input
         label=args.file,
         per_statement=args.per_statement,
-        max_iterations=args.max_iterations,
     )
     print(json.dumps(report, indent=2, sort_keys=True))
     return 3 if report["violations"] else 0

@@ -50,7 +50,7 @@ class IOState(kernel.Record):
 class CState(kernel.Record):
     env: FrozenMap
     obj_mem: FrozenMap  # ref -> FrozenMap of members
-    this_ref: int
+    this: int
     ret: object
     ex: object
     io: IOState
@@ -60,7 +60,7 @@ def initial_state(inputs=()) -> CState:
     return CState(
         env=FrozenMap(),
         obj_mem=FrozenMap({0: FrozenMap()}),
-        this_ref=0,
+        this=0,
         ret=VOID,
         ex=VOID,
         io=IOState(tuple(inputs), ()),
@@ -95,9 +95,9 @@ class ConcreteInterpretation(kernel.Interpretation):
 
     obj_ref_class = ObjRef
     fun_ptr_class = FunPtr
-    this_field = "this_ref"
 
-    def __init__(self, inputs=()):
+    def __init__(self, program, inputs=(), trace=None):
+        super().__init__(program, trace)
         self._inputs = tuple(inputs)
 
     def initial_state(self) -> CState:
@@ -169,16 +169,16 @@ class ConcreteInterpretation(kernel.Interpretation):
             return left < right
         raise AssertionError(f"unknown operator {op!r}")
 
-    def apply(self, f, state, fun_value, args, this_value, eid):
+    def apply(self, state, fun_value, args, this_value, eid):
         _check_not_void(fun_value)
         if not isinstance(fun_value, FunPtr):
             raise EvalError(
                 f"calling a non-function ({_category(fun_value)})"
             )
         combined = fun_value.curried + tuple(args)
-        arity = f.program.arity(fun_value.sid)
+        arity = self.program.arity(fun_value.sid)
         if len(combined) == arity:
-            return kernel.call(f, state, fun_value.sid, combined, this_value)
+            return kernel.call(self, state, fun_value.sid, combined, this_value)
         if len(combined) < arity:
             return {(state, FunPtr(fun_value.sid, combined))}
         raise EvalError(
@@ -245,11 +245,10 @@ def run_program(program: Program, inputs=(), trace=None) -> RunResult:
     than ``Interpretation.max_loop_iterations`` loop iterations, over all its
     loops, stops with a run-time error that names the budget.
     """
-    interp = ConcreteInterpretation(inputs)
-    f = kernel.FunctionTable(program, interp, trace)
+    interp = ConcreteInterpretation(program, inputs, trace)
     with recursion_headroom():
         try:
-            outcome = kernel.stm_meaning(program.root)(f, interp.initial_state())
+            outcome = kernel.stm_meaning(program.root)(interp, interp.initial_state())
         except EvalError as err:
             # the step that raised was the last to set the current node
             if err.node_id is None:
@@ -286,7 +285,7 @@ def state_to_json(state: CState) -> dict:
             str(ref): {name: value_to_json(v) for name, v in sorted(members.items())}
             for ref, members in sorted(state.obj_mem.items())
         },
-        "this": state.this_ref,
+        "this": state.this,
         "ret": _slot_to_json(state.ret),
         "ex": _slot_to_json(state.ex),
         "outputs": list(state.io.outputs),

@@ -1,12 +1,12 @@
 """Parametric semantics kernel.
 
 The meaning of a program fragment is a *transformer*: a function taking the
-run's function table and a state, and returning a set of (successor state,
-payload) pairs.  Payloads are values for expressions, ``UNIT`` for
+run's :class:`Interpretation` and a state, and returning a set of (successor
+state, payload) pairs.  Payloads are values for expressions, ``UNIT`` for
 statements, and ``NULL`` for states that escape (pending return or
 exception).  The semantic equations here are written once against the
-:class:`Interpretation` contract, as are the primitives that only touch the
-state record's ``env``, ``ret``, ``ex`` and receiver fields.  The concrete
+interpretation contract, as are the primitives that only touch the state
+record's ``env``, ``ret``, ``ex`` and ``this`` fields.  The concrete
 interpreter and the abstract type analysis plug in their own state/value
 carriers and value-level primitives without touching either.
 
@@ -23,7 +23,7 @@ from typing import Any, Callable, Set, Tuple
 
 from . import syntax
 
-Transformer = Callable[["FunctionTable", Any], Set[Tuple[Any, Any]]]
+Transformer = Callable[["Interpretation", Any], Set[Tuple[Any, Any]]]
 
 
 class _Marker:
@@ -152,7 +152,7 @@ def replace(record, **changes):
 def pure(value) -> Transformer:
     """Identity state transformer yielding `value` (the monadic return)."""
 
-    def run(f, s):
+    def run(interp, s):
         return {(s, value)}
 
     return run
@@ -165,14 +165,14 @@ def _seq(t: Transformer, u: Transformer) -> Transformer:
     """`t` then `u`: each escaping successor of `t` is emitted as
     (state, NULL), and every other one flows into `u`."""
 
-    def run(f, s):
-        esc = f.interp.esc
+    def run(interp, s):
+        esc = interp.esc
         out = set()
-        for s1, _ in t(f, s):
+        for s1, _ in t(interp, s):
             if esc(s1):
                 out.add((s1, NULL))
             else:
-                out |= u(f, s1)
+                out |= u(interp, s1)
         return out
 
     return run
@@ -195,13 +195,13 @@ def _block(node) -> Transformer:
         node = node.second
     last = stm_meaning(node)
 
-    def run(f, s):
-        esc = f.interp.esc
+    def run(interp, s):
+        esc = interp.esc
         states, escaped = (s,), []  # escaped: (position, outcome)
         for position, t in enumerate(parts):
             after = []
             for s0 in states:
-                for s1, _ in t(f, s0):
+                for s1, _ in t(interp, s0):
                     if esc(s1):
                         escaped.append((position, (s1, NULL)))
                     else:
@@ -211,13 +211,13 @@ def _block(node) -> Transformer:
                 break
         out = set()
         for s0 in states:
-            out |= last(f, s0)
-        if f.trace is not None:
+            out |= last(interp, s0)
+        if interp.trace is not None:
             reached = position  # the last statement that ran
             for inner in range(reached, 0, -1):
                 while escaped and escaped[-1][0] >= inner:
                     out.add(escaped.pop()[1])
-                f.trace(seqs[inner], set(out))
+                interp.trace(seqs[inner], set(out))
         for _, outcome in escaped:
             out.add(outcome)
         return out
@@ -230,21 +230,20 @@ def _step(nid, t: Transformer, body) -> Transformer:
 
     Each escaping successor of `t` is emitted as (state, NULL).  For every
     other (state, payload) the step makes `nid` the interpretation's current
-    node and adds ``body(interp, f, state, payload)``, an outcome set, or
+    node and adds ``body(interp, state, payload)``, an outcome set, or
     nothing if the body raises :class:`DeadBranch`.  Only a primitive raises
     it, and only inside a step that catches it, so no transformer does.
     """
 
-    def run(f, s):
-        interp = f.interp
+    def run(interp, s):
         out = set()
-        for s1, a in t(f, s):
+        for s1, a in t(interp, s):
             if interp.esc(s1):
                 out.add((s1, NULL))
                 continue
             interp.current_node = nid
             try:
-                out |= body(interp, f, s1, a)
+                out |= body(interp, s1, a)
             except DeadBranch:
                 pass
         return out
@@ -256,16 +255,15 @@ def _branch(nid, guard_t, then_t, else_t) -> Transformer:
     """Selection of node `nid`: each non-escaping outcome of `guard_t` runs
     `then_t` and/or `else_t`, as ``cond`` of its value allows."""
 
-    def run(f, s):
-        interp = f.interp
+    def run(interp, s):
         out = set()
-        for s1, v in guard_t(f, s):
+        for s1, v in guard_t(interp, s):
             if interp.esc(s1):
                 out.add((s1, NULL))
                 continue
             interp.current_node = nid
             for taken in interp.cond(v):
-                out |= (then_t if taken else else_t)(f, s1)
+                out |= (then_t if taken else else_t)(interp, s1)
         return out
 
     return run
@@ -277,13 +275,13 @@ def _collect(first: Transformer, exps) -> Transformer:
     of their payloads."""
     rest = _collect(exp_meaning(exps[0]), exps[1:]) if exps else pure(())
 
-    def run(f, s):
+    def run(interp, s):
         out = set()
-        for s1, a in first(f, s):
-            if f.interp.esc(s1):
+        for s1, a in first(interp, s):
+            if interp.esc(s1):
                 out.add((s1, NULL))
             else:
-                out |= {(s2, v if v is NULL else (a,) + v) for s2, v in rest(f, s1)}
+                out |= {(s2, v if v is NULL else (a,) + v) for s2, v in rest(interp, s1)}
         return out
 
     return run
@@ -298,33 +296,50 @@ def _units(states):
 
 
 class Interpretation:
-    """Parameter set of the semantics: state and value carriers plus the
-    primitive operations the equations below defer to.
+    """Parameter set of the semantics, one per run: state and value carriers
+    plus the primitive operations the equations below defer to, the program
+    and the run's trace hook.
 
     States are records (frozen dataclasses, usually :class:`Record`s) with
-    fields ``env``, ``ret``, ``ex`` and a receiver field holding the key of
-    the ``this`` object.  The record-state primitives are written here once
-    against those fields, and any further field (heap, I/O, ...) is carried
-    through calls untouched.  A domain declares its object-pointer class (one
-    field: the heap key, 0 for the global object), its function-pointer
-    class (built from a sid) and the name of its receiver field, and writes
-    the value-level primitives.
+    fields ``env``, ``ret``, ``ex`` and ``this``, the key of the receiver
+    object.  The record-state primitives are written here once against those
+    fields, and any further field (heap, I/O, ...) is carried through calls
+    untouched.  A domain declares its object-pointer class (one field: the
+    heap key, 0 for the global object) and its function-pointer class (built
+    from a sid), and writes the value-level primitives.
 
-    Every primitive takes the state (after the run's function table, where
-    it needs one) and returns its result: a value, a state, a set of
-    successor states, or a set of (state, payload) outcomes; ``cond`` takes
-    only a guard value and returns the branches that may run, ``(True,)``,
-    ``(False,)`` or both.  No primitive takes or returns a transformer except
-    ``fixpoint``, which takes one unfolding.  State equality must be
-    decidable.
+    Every primitive takes the state and returns its result: a value, a state,
+    a set of successor states, or a set of (state, payload) outcomes;
+    ``cond`` takes only a guard value and returns the branches that may run,
+    ``(True,)``, ``(False,)`` or both.  No primitive takes or returns a
+    transformer except ``fixpoint``, which takes one unfolding.  State
+    equality must be decidable.
+
+    The function space, sid -> meaning of the function's body, is the least
+    fixed point of its equations, realized lazily: each body's meaning is
+    built on its first call in the run, and a call runs it through the
+    fixed-point hook, so recursion in the interpreted program becomes
+    recursion in the host (or, abstractly, a query against the summary
+    engine).  The optional trace hook ``trace(node, outcome)`` is invoked
+    per statement evaluation.
     """
 
     obj_ref_class = None
     fun_ptr_class = None
-    this_field = None
 
     # id of the node whose primitive step runs, set by the step (one thread)
     current_node = None
+
+    def __init__(self, program: syntax.Program, trace=None):
+        self.program = program
+        self.trace = trace
+        self._fun_bodies = {}
+
+    def fun_body(self, sid) -> Transformer:
+        """Meaning of the body of function `sid`, built once per run."""
+        if sid not in self._fun_bodies:
+            self._fun_bodies[sid] = stm_meaning(self.program.stm(sid))
+        return self._fun_bodies[sid]
 
     # value-level primitives: written by each domain
 
@@ -349,7 +364,7 @@ class Interpretation:
     def bin(self, op, left, right):  # -> Value
         raise NotImplementedError
 
-    def apply(self, f, state, fun_value, args, this_value, eid):  # -> outcomes
+    def apply(self, state, fun_value, args, this_value, eid):  # -> outcomes
         raise NotImplementedError
 
     def get(self, state, ref, member):  # -> Value
@@ -385,30 +400,20 @@ class Interpretation:
         return self.obj_ref_class(0)
 
     def getthis(self, state):  # -> Value
-        return self.obj_ref_class(getattr(state, self.this_field))
+        return self.obj_ref_class(state.this)
 
     def enter(self, caller, sid, args, this_value, params):  # -> State
         """Callee entry state: parameters bound, receiver from `this_value`,
         empty slots, and every other field carried in from the caller."""
         assert isinstance(this_value, self.obj_ref_class), this_value
         (key,) = vars(this_value).values()
-        return replace(
-            caller,
-            env=FrozenMap(dict(zip(params, args))),
-            ret=VOID,
-            ex=VOID,
-            **{self.this_field: key},
-        )
+        env = FrozenMap(dict(zip(params, args)))
+        return replace(caller, env=env, ret=VOID, ex=VOID, this=key)
 
     def leave(self, caller, callee):  # -> (State, return slot)
         """Caller state after the call: the caller's env and receiver, the
         callee's pending exception and every other field of the callee."""
-        after = replace(
-            callee,
-            env=caller.env,
-            ret=VOID,
-            **{self.this_field: getattr(caller, self.this_field)},
-        )
+        after = replace(callee, env=caller.env, ret=VOID, this=caller.this)
         return after, callee.ret
 
     # fixed-point hook with its default realization
@@ -419,7 +424,7 @@ class Interpretation:
     loop_iterations = 0
     max_loop_iterations = 1_000_000
 
-    def fixpoint(self, kind, nid, step: Transformer, f, state):  # -> outcomes
+    def fixpoint(self, kind, nid, step: Transformer, state):  # -> outcomes
         """Outcomes from `state` of loop `nid` (kind ``"loop"``) or of the
         body of function `nid` (kind ``"call"``): the fixed point of `step`,
         its one unfolding, which re-enters the definition through this hook.
@@ -449,41 +454,16 @@ class Interpretation:
         out = set()
         try:
             while frontier:
-                out |= step(f, frontier.pop())
+                out |= step(self, frontier.pop())
         finally:
             self._active = active
         return out
 
 
-class FunctionTable:
-    """The run's function space: sid -> meaning of the function's body.
-
-    The least fixed point of the function space, realized lazily: a call
-    runs the body's meaning through the interpretation's fixed-point hook,
-    so recursion in the interpreted program becomes recursion in the host
-    (or, abstractly, a query against the summary engine).
-
-    One immutable handle per run; it carries the interpretation so
-    transformers can reach the primitives, plus an optional trace callback
-    ``trace(node, outcome)`` invoked per statement evaluation.
-    """
-
-    def __init__(self, program: syntax.Program, interp: Interpretation, trace=None):
-        self.program = program
-        self.interp = interp
-        self.trace = trace
-        self._entries = {}
-
-    def lookup(self, sid) -> Transformer:
-        if sid not in self._entries:
-            self._entries[sid] = stm_meaning(self.program.stm(sid))
-        return self._entries[sid]
-
-
 # --- Auxiliary call machinery --------------------------------------------------
 
 
-def call(f, s, sid, args, this_value):  # -> outcomes
+def call(interp, s, sid, args, this_value):  # -> outcomes
     """Run function `sid` on `args` with receiver `this_value` from state `s`.
 
     Builds the callee entry state, runs the body through the
@@ -491,10 +471,9 @@ def call(f, s, sid, args, this_value):  # -> outcomes
     through ``leave``.  A Void return slot becomes the unusable ``VOID_VAL``
     payload.
     """
-    interp = f.interp
-    entry = interp.enter(s, sid, args, this_value, f.program.param(sid))
+    entry = interp.enter(s, sid, args, this_value, interp.program.param(sid))
     out = set()
-    for exit_state, _ in interp.fixpoint("call", sid, f.lookup(sid), f, entry):
+    for exit_state, _ in interp.fixpoint("call", sid, interp.fun_body(sid), entry):
         after, ret = interp.leave(s, exit_state)
         out.add((after, VOID_VAL if ret is VOID else ret))
     return out
@@ -506,10 +485,10 @@ def call(f, s, sid, args, this_value):  # -> outcomes
 def _traced(node, run) -> Transformer:
     """Report each outcome of statement `node` to the run's trace hook."""
 
-    def traced(f, s):
-        out = run(f, s)
-        if f.trace is not None:
-            f.trace(node, out)
+    def traced(interp, s):
+        out = run(interp, s)
+        if interp.trace is not None:
+            interp.trace(node, out)
         return out
 
     return traced
@@ -526,14 +505,13 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
         case syntax.ExpStm(exp=exp):
             run = _seq(exp_meaning(exp), _SKIP)
         case syntax.Output(exp=exp):
-            run = _step(sid, exp_meaning(exp), lambda i, f, s, v: _units(i.dooutput(s, v)))
+            run = _step(sid, exp_meaning(exp), lambda i, s, v: _units(i.dooutput(s, v)))
         case syntax.Assign(target=syntax.Var(name=name), value=value):
             value_t = exp_meaning(value)
 
-            def run(f, s):
-                interp = f.interp
+            def run(interp, s):
                 out = set()
-                for s1, v in value_t(f, s):
+                for s1, v in value_t(interp, s):
                     if interp.esc(s1):
                         out.add((s1, NULL))
                         continue
@@ -545,7 +523,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
         case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
             run = _step(
                 sid, _collect(exp_meaning(obj), (value,)),
-                lambda i, f, s, rv: _units(i.set(s, rv[0], member, rv[1])),
+                lambda i, s, rv: _units(i.set(s, rv[0], member, rv[1])),
             )
         case syntax.If() | syntax.IfElse():
             then_t = stm_meaning(node.then_body)
@@ -554,33 +532,32 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
         case syntax.While(guard=guard, body=body):
             # one self-referential transformer: `unfold` runs the loop once
             # and re-enters it through the fixed-point hook
-            def run(f, s):
-                return f.interp.fixpoint("loop", sid, unfold, f, s)
+            def run(interp, s):
+                return interp.fixpoint("loop", sid, unfold, s)
 
             loop_t = _seq(stm_meaning(body), run)
             unfold = _branch(sid, exp_meaning(guard), loop_t, _SKIP)
         case syntax.FunDecl(name=name):
-            run = _step(sid, _SKIP, lambda i, f, s, _: _units(i.fundecl(s, name, sid)))
+            run = _step(sid, _SKIP, lambda i, s, _: _units(i.fundecl(s, name, sid)))
         case syntax.Return(exp=exp):
-            run = _step(sid, exp_meaning(exp), lambda i, f, s, v: _units(i.ret(s, v)))
+            run = _step(sid, exp_meaning(exp), lambda i, s, v: _units(i.ret(s, v)))
         case syntax.TryCatch(body=body, exc_name=exc_name, handler=handler):
             # every outcome of the body with a pending exception runs the
             # handler; any other, escaping by return or not, passes through
             body_t, handler_t = stm_meaning(body), stm_meaning(handler)
 
-            def run(f, s):
-                interp = f.interp
+            def run(interp, s):
                 out = set()
-                for s1, _ in body_t(f, s):
+                for s1, _ in body_t(interp, s):
                     if s1.ex is VOID:
                         out.add((s1, UNIT))
                     else:
                         interp.current_node = sid
-                        out |= handler_t(f, interp.exs(s1, exc_name))
+                        out |= handler_t(interp, interp.exs(s1, exc_name))
                 return out
 
         case syntax.Throw(exp=exp):
-            run = _step(sid, exp_meaning(exp), lambda i, f, s, v: _units(i.throw(s, v)))
+            run = _step(sid, exp_meaning(exp), lambda i, s, v: _units(i.throw(s, v)))
         case _:
             raise TypeError(f"not a statement node: {node!r}")
     return _traced(node, run)
@@ -591,38 +568,37 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
     eid = node.eid
     match node:
         case syntax.Con(value=value):
-            def run(f, s):
-                return {(s, f.interp.conval(value))}
+            def run(interp, s):
+                return {(s, interp.conval(value))}
 
         case syntax.LexpRef(lexp=lexp):
             run = lexp_meaning(lexp)
         case syntax.Input():
-            run = _step(eid, _SKIP, lambda i, f, s, _: i.getinput(s))
+            run = _step(eid, _SKIP, lambda i, s, _: i.getinput(s))
         case syntax.Call(callee=callee, args=args):
             run = _step(
                 eid, _collect(lexp_meaning(callee), args),
-                lambda i, f, s, p: i.apply(f, s, p[0], p[1:], i.getthis(s), eid),
+                lambda i, s, p: i.apply(s, p[0], p[1:], i.getthis(s), eid),
             )
         case syntax.MethodCall(receiver=obj, member=member, args=args):
             # `method_t` yields (receiver, method), read before the arguments run
             method_t = _step(
-                eid, exp_meaning(obj), lambda i, f, s, r: {(s, (r, i.get(s, r, member)))}
+                eid, exp_meaning(obj), lambda i, s, r: {(s, (r, i.get(s, r, member)))}
             )
             run = _step(
                 eid, _collect(method_t, args),
-                lambda i, f, s, p: i.apply(f, s, p[0][1], p[1:], p[0][0], eid),
+                lambda i, s, p: i.apply(s, p[0][1], p[1:], p[0][0], eid),
             )
         case syntax.BinOp(op=op, left=left, right=right):
             left_t, right_t = exp_meaning(left), exp_meaning(right)
 
-            def run(f, s):
-                interp = f.interp
+            def run(interp, s):
                 out = set()
-                for s1, c1 in left_t(f, s):
+                for s1, c1 in left_t(interp, s):
                     if interp.esc(s1):
                         out.add((s1, NULL))
                         continue
-                    for s2, c2 in right_t(f, s1):
+                    for s2, c2 in right_t(interp, s1):
                         if interp.esc(s2):
                             out.add((s2, NULL))
                             continue
@@ -636,15 +612,15 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
         case syntax.Paren(inner=inner):
             run = exp_meaning(inner)
         case syntax.Global():
-            run = _step(eid, _SKIP, lambda i, f, s, _: {(s, i.getglobal(s))})
+            run = _step(eid, _SKIP, lambda i, s, _: {(s, i.getglobal(s))})
         case syntax.This():
-            run = _step(eid, _SKIP, lambda i, f, s, _: {(s, i.getthis(s))})
+            run = _step(eid, _SKIP, lambda i, s, _: {(s, i.getthis(s))})
         case syntax.New(callee=callee, args=args):
             # a fresh object, on which the constructor runs, is the value
-            def construct(i, f, s, p):
+            def construct(i, s, p):
                 out = set()
                 for s1, obj in i.newobj(s, eid):
-                    for s2, _ in i.apply(f, s1, p[0], p[1:], obj, eid):
+                    for s2, _ in i.apply(s1, p[0], p[1:], obj, eid):
                         out.add((s2, NULL if i.esc(s2) else obj))
                 return out
 
@@ -659,8 +635,7 @@ def lexp_meaning(node: syntax.Lexp) -> Transformer:
     eid = node.eid
     match node:
         case syntax.Var(name=name):
-            def run(f, s):
-                interp = f.interp
+            def run(interp, s):
                 interp.current_node = eid
                 try:
                     return {(s, interp.val(s, name))}
@@ -668,7 +643,7 @@ def lexp_meaning(node: syntax.Lexp) -> Transformer:
                     return set()
 
         case syntax.Member(obj=obj, member=name):
-            run = _step(eid, exp_meaning(obj), lambda i, f, s, v: {(s, i.get(s, v, name))})
+            run = _step(eid, exp_meaning(obj), lambda i, s, v: {(s, i.get(s, v, name))})
         case _:
             raise TypeError(f"not a left-expression node: {node!r}")
     return run

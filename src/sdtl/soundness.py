@@ -10,6 +10,7 @@ candidate state.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -98,9 +99,9 @@ def state_mismatch(astate, cstate):
         ):
             return f"objmem: no abstract object covers concrete object {ref}"
     if not abstracts_value(
-        astate, cstate, abstract.AObjRef(astate.this_site), concrete.ObjRef(cstate.this_ref)
+        astate, cstate, abstract.AObjRef(astate.this), concrete.ObjRef(cstate.this)
     ):
-        return f"this: site {astate.this_site} does not abstract object {cstate.this_ref}"
+        return f"this: site {astate.this} does not abstract object {cstate.this}"
     if not _slot_abstracts(astate, cstate, astate.ret, cstate.ret):
         return f"ret: {astate.ret!r} does not abstract {cstate.ret!r}"
     if not _slot_abstracts(astate, cstate, astate.ex, cstate.ex):
@@ -143,7 +144,8 @@ def abstracts_outcome(astates, cstates) -> Judgment:
 # --- Differential testing --------------------------------------------------------
 
 
-_esc = kernel.Interpretation().esc  # the escape test every domain shares
+# the escape test every domain shares; it reads only the state
+_esc = functools.partial(kernel.Interpretation.esc, None)
 
 
 def _stage_recorder(program):
@@ -171,11 +173,7 @@ def _stage_recorder(program):
 
 
 def differential_test(
-    source,
-    input_vectors,
-    label="<program>",
-    per_statement=False,
-    max_iterations=100_000,
+    source, input_vectors, label="<program>", per_statement=False
 ) -> dict:
     """Check a program's analysis against its concrete runs.
 
@@ -187,9 +185,7 @@ def differential_test(
     """
     program = syntax.parse(source)
     trace, stages = _stage_recorder(program) if per_statement else (None, None)
-    analysis = abstract.analyze_program(
-        program, max_iterations=max_iterations, trace=trace
-    )
+    analysis = abstract.analyze_program(program, trace=trace)
     abstract_stages = list(stages()) if per_statement else None
     violations, errors = [], []
     checked = 0
@@ -551,14 +547,13 @@ def shrink_program(source, still_failing) -> str:
     return "\n".join(chunks) + "\n"
 
 
-def default_input_vectors(seed, index, count=4) -> list:
+def default_input_vectors(seed, index) -> list:
+    """The four input vectors of generated program `index`."""
     rng = random.Random(f"sdtl-inputs-{seed}-{index}")
-    return [tuple(rng.randint(-3, 9) for _ in range(8)) for _ in range(count)]
+    return [tuple(rng.randint(-3, 9) for _ in range(8)) for _ in range(4)]
 
 
-def check_generated_corpus(
-    seed, count, size_bound=None, max_iterations=100_000
-) -> list:
+def check_generated_corpus(seed, count, size_bound=None) -> list:
     """Differential-test a generated corpus; violating programs are
     minimized and classified against the documented abstraction caveats."""
     reports = []
@@ -567,9 +562,7 @@ def check_generated_corpus(
         label = f"generated:{seed}:{index}"
 
         def check(candidate):
-            return differential_test(
-                candidate, input_vectors, label=label, max_iterations=max_iterations
-            )
+            return differential_test(candidate, input_vectors, label=label)
 
         report = check(source)
         if report["violations"]:

@@ -14,7 +14,7 @@ from sdtl.abstract import (
 from sdtl.kernel import VOID, VOID_VAL
 from sdtl.syntax import While, iter_nodes, parse
 
-INTERP = AbstractInterpretation()
+INTERP = AbstractInterpretation(None)
 
 
 def analyze(source):
@@ -55,7 +55,7 @@ def test_bin_by_operator_class():
 
 
 def test_bin_type_mismatch_kills_branch():
-    interp = AbstractInterpretation()
+    interp = AbstractInterpretation(None)
     with pytest.raises(kernel.DeadBranch):
         interp.bin("+", NUM, BOOL)
     assert any("type error" in d.message for d in interp.diagnostics)
@@ -255,7 +255,7 @@ def test_objects_example_single_final_state():
         "juice": AFunPtr(juiceme.sid, 1, anchor),
     }
     assert dict(state.curried) == {(juiceme.sid, 1, anchor): frozenset({(NUM,)})}
-    assert state.ret is VOID and state.ex is VOID and state.this_site == 0
+    assert state.ret is VOID and state.ex is VOID and state.this == 0
 
 
 # --- call summaries --------------------------------------------------------------------
@@ -335,12 +335,13 @@ def test_idempotent_and_terminating(name):
     assert first.stats["max_loop_iterations"] <= 10
 
 
-def test_iteration_cap_is_enforced():
+def test_iteration_cap_is_enforced(monkeypatch):
+    monkeypatch.setattr(AbstractInterpretation, "max_iterations", 1)
     program = load_program("while_types.sdtl")
     (loop,) = [n for n in iter_nodes(program.root) if isinstance(n, While)]
     message = f"loop summary for node {loop.sid} did not stabilize within 1 "
     with pytest.raises(abstract.AnalysisLimitError, match=message):
-        analyze_program(program, max_iterations=1)
+        analyze_program(program)
 
 
 def test_nested_loops_are_solved_once_per_entry_state():

@@ -152,17 +152,17 @@ def _toy_transformer(rng):
 
 def test_criterion_09_property_suite():
     with criterion(9, "kernel laws over 1000 random cases; engine properties"):
-        table = kernel.FunctionTable(program=None, interp=_ToyInterp())
+        toy = _ToyInterp(None)
         rng = random.Random(20260809)
 
         def from_map(mapping):
-            return lambda f, s: set(mapping.get(s, ()))
+            return lambda interp, s: set(mapping.get(s, ()))
 
         def kont(mapping):
             # a step body: the transformer `mapping` gives for the payload
-            return lambda i, f, s, payload: from_map(mapping.get(payload, {}))(f, s)
+            return lambda i, s, payload: from_map(mapping.get(payload, {}))(i, s)
 
-        def unit(interp, f, s, payload):
+        def unit(interp, s, payload):
             return {(s, payload)}
 
         def bind(t, body):
@@ -176,25 +176,25 @@ def test_criterion_09_property_suite():
             t, t_big, k = from_map(t_map), from_map(bigger), kont(k_map)
             for start in range(3):
                 # monotonicity of the step in its first argument
-                assert bind(t, k)(table, start) <= bind(t_big, k)(table, start)
+                assert bind(t, k)(toy, start) <= bind(t_big, k)(toy, start)
             # escape short-circuit law
             escaping = {s: {(2, p) for _, p in t_map[s]} for s in range(3)}
             esc_t = from_map(escaping)
             for start in range(3):
                 expected = {(2, NULL)} if escaping[start] else set()
-                assert bind(esc_t, k)(table, start) == expected
-                assert kernel._seq(esc_t, t)(table, start) == expected
+                assert bind(esc_t, k)(toy, start) == expected
+                assert kernel._seq(esc_t, t)(toy, start) == expected
             # identity and associativity on non-escaping flows
             tame = {s: {(s1, p) for s1, p in t_map[s] if s1 != 2} for s in range(3)}
             tame_t = from_map(tame)
             for start in range(2):
-                assert bind(pure(1), k)(table, start) == k(None, table, start, 1)
-                assert bind(tame_t, unit)(table, start) == tame_t(table, start)
+                assert bind(pure(1), k)(toy, start) == k(toy, start, 1)
+                assert bind(tame_t, unit)(toy, start) == tame_t(toy, start)
                 h = kont({p: _toy_transformer(rng) for p in range(4)})
-                left = bind(bind(t, k), h)(table, start)
+                left = bind(bind(t, k), h)(toy, start)
                 right = bind(
-                    t, lambda i, f, s, a: bind(lambda f1, s1: k(i, f1, s1, a), h)(f, s)
-                )(table, start)
+                    t, lambda i, s, a: bind(lambda i1, s1: k(i1, s1, a), h)(i, s)
+                )(toy, start)
                 assert left == right
 
         # abstract engines: idempotence (monotone accumulation is asserted

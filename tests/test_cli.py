@@ -9,7 +9,7 @@ import pytest
 
 import sdtl
 from helpers import GOLDEN, PROGRAMS, straight_line
-from sdtl import cli, kernel, soundness
+from sdtl import abstract, cli, kernel, soundness
 
 GOLDEN_OUTPUT = PROGRAMS.parent / "golden"
 
@@ -148,13 +148,6 @@ def test_run_input_may_start_with_a_negative_number(capsys, spelling):
     assert code == 0 and out.splitlines()[:2] == ["1", "362880"]
 
 
-@pytest.mark.parametrize("command", ["analyze", "check-soundness"])
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_iteration_cap_below_1_is_usage_error(capsys, command, cap):
-    err = usage_error(capsys, command, path("fact.sdtl"), "--max-iterations", cap)
-    assert "argument --max-iterations: not a positive integer" in err
-
-
 def test_loop_budget_ends_an_endless_run_with_one_error_line(capsys, monkeypatch):
     """`x = foo(x)` nests a curried function value one level per iteration;
     the run still stops at the loop budget, not at the host's 10,000 frames."""
@@ -183,6 +176,23 @@ def test_generator_bounds_at_their_minimum(capsys, option, value, checked):
     argv = ["check-soundness", "--generate", "--count", "12", option, value]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["checked"] == checked
+
+
+@pytest.mark.parametrize("extra", [
+    [path("fact.sdtl"), "--per-statement", "--input-sets=5"],
+    [path("fact.sdtl")],
+    ["--per-statement"],
+    ["--input-sets", ""],
+])
+def test_generate_with_a_file_or_its_options_is_usage_error(capsys, extra):
+    """A generated corpus brings its own programs and input vectors, so a
+    file, ``--per-statement`` or ``--input-sets`` next to ``--generate``
+    would be ignored; the command refuses them instead."""
+    err = usage_error(capsys, "check-soundness", "--generate", "--count", "1", *extra)
+    assert err.endswith(
+        "error: argument --generate: not allowed with a file, --per-statement "
+        "or --input-sets\n"
+    )
 
 
 def test_analyze_while_example(capsys):
@@ -292,18 +302,15 @@ def test_check_soundness_violation_exit_code(tmp_path, capsys):
     assert json.loads(out)["violations"]
 
 
-def test_analyze_iteration_cap(capsys):
-    code, _, err = run_cli(
-        capsys, "analyze", path("while_types.sdtl"), "--max-iterations", "1"
-    )
+def test_analyze_iteration_cap(capsys, monkeypatch):
+    monkeypatch.setattr(abstract.AbstractInterpretation, "max_iterations", 1)
+    code, _, err = run_cli(capsys, "analyze", path("while_types.sdtl"))
     assert code == 1 and "analysis failure" in err
 
 
-def test_check_soundness_generated_iteration_cap(capsys):
-    code, _, err = run_cli(
-        capsys, "check-soundness", "--generate", "--count", "12",
-        "--max-iterations", "1",
-    )
+def test_check_soundness_generated_iteration_cap(capsys, monkeypatch):
+    monkeypatch.setattr(abstract.AbstractInterpretation, "max_iterations", 1)
+    code, _, err = run_cli(capsys, "check-soundness", "--generate", "--count", "12")
     assert code == 1 and "analysis failure" in err
 
 

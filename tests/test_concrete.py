@@ -19,7 +19,7 @@ def final(source, inputs=()):
     return run(source, inputs).final_state
 
 
-INTERP = concrete.ConcreteInterpretation()
+INTERP = concrete.ConcreteInterpretation(None)
 
 
 # --- esc / state predicates ---------------------------------------------------
@@ -193,7 +193,7 @@ class LoggedState:
     """A toy state record with a field neither built-in domain has."""
 
     env: FrozenMap
-    this_key: int
+    this: int
     ret: object
     ex: object
     log: tuple
@@ -202,7 +202,6 @@ class LoggedState:
 class LoggedInterpretation(kernel.Interpretation):
     obj_ref_class = ObjRef
     fun_ptr_class = FunPtr
-    this_field = "this_key"
 
 
 HEAP = FrozenMap({0: FrozenMap(), 1: FrozenMap()})
@@ -218,7 +217,7 @@ CALL_DOMAINS = (
         {"obj_mem": FrozenMap({0: FrozenMap({"seen": 41})}), "io": IOState((), (3,))},
     ),
     (
-        abstract.AbstractInterpretation(),
+        abstract.AbstractInterpretation(None),
         dataclasses.replace(
             abstract.initial_state(), obj_mem=HEAP, curried=ABSTRACT_CURRIED
         ),
@@ -229,7 +228,7 @@ CALL_DOMAINS = (
         },
     ),
     (
-        LoggedInterpretation(),
+        LoggedInterpretation(None),
         LoggedState(FrozenMap({"a": 1}), 0, VOID, VOID, ("caller",)),
         ObjRef(1),
         {"log": ("caller", "callee")},
@@ -366,7 +365,7 @@ def test_heap_closure(name, inputs):
         for value in members.values():
             reachable.extend(refs_in(value))
     assert set(reachable) <= set(state.obj_mem)
-    assert state.this_ref in state.obj_mem and 0 in state.obj_mem
+    assert state.this in state.obj_mem and 0 in state.obj_mem
 
 
 def test_run_result_shape():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import calls_by_file, load_program, max_depth
 from perfbench import programs
 from sdtl import abstract, concrete, kernel, syntax
-from sdtl.kernel import NULL, UNIT, VOID, FrozenMap, FunctionTable, pure
+from sdtl.kernel import NULL, UNIT, VOID, FrozenMap, pure
 from sdtl.syntax import parse
 
 
@@ -37,11 +37,11 @@ def test_replace_copies_with_changed_fields():
 
 def test_record_hash_is_the_field_tuple_hash_and_not_copied():
     state = concrete.initial_state((4,))
-    fields = (state.env, state.obj_mem, state.this_ref, state.ret, state.ex, state.io)
+    fields = (state.env, state.obj_mem, state.this, state.ret, state.ex, state.io)
     assert hash(state) == hash(fields)
-    moved = kernel.replace(state, this_ref=3)
+    moved = kernel.replace(state, this=3)
     assert hash(moved) == hash(fields[:2] + (3,) + fields[3:]) != hash(state)
-    assert moved != state and kernel.replace(moved, this_ref=0) == state
+    assert moved != state and kernel.replace(moved, this=0) == state
     assert hash(state.io) == hash((state.io.inputs, state.io.outputs))
 
 
@@ -67,13 +67,13 @@ class ToyInterp(kernel.Interpretation):
         return state == 2
 
 
-TOY = kernel.FunctionTable(program=None, interp=ToyInterp())
+TOY = ToyInterp(None)
 
 
 def from_table(mapping):
     """Transformer from a dict: state -> set of (state, payload) pairs."""
 
-    def run(f, s):
+    def run(interp, s):
         return set(mapping.get(s, ()))
 
     return run
@@ -82,8 +82,8 @@ def from_table(mapping):
 def cont_from_table(mapping):
     """Step body from a dict: payload -> (state -> pairs)."""
 
-    def body(interp, f, s, payload):
-        return from_table(mapping.get(payload, {}))(f, s)
+    def body(interp, s, payload):
+        return from_table(mapping.get(payload, {}))(interp, s)
 
     return body
 
@@ -123,7 +123,7 @@ def test_escape_short_circuit(table, kont, then_table, start):
 @given(st.sampled_from(PAYLOADS), continuation_st, st.sampled_from((0, 1)))
 def test_bind_left_identity(value, kont, start):
     k = cont_from_table(kont)
-    assert step(pure(value), k)(TOY, start) == k(TOY.interp, TOY, start, value)
+    assert step(pure(value), k)(TOY, start) == k(TOY, start, value)
 
 
 @settings(max_examples=300)
@@ -131,7 +131,7 @@ def test_bind_left_identity(value, kont, start):
 def test_bind_right_identity_on_non_escaping_flows(table, start):
     non_escaping = {s: {(s1, p) for s1, p in table[s] if s1 != 2} for s in STATES}
     t = from_table(non_escaping)
-    assert step(t, lambda i, f, s, a: {(s, a)})(TOY, start) == t(TOY, start)
+    assert step(t, lambda i, s, a: {(s, a)})(TOY, start) == t(TOY, start)
     assert kernel._collect(t, ())(TOY, start) == {(s1, (p,)) for s1, p in t(TOY, start)}
 
 
@@ -140,7 +140,7 @@ def test_bind_right_identity_on_non_escaping_flows(table, start):
 def test_bind_associativity(table, kont1, kont2, start):
     t, k, h = from_table(table), cont_from_table(kont1), cont_from_table(kont2)
     left = step(step(t, k), h)(TOY, start)
-    right = step(t, lambda i, f, s, a: step(lambda f1, s1: k(i, f1, s1, a), h)(f, s))
+    right = step(t, lambda i, s, a: step(lambda i1, s1: k(i1, s1, a), h)(i, s))
     assert left == right(TOY, start)
 
 
@@ -148,7 +148,7 @@ def test_bind_maps_both_branches():
     t = from_table({0: {(0, 1), (1, 2)}})
     seen = []
 
-    def body(interp, f, s, v):
+    def body(interp, s, v):
         seen.append(interp.current_node)
         return {(s, v + 1)}
 
@@ -161,10 +161,9 @@ def test_bind_maps_both_branches():
 
 def outcome_of(source, inputs=()):
     program = parse(source)
-    interp = concrete.ConcreteInterpretation(inputs)
-    table = FunctionTable(program, interp)
-    return program, table, kernel.stm_meaning(program.root)(
-        table, interp.initial_state()
+    interp = concrete.ConcreteInterpretation(program, inputs)
+    return program, interp, kernel.stm_meaning(program.root)(
+        interp, interp.initial_state()
     )
 
 
@@ -180,12 +179,11 @@ def test_nil_yields_unit_without_state_change():
 
 
 def test_seq_is_bind_of_parts():
-    program, table, outcome = outcome_of("x = 1; y = 2;")
+    program, interp, outcome = outcome_of("x = 1; y = 2;")
     first_t = kernel.stm_meaning(program.root.first)
     second_t = kernel.stm_meaning(program.root.second)
     manual = kernel._seq(first_t, second_t)
-    interp = concrete.ConcreteInterpretation()
-    assert outcome == manual(table, interp.initial_state())
+    assert outcome == manual(interp, interp.initial_state())
 
 
 def test_expression_statement_discards_value():
@@ -247,21 +245,19 @@ def test_paren_is_transparent():
 
 def test_eval_params_empty_and_constants():
     program = parse("x = 1;")
-    interp = concrete.ConcreteInterpretation()
-    table = FunctionTable(program, interp)
+    interp = concrete.ConcreteInterpretation(program)
     state = interp.initial_state()
-    assert kernel._collect(pure(3), ())(table, state) == {(state, (3,))}
+    assert kernel._collect(pure(3), ())(interp, state) == {(state, (3,))}
     exps = (syntax.Con(0, 5), syntax.Con(0, 7))
-    assert kernel._collect(pure(3), exps)(table, state) == {(state, (3, 5, 7))}
+    assert kernel._collect(pure(3), exps)(interp, state) == {(state, (3, 5, 7))}
 
 
 def test_eval_params_threads_input_stream():
     program = parse("x = 1;")
-    interp = concrete.ConcreteInterpretation((1, 2))
-    table = FunctionTable(program, interp)
+    interp = concrete.ConcreteInterpretation(program, (1, 2))
     state = interp.initial_state()
     first_input = kernel.exp_meaning(syntax.Input(0))
-    ((after, values),) = kernel._collect(first_input, (syntax.Input(0),))(table, state)
+    ((after, values),) = kernel._collect(first_input, (syntax.Input(0),))(interp, state)
     assert values == (1, 2)
     assert after.io.inputs == ()
 
@@ -269,9 +265,8 @@ def test_eval_params_threads_input_stream():
 def test_eval_params_short_circuits_on_escape():
     source = "function boom(){ throw 5; } x = boom() * input;"
     program = parse(source)
-    interp = concrete.ConcreteInterpretation((9,))
-    table = FunctionTable(program, interp)
-    outcome = kernel.stm_meaning(program.root)(table, interp.initial_state())
+    interp = concrete.ConcreteInterpretation(program, (9,))
+    outcome = kernel.stm_meaning(program.root)(interp, interp.initial_state())
     ((state, payload),) = outcome
     assert payload is kernel.NULL and state.ex == 5
     assert state.io.inputs == (9,)  # the escape preempted the input read
