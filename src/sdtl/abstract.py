@@ -17,22 +17,12 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from . import kernel
-from .kernel import VOID, VOID_VAL, DeadBranch, FrozenMap
+from .kernel import VOID, VOID_VAL, DeadBranch, FrozenMap, Marker
 from .syntax import Program
 
 
-class _Atom:
-    __slots__ = ("_name",)
-
-    def __init__(self, name):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
-NUM = _Atom("Num")
-BOOL = _Atom("Bool")
+NUM = Marker("Num")
+BOOL = Marker("Bool")
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,7 @@ class AFunPtr:
         return f"fn({self.sid},{self.count},{self.anchor})"
 
 
-AVal = Union[_Atom, AObjRef, AFunPtr]  # or VOID_VAL
+AVal = Union[Marker, AObjRef, AFunPtr]  # NUM, BOOL, or VOID_VAL
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +130,6 @@ class AbstractInterpretation(kernel.Interpretation):
 
     # primitives
 
-    def initial_state(self) -> AState:
-        return initial_state()
-
     def cond(self, value):
         if value is not BOOL:
             self._diag(
@@ -160,10 +147,10 @@ class AbstractInterpretation(kernel.Interpretation):
         return BOOL if type(constant) is bool else NUM
 
     def getinput(self, state):
-        return {(state, NUM)}
+        return state, NUM
 
     def dooutput(self, state, value):
-        return {state}
+        return state
 
     def bin(self, op, left, right):
         for value in (left, right):
@@ -241,7 +228,7 @@ class AbstractInterpretation(kernel.Interpretation):
         if members is None:
             self._dead("possible write to an unallocated object")
         obj_mem = state.obj_mem.set(ref.site, members.set(member, value))
-        return {kernel.replace(state, obj_mem=obj_mem)}
+        return kernel.replace(state, obj_mem=obj_mem)
 
     def newobj(self, state, eid):
         # allocation-site abstraction: the site's previous abstract object,
@@ -249,7 +236,7 @@ class AbstractInterpretation(kernel.Interpretation):
         if eid in state.obj_mem:
             self.reused_sites.add(eid)
         obj_mem = state.obj_mem.set(eid, FrozenMap())
-        return {(kernel.replace(state, obj_mem=obj_mem), AObjRef(eid))}
+        return kernel.replace(state, obj_mem=obj_mem), AObjRef(eid)
 
     # fixed-point engine
 
@@ -328,7 +315,7 @@ def analyze_program(program: Program, trace=None) -> AnalysisResult:
     """Analyze a program, returning all final abstract states plus the
     diagnostic log."""
     interp = AbstractInterpretation(program, trace)
-    outcome = kernel.stm_meaning(program.root)(interp, interp.initial_state())
+    outcome = kernel.stm_meaning(program.root)(interp, initial_state())
     stats = dict(interp.stats)
     stats["reused_allocation_sites"] = frozenset(interp.reused_sites)
     stats["reset_curried_keys"] = frozenset(interp.reset_curried_keys)

@@ -102,9 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--per-statement", action="store_true")
     check.add_argument("--generate", action="store_true")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--count", type=_non_negative, default=200)
-    check.add_argument("--size", type=_positive, default=None)
+    # corpus options, None unless given: --generate applies their defaults
+    check.add_argument("--seed", type=int)
+    check.add_argument("--count", type=_non_negative)
+    check.add_argument("--size", type=_positive)
 
     dump = sub.add_parser("dump-ast", help="dump the id-annotated AST as JSON")
     dump.add_argument("file")
@@ -162,7 +163,9 @@ def _cmd_check(args) -> int:
             build_parser().error("argument --generate: not allowed with "
                                  "a file, --per-statement or --input-sets")
         reports = soundness.check_generated_corpus(
-            args.seed, args.count, size_bound=args.size
+            0 if args.seed is None else args.seed,
+            200 if args.count is None else args.count,
+            size_bound=args.size,
         )
         violating = [r for r in reports if r["violations"]]
         summary = {
@@ -174,6 +177,9 @@ def _cmd_check(args) -> int:
         return 3 if violating else 0
     if not args.file:
         raise CliError("check-soundness needs a file or --generate")
+    if (args.seed, args.count, args.size) != (None, None, None):
+        build_parser().error("arguments --seed, --count and --size: "
+                             "only allowed with --generate")
     report = soundness.differential_test(
         _load(args.file),
         args.input_sets or [()],  # by default, one run on no input
@@ -181,6 +187,9 @@ def _cmd_check(args) -> int:
         per_statement=args.per_statement,
     )
     print(json.dumps(report, indent=2, sort_keys=True))
+    if not report["checked"]:
+        print("no run was checked: every input vector ended in a run-time error",
+              file=sys.stderr)
     return 3 if report["violations"] else 0
 
 

@@ -96,13 +96,6 @@ class ConcreteInterpretation(kernel.Interpretation):
     obj_ref_class = ObjRef
     fun_ptr_class = FunPtr
 
-    def __init__(self, program, inputs=(), trace=None):
-        super().__init__(program, trace)
-        self._inputs = tuple(inputs)
-
-    def initial_state(self) -> CState:
-        return initial_state(self._inputs)
-
     def cond(self, value):
         if value is True or value is False:
             return (value,)
@@ -123,7 +116,7 @@ class ConcreteInterpretation(kernel.Interpretation):
         if not io.inputs:
             raise EvalError("input exhausted")
         rest = IOState(io.inputs[1:], io.outputs)
-        return {(kernel.replace(state, io=rest), io.inputs[0])}
+        return kernel.replace(state, io=rest), io.inputs[0]
 
     def dooutput(self, state, value):
         _check_not_void(value)
@@ -134,7 +127,7 @@ class ConcreteInterpretation(kernel.Interpretation):
         else:
             raise EvalError(f"unprintable value ({_category(value)})")
         io = state.io
-        return {kernel.replace(state, io=IOState(io.inputs, io.outputs + (emitted,)))}
+        return kernel.replace(state, io=IOState(io.inputs, io.outputs + (emitted,)))
 
     def bin(self, op, left, right):
         if left is VOID_VAL or right is VOID_VAL:
@@ -201,12 +194,12 @@ class ConcreteInterpretation(kernel.Interpretation):
     def set(self, state, ref, member, value):
         members = self._members(state, ref)
         obj_mem = state.obj_mem.set(ref.ref, members.set(member, value))
-        return {kernel.replace(state, obj_mem=obj_mem)}
+        return kernel.replace(state, obj_mem=obj_mem)
 
     def newobj(self, state, eid):
         ref = len(state.obj_mem)
         obj_mem = state.obj_mem.set(ref, FrozenMap())
-        return {(kernel.replace(state, obj_mem=obj_mem), ObjRef(ref))}
+        return kernel.replace(state, obj_mem=obj_mem), ObjRef(ref)
 
 
 @dataclass(frozen=True)
@@ -245,10 +238,10 @@ def run_program(program: Program, inputs=(), trace=None) -> RunResult:
     than ``Interpretation.max_loop_iterations`` loop iterations, over all its
     loops, stops with a run-time error that names the budget.
     """
-    interp = ConcreteInterpretation(program, inputs, trace)
+    interp = ConcreteInterpretation(program, trace)
     with recursion_headroom():
         try:
-            outcome = kernel.stm_meaning(program.root)(interp, interp.initial_state())
+            outcome = kernel.stm_meaning(program.root)(interp, initial_state(inputs))
         except EvalError as err:
             # the step that raised was the last to set the current node
             if err.node_id is None:

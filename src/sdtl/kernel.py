@@ -8,7 +8,8 @@ exception).  The semantic equations here are written once against the
 interpretation contract, as are the primitives that only touch the state
 record's ``env``, ``ret``, ``ex`` and ``this`` fields.  The concrete
 interpreter and the abstract type analysis plug in their own state/value
-carriers and value-level primitives without touching either.
+carriers and value-level primitives without touching either, and each
+builds the initial state that its runs start from.
 
 Every transformer is built once, with the program's meaning: evaluating a
 node loops over its parts' outcomes and calls primitives, and builds no
@@ -26,7 +27,7 @@ from . import syntax
 Transformer = Callable[["Interpretation", Any], Set[Tuple[Any, Any]]]
 
 
-class _Marker:
+class Marker:
     __slots__ = ("_name",)
 
     def __init__(self, name):
@@ -36,10 +37,10 @@ class _Marker:
         return self._name
 
 
-UNIT = _Marker("Unit")  # payload of statement meanings
-NULL = _Marker("Null")  # payload paired with escaping successor states
-VOID = _Marker("Void")  # empty return/exception slot
-VOID_VAL = _Marker("VoidVal")  # unusable result of a value-less function call
+UNIT = Marker("Unit")  # payload of statement meanings
+NULL = Marker("Null")  # payload paired with escaping successor states
+VOID = Marker("Void")  # empty return/exception slot
+VOID_VAL = Marker("VoidVal")  # unusable result of a value-less function call
 
 
 class EvalError(Exception):
@@ -287,11 +288,6 @@ def _collect(first: Transformer, exps) -> Transformer:
     return run
 
 
-def _units(states):
-    """Outcomes of a statement step: each successor state with ``UNIT``."""
-    return {(s, UNIT) for s in states}
-
-
 # --- The interpretation contract ----------------------------------------------
 
 
@@ -308,12 +304,12 @@ class Interpretation:
     heap key, 0 for the global object) and its function-pointer class (built
     from a sid), and writes the value-level primitives.
 
-    Every primitive takes the state and returns its result: a value, a state,
-    a set of successor states, or a set of (state, payload) outcomes;
-    ``cond`` takes only a guard value and returns the branches that may run,
-    ``(True,)``, ``(False,)`` or both.  No primitive takes or returns a
-    transformer except ``fixpoint``, which takes one unfolding.  State
-    equality must be decidable.
+    Every primitive returns one result: a value, the successor state, or one
+    (state, value) pair (``getinput``, ``newobj``).  Only three can branch:
+    ``cond`` takes a guard value and returns the branches that may run,
+    ``(True,)``, ``(False,)`` or both; ``apply`` and ``fixpoint`` return sets
+    of (state, payload) outcomes, and ``fixpoint`` alone takes a transformer,
+    one unfolding.  State equality must be decidable.
 
     The function space, sid -> meaning of the function's body, is the least
     fixed point of its equations, realized lazily: each body's meaning is
@@ -343,9 +339,6 @@ class Interpretation:
 
     # value-level primitives: written by each domain
 
-    def initial_state(self):
-        raise NotImplementedError
-
     def cond(self, value):  # -> tuple of branches (True: then, False: else)
         raise NotImplementedError
 
@@ -355,10 +348,10 @@ class Interpretation:
     def conval(self, constant):  # -> Value
         raise NotImplementedError
 
-    def getinput(self, state):  # -> set of (State, Value)
+    def getinput(self, state):  # -> (State, Value)
         raise NotImplementedError
 
-    def dooutput(self, state, value):  # -> set of States
+    def dooutput(self, state, value):  # -> State
         raise NotImplementedError
 
     def bin(self, op, left, right):  # -> Value
@@ -370,10 +363,10 @@ class Interpretation:
     def get(self, state, ref, member):  # -> Value
         raise NotImplementedError
 
-    def set(self, state, ref, member, value):  # -> set of States
+    def set(self, state, ref, member, value):  # -> State
         raise NotImplementedError
 
-    def newobj(self, state, eid):  # -> set of (State, Value)
+    def newobj(self, state, eid):  # -> (State, Value)
         raise NotImplementedError
 
     # record-state primitives: shared by every domain
@@ -381,20 +374,20 @@ class Interpretation:
     def esc(self, state) -> bool:
         return state.ret is not VOID or state.ex is not VOID
 
-    def asg(self, state, name, value):  # -> set of States
-        return {replace(state, env=state.env.set(name, value))}
+    def asg(self, state, name, value):  # -> State
+        return replace(state, env=state.env.set(name, value))
 
-    def ret(self, state, value):  # -> set of States
-        return {replace(state, ret=value)}
+    def ret(self, state, value):  # -> State
+        return replace(state, ret=value)
 
-    def throw(self, state, value):  # -> set of States
-        return {replace(state, ex=value)}
+    def throw(self, state, value):  # -> State
+        return replace(state, ex=value)
 
     def exs(self, state, exc_name):  # -> State
         return replace(state, env=state.env.set(exc_name, state.ex), ex=VOID)
 
-    def fundecl(self, state, name, sid):  # -> set of States
-        return {replace(state, env=state.env.set(name, self.fun_ptr_class(sid)))}
+    def fundecl(self, state, name, sid):  # -> State
+        return replace(state, env=state.env.set(name, self.fun_ptr_class(sid)))
 
     def getglobal(self, state):  # -> Value
         return self.obj_ref_class(0)
@@ -505,7 +498,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
         case syntax.ExpStm(exp=exp):
             run = _seq(exp_meaning(exp), _SKIP)
         case syntax.Output(exp=exp):
-            run = _step(sid, exp_meaning(exp), lambda i, s, v: _units(i.dooutput(s, v)))
+            run = _step(sid, exp_meaning(exp), lambda i, s, v: {(i.dooutput(s, v), UNIT)})
         case syntax.Assign(target=syntax.Var(name=name), value=value):
             value_t = exp_meaning(value)
 
@@ -516,14 +509,13 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                         out.add((s1, NULL))
                         continue
                     interp.current_node = sid
-                    for s2 in interp.asg(s1, name, v):
-                        out.add((s2, UNIT))
+                    out.add((interp.asg(s1, name, v), UNIT))
                 return out
 
         case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
             run = _step(
                 sid, _collect(exp_meaning(obj), (value,)),
-                lambda i, s, rv: _units(i.set(s, rv[0], member, rv[1])),
+                lambda i, s, rv: {(i.set(s, rv[0], member, rv[1]), UNIT)},
             )
         case syntax.If() | syntax.IfElse():
             then_t = stm_meaning(node.then_body)
@@ -538,9 +530,9 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
             loop_t = _seq(stm_meaning(body), run)
             unfold = _branch(sid, exp_meaning(guard), loop_t, _SKIP)
         case syntax.FunDecl(name=name):
-            run = _step(sid, _SKIP, lambda i, s, _: _units(i.fundecl(s, name, sid)))
+            run = _step(sid, _SKIP, lambda i, s, _: {(i.fundecl(s, name, sid), UNIT)})
         case syntax.Return(exp=exp):
-            run = _step(sid, exp_meaning(exp), lambda i, s, v: _units(i.ret(s, v)))
+            run = _step(sid, exp_meaning(exp), lambda i, s, v: {(i.ret(s, v), UNIT)})
         case syntax.TryCatch(body=body, exc_name=exc_name, handler=handler):
             # every outcome of the body with a pending exception runs the
             # handler; any other, escaping by return or not, passes through
@@ -557,7 +549,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                 return out
 
         case syntax.Throw(exp=exp):
-            run = _step(sid, exp_meaning(exp), lambda i, s, v: _units(i.throw(s, v)))
+            run = _step(sid, exp_meaning(exp), lambda i, s, v: {(i.throw(s, v), UNIT)})
         case _:
             raise TypeError(f"not a statement node: {node!r}")
     return _traced(node, run)
@@ -574,7 +566,7 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
         case syntax.LexpRef(lexp=lexp):
             run = lexp_meaning(lexp)
         case syntax.Input():
-            run = _step(eid, _SKIP, lambda i, s, _: i.getinput(s))
+            run = _step(eid, _SKIP, lambda i, s, _: {i.getinput(s)})
         case syntax.Call(callee=callee, args=args):
             run = _step(
                 eid, _collect(lexp_meaning(callee), args),
@@ -618,10 +610,10 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
         case syntax.New(callee=callee, args=args):
             # a fresh object, on which the constructor runs, is the value
             def construct(i, s, p):
+                s1, obj = i.newobj(s, eid)
                 out = set()
-                for s1, obj in i.newobj(s, eid):
-                    for s2, _ in i.apply(s1, p[0], p[1:], obj, eid):
-                        out.add((s2, NULL if i.esc(s2) else obj))
+                for s2, _ in i.apply(s1, p[0], p[1:], obj, eid):
+                    out.add((s2, NULL if i.esc(s2) else obj))
                 return out
 
             run = _step(eid, _collect(lexp_meaning(callee), args), construct)

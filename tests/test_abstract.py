@@ -44,7 +44,7 @@ def test_conval_approximates_by_type():
 
 def test_getinput_yields_num_without_state_change():
     state = abstract.initial_state()
-    assert INTERP.getinput(state) == {(state, NUM)}
+    assert INTERP.getinput(state) == (state, NUM)
 
 
 def test_bin_by_operator_class():

@@ -195,6 +195,46 @@ def test_generate_with_a_file_or_its_options_is_usage_error(capsys, extra):
     )
 
 
+@pytest.mark.parametrize("extra", [
+    ["--count", "5", "--seed", "3", "--size", "2"],
+    ["--seed", "0"],
+    ["--count", "200"],
+    ["--size", "2"],
+])
+def test_corpus_options_with_a_file_are_usage_errors(capsys, extra):
+    """``--seed``, ``--count`` and ``--size`` shape a generated corpus and
+    would be ignored next to a file, even at their default values."""
+    err = usage_error(capsys, "check-soundness", path("fact.sdtl"), *extra)
+    assert err.endswith(
+        "error: arguments --seed, --count and --size: only allowed with --generate\n"
+    )
+
+
+def test_generate_defaults_to_seed_0_and_200_programs(capsys, monkeypatch):
+    calls = []
+
+    def corpus(seed, count, size_bound=None):
+        calls.append((seed, count, size_bound))
+        return []
+
+    monkeypatch.setattr(soundness, "check_generated_corpus", corpus)
+    code, out, _ = run_cli(capsys, "check-soundness", "--generate")
+    assert code == 0 and json.loads(out)["checked"] == 0
+    assert calls == [(0, 200, None)]
+
+
+def test_check_soundness_says_when_no_run_was_checked(capsys):
+    """Every run of the factorial reads an input, so with no input vector
+    given each run ends at "input exhausted" and nothing is checked; stdout
+    and the exit code stay those of a passing report, and stderr says so."""
+    code, out, err = run_cli(capsys, "check-soundness", path("fact.sdtl"))
+    report = json.loads(out)
+    assert code == 0 and report["checked"] == 0 and len(report["errors"]) == 1
+    assert err == "no run was checked: every input vector ended in a run-time error\n"
+    code, out, err = run_cli(capsys, "check-soundness", path("fact.sdtl"), "--input-sets", "3")
+    assert code == 0 and json.loads(out)["checked"] == 1 and err == ""
+
+
 def test_analyze_while_example(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", path("while_types.sdtl"), "--format", "json"

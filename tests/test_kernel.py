@@ -161,9 +161,9 @@ def test_bind_maps_both_branches():
 
 def outcome_of(source, inputs=()):
     program = parse(source)
-    interp = concrete.ConcreteInterpretation(program, inputs)
+    interp = concrete.ConcreteInterpretation(program)
     return program, interp, kernel.stm_meaning(program.root)(
-        interp, interp.initial_state()
+        interp, concrete.initial_state(inputs)
     )
 
 
@@ -183,7 +183,7 @@ def test_seq_is_bind_of_parts():
     first_t = kernel.stm_meaning(program.root.first)
     second_t = kernel.stm_meaning(program.root.second)
     manual = kernel._seq(first_t, second_t)
-    assert outcome == manual(interp, interp.initial_state())
+    assert outcome == manual(interp, concrete.initial_state())
 
 
 def test_expression_statement_discards_value():
@@ -246,7 +246,7 @@ def test_paren_is_transparent():
 def test_eval_params_empty_and_constants():
     program = parse("x = 1;")
     interp = concrete.ConcreteInterpretation(program)
-    state = interp.initial_state()
+    state = concrete.initial_state()
     assert kernel._collect(pure(3), ())(interp, state) == {(state, (3,))}
     exps = (syntax.Con(0, 5), syntax.Con(0, 7))
     assert kernel._collect(pure(3), exps)(interp, state) == {(state, (3, 5, 7))}
@@ -254,8 +254,8 @@ def test_eval_params_empty_and_constants():
 
 def test_eval_params_threads_input_stream():
     program = parse("x = 1;")
-    interp = concrete.ConcreteInterpretation(program, (1, 2))
-    state = interp.initial_state()
+    interp = concrete.ConcreteInterpretation(program)
+    state = concrete.initial_state((1, 2))
     first_input = kernel.exp_meaning(syntax.Input(0))
     ((after, values),) = kernel._collect(first_input, (syntax.Input(0),))(interp, state)
     assert values == (1, 2)
@@ -265,8 +265,8 @@ def test_eval_params_threads_input_stream():
 def test_eval_params_short_circuits_on_escape():
     source = "function boom(){ throw 5; } x = boom() * input;"
     program = parse(source)
-    interp = concrete.ConcreteInterpretation(program, (9,))
-    outcome = kernel.stm_meaning(program.root)(interp, interp.initial_state())
+    interp = concrete.ConcreteInterpretation(program)
+    outcome = kernel.stm_meaning(program.root)(interp, concrete.initial_state((9,)))
     ((state, payload),) = outcome
     assert payload is kernel.NULL and state.ex == 5
     assert state.io.inputs == (9,)  # the escape preempted the input read
@@ -360,16 +360,17 @@ def _package_and_dataclasses_calls(run) -> tuple:
 
 def test_concrete_loop_work_per_iteration():
     """One iteration of a counter loop costs a bounded number of calls into
-    the package (about 84 since transformers are built with the meaning;
-    about 138 when every evaluation built its continuations, and about 183
-    when every node also saved and restored the current node and copied
-    states with `dataclasses.replace`), and none into `dataclasses`."""
+    the package (80.8 since state primitives return one state, 82.8 when
+    they returned a set of states; about 138 when every evaluation built its
+    continuations, and about 183 when every node also saved and restored the
+    current node and copied states with `dataclasses.replace`), and none
+    into `dataclasses`."""
     case = programs.counter_loop(random.Random(1), 200)
     program = parse(case.source)
     in_package, in_dataclasses = _package_and_dataclasses_calls(
         lambda: concrete.run_program(program, case.inputs)
     )
-    assert in_dataclasses == 0 and in_package <= 92 * 200
+    assert in_dataclasses == 0 and in_package <= 82 * 200
 
 
 def test_no_transformer_is_built_per_loop_iteration():
