@@ -3,7 +3,7 @@
 The meaning of a program fragment is a *transformer*: a function taking the
 run's :class:`Interpretation` and a state, and returning a set of (successor
 state, payload) pairs.  Payloads are values for expressions, ``UNIT`` for
-statements, and ``NULL`` for states that escape (pending return or
+statements, and ``NULL`` exactly for states that escape (pending return or
 exception).  The semantic equations here are written once against the
 interpretation contract, as are the primitives that only touch the state
 record's ``env``, ``ret``, ``ex`` and ``this`` fields.  The concrete
@@ -162,27 +162,10 @@ def pure(value) -> Transformer:
 _SKIP = pure(UNIT)  # the meaning of ``nil``, shared by every equation that skips
 
 
-def _seq(t: Transformer, u: Transformer) -> Transformer:
-    """`t` then `u`: each escaping successor of `t` is emitted as
-    (state, NULL), and every other one flows into `u`."""
-
-    def run(interp, s):
-        esc = interp.esc
-        out = set()
-        for s1, _ in t(interp, s):
-            if esc(s1):
-                out.add((s1, NULL))
-            else:
-                out |= u(interp, s1)
-        return out
-
-    return run
-
-
 def _block(node) -> Transformer:
     """The chain of ``Seq`` nodes on the right spine of `node` as one block:
     its statements run in turn, each once from every distinct state the one
-    before left, and escaping states pass through as (state, NULL).
+    before left, and escaping outcomes pass through.
 
     Each inner ``Seq`` node that a state reached is reported to the trace
     hook once per run of the block, innermost first, with the outcomes of
@@ -196,15 +179,15 @@ def _block(node) -> Transformer:
         node = node.second
     last = stm_meaning(node)
 
+    # its own loop: it drops duplicate states and does not grow the host stack
     def run(interp, s):
-        esc = interp.esc
         states, escaped = (s,), []  # escaped: (position, outcome)
         for position, t in enumerate(parts):
             after = []
             for s0 in states:
-                for s1, _ in t(interp, s0):
-                    if esc(s1):
-                        escaped.append((position, (s1, NULL)))
+                for s1, a in t(interp, s0):
+                    if a is NULL:
+                        escaped.append((position, (s1, a)))
                     else:
                         after.append(s1)
             states = set(after) if len(after) > 1 else after
@@ -226,25 +209,26 @@ def _block(node) -> Transformer:
     return run
 
 
-def _step(nid, t: Transformer, body) -> Transformer:
+def _bind(nid, t: Transformer, body) -> Transformer:
     """Primitive step of node `nid` after `t` (the monadic bind).
 
-    Each escaping successor of `t` is emitted as (state, NULL).  For every
-    other (state, payload) the step makes `nid` the interpretation's current
-    node and adds ``body(interp, state, payload)``, an outcome set, or
-    nothing if the body raises :class:`DeadBranch`.  Only a primitive raises
-    it, and only inside a step that catches it, so no transformer does.
+    Each escaping outcome of `t`, payload ``NULL``, passes through unchanged.
+    For every other (state, payload) the step makes `nid` the
+    interpretation's current node and adds ``body(interp, state, payload)``,
+    any iterable of outcomes, or nothing if the body raises
+    :class:`DeadBranch`.  Only a primitive raises it, and only inside a step
+    that catches it, so no transformer does.
     """
 
     def run(interp, s):
         out = set()
         for s1, a in t(interp, s):
-            if interp.esc(s1):
-                out.add((s1, NULL))
+            if a is NULL:
+                out.add((s1, a))
                 continue
             interp.current_node = nid
             try:
-                out |= body(interp, s1, a)
+                out.update(body(interp, s1, a))
             except DeadBranch:
                 pass
         return out
@@ -252,22 +236,17 @@ def _step(nid, t: Transformer, body) -> Transformer:
     return run
 
 
-def _branch(nid, guard_t, then_t, else_t) -> Transformer:
-    """Selection of node `nid`: each non-escaping outcome of `guard_t` runs
-    `then_t` and/or `else_t`, as ``cond`` of its value allows."""
+def _choose(then_t: Transformer, else_t: Transformer):
+    """Step body of a selection: `then_t` and/or `else_t` from the state, as
+    ``cond`` of the guard value allows."""
 
-    def run(interp, s):
+    def body(interp, s, v):
         out = set()
-        for s1, v in guard_t(interp, s):
-            if interp.esc(s1):
-                out.add((s1, NULL))
-                continue
-            interp.current_node = nid
-            for taken in interp.cond(v):
-                out |= (then_t if taken else else_t)(interp, s1)
+        for taken in interp.cond(v):
+            out |= (then_t if taken else else_t)(interp, s)
         return out
 
-    return run
+    return body
 
 
 def _collect(first: Transformer, exps) -> Transformer:
@@ -276,11 +255,12 @@ def _collect(first: Transformer, exps) -> Transformer:
     of their payloads."""
     rest = _collect(exp_meaning(exps[0]), exps[1:]) if exps else pure(())
 
+    # its own loop: as a `_bind` body it made more calls per evaluation
     def run(interp, s):
         out = set()
         for s1, a in first(interp, s):
-            if interp.esc(s1):
-                out.add((s1, NULL))
+            if a is NULL:
+                out.add((s1, a))
             else:
                 out |= {(s2, v if v is NULL else (a,) + v) for s2, v in rest(interp, s1)}
         return out
@@ -310,6 +290,11 @@ class Interpretation:
     ``(True,)``, ``(False,)`` or both; ``apply`` and ``fixpoint`` return sets
     of (state, payload) outcomes, and ``fixpoint`` alone takes a transformer,
     one unfolding.  State equality must be decidable.
+
+    An outcome's payload is ``NULL`` exactly when its state has a pending
+    return or exception; the equations read escapes off the payload alone.
+    A saturated ``apply`` builds its outcomes with :func:`call`, which keeps
+    that rule.
 
     The function space, sid -> meaning of the function's body, is the least
     fixed point of its equations, realized lazily: each body's meaning is
@@ -370,9 +355,6 @@ class Interpretation:
         raise NotImplementedError
 
     # record-state primitives: shared by every domain
-
-    def esc(self, state) -> bool:
-        return state.ret is not VOID or state.ex is not VOID
 
     def asg(self, state, name, value):  # -> State
         return replace(state, env=state.env.set(name, value))
@@ -461,13 +443,15 @@ def call(interp, s, sid, args, this_value):  # -> outcomes
 
     Builds the callee entry state, runs the body through the
     interpretation's fixed-point hook, and maps every exit state back
-    through ``leave``.  A Void return slot becomes the unusable ``VOID_VAL``
-    payload.
+    through ``leave``.  A pending exception makes the payload ``NULL``, and
+    a Void return slot the unusable ``VOID_VAL``.
     """
     entry = interp.enter(s, sid, args, this_value, interp.program.param(sid))
     out = set()
     for exit_state, _ in interp.fixpoint("call", sid, interp.fun_body(sid), entry):
         after, ret = interp.leave(s, exit_state)
+        if after.ex is not VOID:
+            ret = NULL
         out.add((after, VOID_VAL if ret is VOID else ret))
     return out
 
@@ -496,60 +480,52 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
         case syntax.Seq():
             run = _block(node)
         case syntax.ExpStm(exp=exp):
-            run = _seq(exp_meaning(exp), _SKIP)
+            run = _bind(sid, exp_meaning(exp), lambda i, s, _: ((s, UNIT),))
         case syntax.Output(exp=exp):
-            run = _step(sid, exp_meaning(exp), lambda i, s, v: {(i.dooutput(s, v), UNIT)})
+            run = _bind(
+                sid, exp_meaning(exp), lambda i, s, v: ((i.dooutput(s, v), UNIT),)
+            )
         case syntax.Assign(target=syntax.Var(name=name), value=value):
-            value_t = exp_meaning(value)
-
-            def run(interp, s):
-                out = set()
-                for s1, v in value_t(interp, s):
-                    if interp.esc(s1):
-                        out.add((s1, NULL))
-                        continue
-                    interp.current_node = sid
-                    out.add((interp.asg(s1, name, v), UNIT))
-                return out
-
+            run = _bind(
+                sid, exp_meaning(value), lambda i, s, v: ((i.asg(s, name, v), UNIT),)
+            )
         case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
-            run = _step(
+            run = _bind(
                 sid, _collect(exp_meaning(obj), (value,)),
-                lambda i, s, rv: {(i.set(s, rv[0], member, rv[1]), UNIT)},
+                lambda i, s, rv: ((i.set(s, rv[0], member, rv[1]), UNIT),),
             )
         case syntax.If() | syntax.IfElse():
             then_t = stm_meaning(node.then_body)
             else_t = _SKIP if type(node) is syntax.If else stm_meaning(node.else_body)
-            run = _branch(sid, exp_meaning(node.guard), then_t, else_t)
+            run = _bind(sid, exp_meaning(node.guard), _choose(then_t, else_t))
         case syntax.While(guard=guard, body=body):
             # one self-referential transformer: `unfold` runs the loop once
             # and re-enters it through the fixed-point hook
             def run(interp, s):
                 return interp.fixpoint("loop", sid, unfold, s)
 
-            loop_t = _seq(stm_meaning(body), run)
-            unfold = _branch(sid, exp_meaning(guard), loop_t, _SKIP)
+            loop_t = _bind(sid, stm_meaning(body), lambda i, s, _: run(i, s))
+            unfold = _bind(sid, exp_meaning(guard), _choose(loop_t, _SKIP))
         case syntax.FunDecl(name=name):
-            run = _step(sid, _SKIP, lambda i, s, _: {(i.fundecl(s, name, sid), UNIT)})
+            run = _bind(sid, _SKIP, lambda i, s, _: ((i.fundecl(s, name, sid), UNIT),))
         case syntax.Return(exp=exp):
-            run = _step(sid, exp_meaning(exp), lambda i, s, v: {(i.ret(s, v), UNIT)})
+            run = _bind(sid, exp_meaning(exp), lambda i, s, v: ((i.ret(s, v), NULL),))
         case syntax.TryCatch(body=body, exc_name=exc_name, handler=handler):
-            # every outcome of the body with a pending exception runs the
-            # handler; any other, escaping by return or not, passes through
+            # its own loop: it consumes escapes by exception, not passes them on
             body_t, handler_t = stm_meaning(body), stm_meaning(handler)
 
             def run(interp, s):
                 out = set()
-                for s1, _ in body_t(interp, s):
+                for s1, a in body_t(interp, s):
                     if s1.ex is VOID:
-                        out.add((s1, UNIT))
+                        out.add((s1, a))
                     else:
                         interp.current_node = sid
                         out |= handler_t(interp, interp.exs(s1, exc_name))
                 return out
 
         case syntax.Throw(exp=exp):
-            run = _step(sid, exp_meaning(exp), lambda i, s, v: {(i.throw(s, v), UNIT)})
+            run = _bind(sid, exp_meaning(exp), lambda i, s, v: ((i.throw(s, v), NULL),))
         case _:
             raise TypeError(f"not a statement node: {node!r}")
     return _traced(node, run)
@@ -566,33 +542,34 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
         case syntax.LexpRef(lexp=lexp):
             run = lexp_meaning(lexp)
         case syntax.Input():
-            run = _step(eid, _SKIP, lambda i, s, _: {i.getinput(s)})
+            run = _bind(eid, _SKIP, lambda i, s, _: (i.getinput(s),))
         case syntax.Call(callee=callee, args=args):
-            run = _step(
+            run = _bind(
                 eid, _collect(lexp_meaning(callee), args),
                 lambda i, s, p: i.apply(s, p[0], p[1:], i.getthis(s), eid),
             )
         case syntax.MethodCall(receiver=obj, member=member, args=args):
             # `method_t` yields (receiver, method), read before the arguments run
-            method_t = _step(
-                eid, exp_meaning(obj), lambda i, s, r: {(s, (r, i.get(s, r, member)))}
+            method_t = _bind(
+                eid, exp_meaning(obj), lambda i, s, r: ((s, (r, i.get(s, r, member))),)
             )
-            run = _step(
+            run = _bind(
                 eid, _collect(method_t, args),
                 lambda i, s, p: i.apply(s, p[0][1], p[1:], p[0][0], eid),
             )
         case syntax.BinOp(op=op, left=left, right=right):
             left_t, right_t = exp_meaning(left), exp_meaning(right)
 
+            # its own loop: two operands, and no tuple built to pair them
             def run(interp, s):
                 out = set()
                 for s1, c1 in left_t(interp, s):
-                    if interp.esc(s1):
-                        out.add((s1, NULL))
+                    if c1 is NULL:
+                        out.add((s1, c1))
                         continue
                     for s2, c2 in right_t(interp, s1):
-                        if interp.esc(s2):
-                            out.add((s2, NULL))
+                        if c2 is NULL:
+                            out.add((s2, c2))
                             continue
                         interp.current_node = eid
                         try:
@@ -604,19 +581,17 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
         case syntax.Paren(inner=inner):
             run = exp_meaning(inner)
         case syntax.Global():
-            run = _step(eid, _SKIP, lambda i, s, _: {(s, i.getglobal(s))})
+            run = _bind(eid, _SKIP, lambda i, s, _: ((s, i.getglobal(s)),))
         case syntax.This():
-            run = _step(eid, _SKIP, lambda i, s, _: {(s, i.getthis(s))})
+            run = _bind(eid, _SKIP, lambda i, s, _: ((s, i.getthis(s)),))
         case syntax.New(callee=callee, args=args):
             # a fresh object, on which the constructor runs, is the value
             def construct(i, s, p):
                 s1, obj = i.newobj(s, eid)
-                out = set()
-                for s2, _ in i.apply(s1, p[0], p[1:], obj, eid):
-                    out.add((s2, NULL if i.esc(s2) else obj))
-                return out
+                outcomes = i.apply(s1, p[0], p[1:], obj, eid)
+                return [(s2, a if a is NULL else obj) for s2, a in outcomes]
 
-            run = _step(eid, _collect(lexp_meaning(callee), args), construct)
+            run = _bind(eid, _collect(lexp_meaning(callee), args), construct)
         case _:
             raise TypeError(f"not an expression node: {node!r}")
     return run
@@ -627,6 +602,7 @@ def lexp_meaning(node: syntax.Lexp) -> Transformer:
     eid = node.eid
     match node:
         case syntax.Var(name=name):
+            # its own loop: there is no sub-transformer to bind
             def run(interp, s):
                 interp.current_node = eid
                 try:
@@ -635,7 +611,7 @@ def lexp_meaning(node: syntax.Lexp) -> Transformer:
                     return set()
 
         case syntax.Member(obj=obj, member=name):
-            run = _step(eid, exp_meaning(obj), lambda i, s, v: {(s, i.get(s, v, name))})
+            run = _bind(eid, exp_meaning(obj), lambda i, s, v: ((s, i.get(s, v, name)),))
         case _:
             raise TypeError(f"not a left-expression node: {node!r}")
     return run

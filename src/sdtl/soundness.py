@@ -10,7 +10,6 @@ candidate state.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -144,14 +143,10 @@ def abstracts_outcome(astates, cstates) -> Judgment:
 # --- Differential testing --------------------------------------------------------
 
 
-# the escape test every domain shares; it reads only the state
-_esc = functools.partial(kernel.Interpretation.esc, None)
-
-
 def _stage_recorder(program):
-    """A trace hook that collects the states after each top-level statement
+    """A trace hook that collects the outcomes of each top-level statement
     by sid, and a generator of the state sets after each statement in
-    order, escaped states carried forward."""
+    order, escaped outcomes (payload ``NULL``) carried forward."""
     sids, node = [], program.root
     while isinstance(node, syntax.Seq):
         sids.append(node.first.sid)
@@ -161,13 +156,13 @@ def _stage_recorder(program):
 
     def trace(node, outcome):
         if node.sid in outcomes:
-            outcomes[node.sid].update(state for state, _ in outcome)
+            outcomes[node.sid].update(outcome)
 
     def stages():
-        stage = frozenset()
+        escaped = set()
         for sid in sids:
-            stage = frozenset(outcomes[sid]).union(s for s in stage if _esc(s))
-            yield stage
+            escaped.update(s for s, a in outcomes[sid] if a is kernel.NULL)
+            yield frozenset(s for s, _ in outcomes[sid]).union(escaped)
 
     return trace, stages
 

@@ -13,7 +13,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 
 class ParseError(Exception):
@@ -207,15 +207,6 @@ def child_nodes(node: Node) -> list[Node]:
         elif role == "children":
             children.extend(getattr(node, name))
     return children
-
-
-def iter_nodes(node: Node) -> Iterator[Node]:
-    """Pre-order traversal of a subtree."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(child_nodes(node)))
 
 
 @dataclass(frozen=True)
@@ -576,17 +567,11 @@ def _head_json(node: Node) -> dict:
     return obj
 
 
-def node_to_json(node: Node) -> dict:
-    """Id-annotated AST node as {"id", "kind", "children", ...scalar fields}."""
-    obj = _head_json(node)
-    obj["children"] = [node_to_json(child) for child in child_nodes(node)]
-    return obj
-
-
 def dump_ast(program: Program) -> str:
-    """The text of ``json.dumps(node_to_json(program.root), indent=2)``,
-    written from an explicit stack one node at a time, so that calls and
-    host stack stay linear in the number of nodes however deep the tree."""
+    """The id-annotated tree as ``indent=2`` JSON, each node an object
+    {"id", "kind", ...scalar fields, "children"}, written from an explicit
+    stack one node at a time, so that calls and host stack stay linear in
+    the number of nodes however deep the tree."""
     chunks = []
     todo = [(program.root, "")]  # (node, its indent) or text to emit
     while todo:

@@ -1,4 +1,4 @@
-"""Shared test utilities: corpus loading and AST lookups.
+"""Shared test utilities: corpus loading, AST traversal and lookups.
 
 The parser assigns ids by pre-order position, so tests pin expected
 sids/eids by locating the relevant node in the parsed tree instead of
@@ -37,8 +37,25 @@ def load_program(name: str) -> syntax.Program:
     return syntax.parse(load(name))
 
 
+def iter_nodes(node: syntax.Node):
+    """Pre-order traversal of a subtree."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(syntax.child_nodes(node)))
+
+
+def node_to_json(node: syntax.Node) -> dict:
+    """Id-annotated AST node as {"id", "kind", ...scalar fields, "children"},
+    built recursively: the tree that ``syntax.dump_ast`` renders."""
+    obj = syntax._head_json(node)
+    obj["children"] = [node_to_json(child) for child in syntax.child_nodes(node)]
+    return obj
+
+
 def find_fundecl(program, name) -> syntax.FunDecl:
-    for node in syntax.iter_nodes(program.root):
+    for node in iter_nodes(program.root):
         if isinstance(node, syntax.FunDecl) and node.name == name:
             return node
     raise LookupError(name)
@@ -46,7 +63,7 @@ def find_fundecl(program, name) -> syntax.FunDecl:
 
 def find_call_eid(program, callee_name) -> int:
     """Eid of the (unique) call expression whose callee is a plain variable."""
-    for node in syntax.iter_nodes(program.root):
+    for node in iter_nodes(program.root):
         if isinstance(node, syntax.Call) and node.callee.name == callee_name:
             return node.eid
     raise LookupError(callee_name)
@@ -54,7 +71,7 @@ def find_call_eid(program, callee_name) -> int:
 
 def find_new_eid(program, ctor_name) -> int:
     """Eid (allocation site) of the (unique) `new` on the named constructor."""
-    for node in syntax.iter_nodes(program.root):
+    for node in iter_nodes(program.root):
         if isinstance(node, syntax.New) and isinstance(node.callee, syntax.Var) \
                 and node.callee.name == ctor_name:
             return node.eid

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from helpers import (
-    GOLDEN, find_call_eid, find_fundecl, find_new_eid, load, load_program,
+    GOLDEN, find_call_eid, find_fundecl, find_new_eid, iter_nodes, load, load_program,
 )
 from sdtl import abstract, kernel
 from sdtl.abstract import (
@@ -12,7 +12,7 @@ from sdtl.abstract import (
     aval_to_json, state_to_json,
 )
 from sdtl.kernel import VOID, VOID_VAL
-from sdtl.syntax import While, iter_nodes, parse
+from sdtl.syntax import While, parse
 
 INTERP = AbstractInterpretation(None)
 

@@ -22,13 +22,23 @@ def final(source, inputs=()):
 INTERP = concrete.ConcreteInterpretation(None)
 
 
-# --- esc / state predicates ---------------------------------------------------
+# --- escapes -------------------------------------------------------------------
 
 
 def test_esc_cases():
-    assert not INTERP.esc(concrete.initial_state())
-    assert INTERP.esc(final("throw 0;"))  # pending exception
-    assert INTERP.esc(final("return 50;"))  # pending return
+    """A run's outcome carries NULL exactly when its state escapes."""
+    for source, escapes in (
+        ("x = 0;", False),
+        ("throw 0;", True),  # pending exception
+        ("return 50;", True),  # pending return
+    ):
+        program = parse(source)
+        outcome = kernel.stm_meaning(program.root)(
+            concrete.ConcreteInterpretation(program), concrete.initial_state()
+        )
+        ((state, payload),) = outcome
+        assert (state.ex is not VOID or state.ret is not VOID) is escapes
+        assert (payload is kernel.NULL) is escapes
 
 
 def test_top_level_escape_skips_rest():

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import calls_by_file, load_program, max_depth
+from helpers import PROGRAMS, calls_by_file, iter_nodes, load_program, max_depth
 from perfbench import programs
-from sdtl import abstract, concrete, kernel, syntax
+from sdtl import abstract, concrete, kernel, soundness, syntax
 from sdtl.kernel import NULL, UNIT, VOID, FrozenMap, pure
 from sdtl.syntax import parse
 
@@ -54,20 +54,15 @@ def test_frozen_map_behaves_like_mapping():
 
 
 # --- Bind laws on a three-state toy domain -----------------------------------
-# states are 0, 1, 2; state 2 escapes.  A primitive step `_step(nid, t, body)`
-# is the monadic bind of `t` with the continuation `body`; `_seq` and
-# `_collect` sequence without a primitive.
+# states are 0, 1, 2 and payloads 0, 1, 2 or NULL, the payload of an escaping
+# outcome.  A primitive step `_bind(nid, t, body)` is the monadic bind of `t`
+# with the continuation `body`; `_collect` sequences without a primitive.
 
 STATES = (0, 1, 2)
-PAYLOADS = (0, 1, 2, 3)
+VALUES = (0, 1, 2)
+PAYLOADS = VALUES + (NULL,)
 
-
-class ToyInterp(kernel.Interpretation):
-    def esc(self, state):
-        return state == 2
-
-
-TOY = ToyInterp(None)
+TOY = kernel.Interpretation(None)
 
 
 def from_table(mapping):
@@ -89,14 +84,14 @@ def cont_from_table(mapping):
 
 
 def step(t, body):
-    return kernel._step(7, t, body)
+    return kernel._bind(7, t, body)
 
 
 pairs_st = st.frozensets(
     st.tuples(st.sampled_from(STATES), st.sampled_from(PAYLOADS)), max_size=4
 )
 transformer_st = st.fixed_dictionaries({s: pairs_st for s in STATES})
-continuation_st = st.fixed_dictionaries({p: transformer_st for p in PAYLOADS})
+continuation_st = st.fixed_dictionaries({v: transformer_st for v in VALUES})
 
 
 @settings(max_examples=300)
@@ -111,16 +106,18 @@ def test_bind_preserves_monotonicity(table, extra, start, kont):
 @settings(max_examples=300)
 @given(transformer_st, continuation_st, transformer_st, st.sampled_from(STATES))
 def test_escape_short_circuit(table, kont, then_table, start):
-    escaping_only = {s: {(2, p) for _, p in table[s]} for s in STATES}
+    """Escaping outcomes pass through a step, a sequence and `_collect`."""
+    escaping_only = {s: {(s1, NULL) for s1, _ in table[s]} for s in STATES}
     t, k = from_table(escaping_only), cont_from_table(kont)
-    expected = {(2, NULL)} if escaping_only[start] else set()
+    then_t = from_table(then_table)
+    expected = escaping_only[start]
     assert step(t, k)(TOY, start) == expected
-    assert kernel._seq(t, from_table(then_table))(TOY, start) == expected
+    assert step(t, lambda i, s, _: then_t(i, s))(TOY, start) == expected
     assert kernel._collect(t, ())(TOY, start) == expected
 
 
 @settings(max_examples=300)
-@given(st.sampled_from(PAYLOADS), continuation_st, st.sampled_from((0, 1)))
+@given(st.sampled_from(VALUES), continuation_st, st.sampled_from(STATES))
 def test_bind_left_identity(value, kont, start):
     k = cont_from_table(kont)
     assert step(pure(value), k)(TOY, start) == k(TOY, start, value)
@@ -129,10 +126,14 @@ def test_bind_left_identity(value, kont, start):
 @settings(max_examples=300)
 @given(transformer_st, st.sampled_from(STATES))
 def test_bind_right_identity_on_non_escaping_flows(table, start):
-    non_escaping = {s: {(s1, p) for s1, p in table[s] if s1 != 2} for s in STATES}
-    t = from_table(non_escaping)
+    """Right identity holds on non-escaping flows, and since escapes pass
+    through unchanged, on every flow; `_collect` of one part wraps each
+    value in a tuple."""
+    t = from_table(table)
     assert step(t, lambda i, s, a: {(s, a)})(TOY, start) == t(TOY, start)
-    assert kernel._collect(t, ())(TOY, start) == {(s1, (p,)) for s1, p in t(TOY, start)}
+    assert kernel._collect(t, ())(TOY, start) == {
+        (s1, p if p is NULL else (p,)) for s1, p in t(TOY, start)
+    }
 
 
 @settings(max_examples=300)
@@ -145,14 +146,14 @@ def test_bind_associativity(table, kont1, kont2, start):
 
 
 def test_bind_maps_both_branches():
-    t = from_table({0: {(0, 1), (1, 2)}})
+    t = from_table({0: {(0, 1), (1, 2), (2, NULL)}})
     seen = []
 
     def body(interp, s, v):
         seen.append(interp.current_node)
         return {(s, v + 1)}
 
-    assert step(t, body)(TOY, 0) == {(0, 2), (1, 3)}
+    assert step(t, body)(TOY, 0) == {(0, 2), (1, 3), (2, NULL)}
     assert seen == [7, 7]  # the step makes its node current before the body
 
 
@@ -182,7 +183,7 @@ def test_seq_is_bind_of_parts():
     program, interp, outcome = outcome_of("x = 1; y = 2;")
     first_t = kernel.stm_meaning(program.root.first)
     second_t = kernel.stm_meaning(program.root.second)
-    manual = kernel._seq(first_t, second_t)
+    manual = kernel._bind(program.root.sid, first_t, lambda i, s, _: second_t(i, s))
     assert outcome == manual(interp, concrete.initial_state())
 
 
@@ -195,7 +196,7 @@ def test_expression_statement_discards_value():
 def test_return_sets_return_slot():
     _, _, outcome = outcome_of("return 7;")
     ((state, payload),) = outcome
-    assert state.ret == 7 and payload is UNIT
+    assert state.ret == 7 and payload is NULL
 
 
 def test_if_dispatches_on_guard():
@@ -293,7 +294,7 @@ def test_errors_carry_node_id():
     with pytest.raises(kernel.EvalError) as exc:
         concrete.run_program(program)
     div = next(
-        n for n in syntax.iter_nodes(program.root)
+        n for n in iter_nodes(program.root)
         if isinstance(n, syntax.BinOp) and n.op == "/"
     )
     assert exc.value.node_id == div.eid
@@ -304,9 +305,41 @@ def test_trace_hook_reports_statements():
     seen = []
     concrete.run_program(program, trace=lambda node, out: seen.append(node.sid))
     stm_sids = {
-        n.sid for n in syntax.iter_nodes(program.root) if isinstance(n, syntax.Stm)
+        n.sid for n in iter_nodes(program.root) if isinstance(n, syntax.Stm)
     }
     assert set(seen) == stm_sids
+
+
+def test_outcome_payload_is_null_exactly_when_its_state_escapes(monkeypatch):
+    """Every outcome that either interpretation reports to the trace hook
+    has payload NULL exactly when its state has a pending return or
+    exception, so no outcome set holds a state twice.  The samples run on
+    inputs 3,4,100 and each generated program on the first input vector of
+    its corpus; a budget of 1,000 loop iterations ends the sample that does
+    not terminate."""
+    monkeypatch.setattr(kernel.Interpretation, "max_loop_iterations", 1000)
+    cases = [(path.read_text(), (3, 4, 100)) for path in sorted(PROGRAMS.glob("*.sdtl"))]
+    cases += [
+        (source, soundness.default_input_vectors(2026, index)[0])
+        for index, source in enumerate(soundness.generate_programs(2026, 200))
+    ]
+    wrong = []
+
+    def trace(node, outcome):
+        for state, payload in outcome:
+            if (payload is NULL) != (state.ret is not VOID or state.ex is not VOID):
+                wrong.append((node.sid, state, payload))
+        if len(outcome) != len({state for state, _ in outcome}):
+            wrong.append((node.sid, outcome))
+
+    for source, inputs in cases:
+        program = parse(source)
+        abstract.analyze_program(program, trace=trace)
+        try:
+            concrete.run_program(program, inputs, trace=trace)
+        except kernel.EvalError:
+            pass  # the outcomes traced before the error were checked
+        assert not wrong, (source, wrong[:3])
 
 
 @pytest.mark.parametrize("source, reached", [
@@ -360,17 +393,18 @@ def _package_and_dataclasses_calls(run) -> tuple:
 
 def test_concrete_loop_work_per_iteration():
     """One iteration of a counter loop costs a bounded number of calls into
-    the package (80.8 since state primitives return one state, 82.8 when
-    they returned a set of states; about 138 when every evaluation built its
-    continuations, and about 183 when every node also saved and restored the
-    current node and copied states with `dataclasses.replace`), and none
-    into `dataclasses`."""
+    the package (71.8 since escapes travel in the payload, 80.8 when every
+    outcome loop asked the interpretation whether its state escaped, 82.8
+    when state primitives returned a set of states; about 138 when every
+    evaluation built its continuations, and about 183 when every node also
+    saved and restored the current node and copied states with
+    `dataclasses.replace`), and none into `dataclasses`."""
     case = programs.counter_loop(random.Random(1), 200)
     program = parse(case.source)
     in_package, in_dataclasses = _package_and_dataclasses_calls(
         lambda: concrete.run_program(program, case.inputs)
     )
-    assert in_dataclasses == 0 and in_package <= 82 * 200
+    assert in_dataclasses == 0 and in_package <= 72 * 200
 
 
 def test_no_transformer_is_built_per_loop_iteration():
@@ -392,18 +426,19 @@ def test_no_transformer_is_built_per_loop_iteration():
             key=lambda code: (code.co_filename, code.co_name),
         )
         counts.append({name: calls[kernel.__file__, name] for name in constructors})
-    assert {"stm_meaning", "exp_meaning", "_step", "_seq"} <= constructors
+    assert {"stm_meaning", "exp_meaning", "_bind", "_block"} <= constructors
     assert counts[0] == counts[1] and counts[0]["stm_meaning"] > 0
 
 
 def test_host_stack_budget_of_loops_and_calls():
     """Concrete calls recurse in the host under `recursion_headroom`'s
-    10,000 frames: `fact(fact, 690)` fits (the limit is about 998, and was
-    713 when every evaluation built its continuations).  One more host frame
-    per call, as when a step's body called the branch that `cond` selected,
-    lowers the limit.  Loops take no host stack per iteration (they took
-    four frames each, for a limit of about 2,494 iterations), so the
-    1,800-iteration counter loop fits with room to spare."""
+    10,000 frames: `fact(fact, 690)` fits (the limit is about 908 since a
+    selection's step body calls the branch that `cond` selected, 998 when
+    the selection's own loop called it, and 713 when every evaluation built
+    its continuations).  One more host frame per call lowers the limit.
+    Loops take no host stack per iteration (they took four frames each, for
+    a limit of about 2,494 iterations), so the 1,800-iteration counter loop
+    fits with room to spare."""
     for case in (
         programs.counter_loop(random.Random(1), 1800),
         programs.self_passing_fact(random.Random(1), 690),

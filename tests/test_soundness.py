@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import GOLDEN_RUNNABLE, load, load_program
+from helpers import GOLDEN_RUNNABLE, iter_nodes, load, load_program
 from sdtl import abstract, concrete, soundness, syntax
 from sdtl.abstract import BOOL, NUM, AFunPtr, AObjRef, analyze_program
 from sdtl.concrete import FunPtr, ObjRef, run_program
@@ -343,7 +343,7 @@ def test_generated_kind_coverage_per_hundred():
         for source in programs[start:start + 100]:
             seen |= {
                 type(n).__name__
-                for n in syntax.iter_nodes(parse(source).root)
+                for n in iter_nodes(parse(source).root)
                 if isinstance(n, syntax.Stm)
             }
         assert kinds_needed <= seen

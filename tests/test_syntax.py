@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    GOLDEN, PROGRAMS, calls_by_file, find_fundecl, load, load_program, straight_line,
+    GOLDEN, PROGRAMS, calls_by_file, find_fundecl, iter_nodes, load, load_program,
+    node_to_json, straight_line,
 )
 from sdtl import concrete, soundness, syntax
 from sdtl.syntax import (
     Assign, BinOp, Call, Con, FunDecl, Member, MethodCall, Nil, ParseError,
-    Seq, Var, child_nodes, iter_nodes, node_id, parse,
+    Seq, Var, child_nodes, node_id, parse,
 )
 
 AST_GOLDEN = PROGRAMS.parent / "golden" / "ast"
@@ -252,7 +253,7 @@ def test_parse_error_text_matches_golden(source, expected):
 
 def test_dump_ast_schema():
     program = load_program("objects.sdtl")
-    dumped = syntax.node_to_json(program.root)
+    dumped = node_to_json(program.root)
 
     ids = []
 
@@ -303,7 +304,7 @@ def test_ast_of_generated_and_long_programs_matches_digest():
     with concrete.recursion_headroom():
         for source in sources:
             program = parse(source)
-            tree = [syntax.node_to_json(program.root), list(program.fun_table)]
+            tree = [node_to_json(program.root), list(program.fun_table)]
             digest.update(json.dumps(tree).encode() + b"\n")
     assert digest.hexdigest() == GENERATED_AST_DIGEST
 
@@ -349,7 +350,7 @@ def test_dump_ast_is_indented_json_of_the_tree():
     with concrete.recursion_headroom():
         for source in sources:
             program = parse(source)
-            expected = json.dumps(syntax.node_to_json(program.root), indent=2)
+            expected = json.dumps(node_to_json(program.root), indent=2)
             assert syntax.dump_ast(program) == expected
 
 
@@ -365,7 +366,7 @@ def test_dump_ast_of_800_statements_at_the_default_recursion_limit(tmp_path):
     assert completed.returncode == 0 and completed.stderr == ""
     with concrete.recursion_headroom():
         tree = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
-        assert tree == syntax.node_to_json(parse(source.read_text()).root)
+        assert tree == node_to_json(parse(source.read_text()).root)
 
 
 def _recursive_preorder(node):
