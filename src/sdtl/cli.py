@@ -176,7 +176,7 @@ def _cmd_check(args) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 3 if violating else 0
     if not args.file:
-        raise CliError("check-soundness needs a file or --generate")
+        build_parser().error("check-soundness needs a file or --generate")
     if (args.seed, args.count, args.size) != (None, None, None):
         build_parser().error("arguments --seed, --count and --size: "
                              "only allowed with --generate")

@@ -15,11 +15,13 @@ Every transformer is built once, with the program's meaning: evaluating a
 node loops over its parts' outcomes and calls primitives, and builds no
 closure.  Each primitive step first makes its node the interpretation's
 ``current_node``; ``concrete.run_program`` tags a run-time error with it.
+A statement list is one block, reported to the trace hook once, by its
+outer ``Seq``.  Environments and heaps are :class:`FrozenMap`, an
+immutable ``dict``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Any, Callable, Set, Tuple
 
 from . import syntax
@@ -65,43 +67,33 @@ class DeadBranch(Exception):
     """
 
 
-class FrozenMap(Mapping):
-    """Immutable hashable mapping; ``set`` returns an updated copy."""
+class FrozenMap(dict):
+    """Immutable hashable ``dict``: mutating methods raise, ``set`` copies."""
 
-    __slots__ = ("_data", "_hash")
+    __slots__ = ("_hash",)
 
     def __init__(self, data=()):
-        self._data = dict(data)
+        super().__init__(data)
         self._hash = None
-
-    def __getitem__(self, key):
-        return self._data[key]
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def __len__(self):
-        return len(self._data)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._data.items()))
+            self._hash = hash(frozenset(self.items()))
         return self._hash
 
-    def __eq__(self, other):
-        if isinstance(other, FrozenMap):
-            return self._data == other._data
-        if isinstance(other, Mapping):
-            return self._data == dict(other)
-        return NotImplemented
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("FrozenMap is immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
 
     def set(self, key, value) -> "FrozenMap":
-        data = dict(self._data)
-        data[key] = value
-        return FrozenMap(data)
+        copy = FrozenMap(self)
+        dict.__setitem__(copy, key, value)
+        return copy
 
     def __repr__(self):
-        items = sorted(self._data.items(), key=lambda kv: repr(kv[0]))
+        items = sorted(self.items(), key=lambda kv: repr(kv[0]))
         return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in items) + "}"
 
 
@@ -163,47 +155,31 @@ _SKIP = pure(UNIT)  # the meaning of ``nil``, shared by every equation that skip
 
 
 def _block(node) -> Transformer:
-    """The chain of ``Seq`` nodes on the right spine of `node` as one block:
-    its statements run in turn, each once from every distinct state the one
-    before left, and escaping outcomes pass through.
+    """The statement list of `node` (see :func:`syntax.statements`) as one
+    block: its statements run in turn, each once from every distinct state
+    the one before left, and escaping outcomes pass straight through.
 
-    Each inner ``Seq`` node that a state reached is reported to the trace
-    hook once per run of the block, innermost first, with the outcomes of
-    the rest of the chain: the final outcomes plus the escapes from its
-    position onward.  The outer node is reported by its own equation.
+    The block is reported to the trace hook once, by the equation of its
+    outer ``Seq``, with its outcomes; inner ``Seq`` nodes are not reported.
     """
-    seqs, parts = [], []
-    while type(node) is syntax.Seq:
-        seqs.append(node)
-        parts.append(stm_meaning(node.first))
-        node = node.second
-    last = stm_meaning(node)
+    *parts, last = map(stm_meaning, syntax.statements(node))
 
     # its own loop: it drops duplicate states and does not grow the host stack
     def run(interp, s):
-        states, escaped = (s,), []  # escaped: (position, outcome)
-        for position, t in enumerate(parts):
+        out, states = set(), (s,)
+        for t in parts:
             after = []
             for s0 in states:
                 for s1, a in t(interp, s0):
                     if a is NULL:
-                        escaped.append((position, (s1, a)))
+                        out.add((s1, a))
                     else:
                         after.append(s1)
             states = set(after) if len(after) > 1 else after
             if not states:
                 break
-        out = set()
         for s0 in states:
             out |= last(interp, s0)
-        if interp.trace is not None:
-            reached = position  # the last statement that ran
-            for inner in range(reached, 0, -1):
-                while escaped and escaped[-1][0] >= inner:
-                    out.add(escaped.pop()[1])
-                interp.trace(seqs[inner], set(out))
-        for _, outcome in escaped:
-            out.add(outcome)
         return out
 
     return run
@@ -377,12 +353,12 @@ class Interpretation:
     def getthis(self, state):  # -> Value
         return self.obj_ref_class(state.this)
 
-    def enter(self, caller, sid, args, this_value, params):  # -> State
+    def enter(self, caller, args, this_value, params):  # -> State
         """Callee entry state: parameters bound, receiver from `this_value`,
         empty slots, and every other field carried in from the caller."""
         assert isinstance(this_value, self.obj_ref_class), this_value
         (key,) = vars(this_value).values()
-        env = FrozenMap(dict(zip(params, args)))
+        env = FrozenMap(zip(params, args))
         return replace(caller, env=env, ret=VOID, ex=VOID, this=key)
 
     def leave(self, caller, callee):  # -> (State, return slot)
@@ -446,7 +422,7 @@ def call(interp, s, sid, args, this_value):  # -> outcomes
     through ``leave``.  A pending exception makes the payload ``NULL``, and
     a Void return slot the unusable ``VOID_VAL``.
     """
-    entry = interp.enter(s, sid, args, this_value, interp.program.param(sid))
+    entry = interp.enter(s, args, this_value, interp.program.param(sid))
     out = set()
     for exit_state, _ in interp.fixpoint("call", sid, interp.fun_body(sid), entry):
         after, ret = interp.leave(s, exit_state)

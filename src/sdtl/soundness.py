@@ -147,11 +147,7 @@ def _stage_recorder(program):
     """A trace hook that collects the outcomes of each top-level statement
     by sid, and a generator of the state sets after each statement in
     order, escaped outcomes (payload ``NULL``) carried forward."""
-    sids, node = [], program.root
-    while isinstance(node, syntax.Seq):
-        sids.append(node.first.sid)
-        node = node.second
-    sids.append(node.sid)
+    sids = [stm.sid for stm in syntax.statements(program.root)]
     outcomes = {sid: set() for sid in sids}
 
     def trace(node, outcome):
@@ -304,8 +300,7 @@ class _ProgramBuilder:
             divisor = self.rng.randint(1, 4)
             return f"{self.expression(depth + 1)} / {divisor}"
         if depth < 2 and roll < 0.55 and self.functions:
-            source, _ = self.call_expression(saturated=True)
-            return source
+            return self.call_expression()
         if depth < 2 and roll < 0.6 and self.partials:
             name, missing = self.pick(self.partials)
             args = ", ".join(self.atom(numeric=True) for _ in range(missing))
@@ -323,11 +318,10 @@ class _ProgramBuilder:
         op = self.pick([">", "<"])
         return f"{self.atom(numeric=True)} {op} {self.atom(numeric=True)}"
 
-    def call_expression(self, saturated=True):
+    def call_expression(self):
         name, arity = self.pick(self.functions)
-        count = arity if saturated else self.rng.randrange(arity)
-        args = ", ".join(self.atom(numeric=True) for _ in range(count))
-        return f"{name}({args})", arity - count
+        args = ", ".join(self.atom(numeric=True) for _ in range(arity))
+        return f"{name}({args})"
 
     def statement(self, kind, indent, depth):
         pad = "\t" * indent
@@ -381,12 +375,11 @@ class _ProgramBuilder:
                 self.partials.append((name, arity - count))
                 return [f"{pad}{name} = {fun}({args});"]
             if rng.random() < 0.4:
-                source, _ = self.call_expression()
+                source = self.call_expression()
                 name = self.fresh("x")
                 self.variables.append(name)
                 return [f"{pad}{name} = {source};"]
-            source, _ = self.call_expression()
-            return [f"{pad}{source};"]
+            return [f"{pad}{self.call_expression()};"]
         if kind == "trycatch":
             exc = self.fresh("e")
             body = self.block(indent + 1, depth)
@@ -448,7 +441,7 @@ class _ProgramBuilder:
     def block(self, indent, depth):
         if depth >= 2:
             return ["\t" * indent + "nil;"]
-        kinds = ["assign", "output", "assign", "member" if self.objects else "output"]
+        kinds = ["assign", "output", "assign", "member"]
         lines = []
         for _ in range(self.rng.randint(1, 2)):
             lines.extend(self.statement(self.pick(kinds), indent, depth + 1))

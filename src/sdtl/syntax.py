@@ -525,6 +525,18 @@ def seq_normalize(stms: list[Stm]) -> Stm:
     return result
 
 
+def statements(stm: Stm) -> list[Stm]:
+    """The statement list of `stm`, the inverse of :func:`seq_normalize` on
+    non-empty lists: the first statements of the ``Seq`` chain on its right
+    spine, then its last statement."""
+    stms = []
+    while type(stm) is Seq:
+        stms.append(stm.first)
+        stm = stm.second
+    stms.append(stm)
+    return stms
+
+
 def _renumber(node: Node, next_id, fun_table: dict) -> Node:
     """Rebuild `node` with pre-order ids drawn from `next_id`, entering each
     declaration into `fun_table` in ascending sid order."""

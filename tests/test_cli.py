@@ -210,6 +210,14 @@ def test_corpus_options_with_a_file_are_usage_errors(capsys, extra):
     )
 
 
+def test_check_soundness_without_a_file_is_a_usage_error(capsys):
+    """Neither a file nor ``--generate`` is a usage error, reported with the
+    usage line and exit status 2 like the other ``check-soundness`` ones."""
+    err = usage_error(capsys, "check-soundness")
+    assert err.startswith("usage: ")
+    assert err.endswith("error: check-soundness needs a file or --generate\n")
+
+
 def test_generate_defaults_to_seed_0_and_200_programs(capsys, monkeypatch):
     calls = []
 

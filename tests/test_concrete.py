@@ -249,7 +249,7 @@ CALL_DOMAINS = (
 def test_enter_builds_callee_state():
     for interp, caller, receiver, carried in CALL_DOMAINS:
         fptr = interp.fun_ptr_class(7)
-        entry = interp.enter(caller, 7, (fptr, receiver), receiver, ("f", "n"))
+        entry = interp.enter(caller, (fptr, receiver), receiver, ("f", "n"))
         assert dict(entry.env) == {"f": fptr, "n": receiver}
         assert interp.getthis(entry) == receiver
         assert entry.ret is VOID and entry.ex is VOID
@@ -265,7 +265,7 @@ def test_leave_restores_caller_env_and_keeps_effects():
     assert state.obj_mem[0]["seen"] == 41
     assert state.ret is VOID
     for interp, caller, receiver, carried in CALL_DOMAINS:
-        entry = interp.enter(caller, 7, (receiver,), receiver, ("p",))
+        entry = interp.enter(caller, (receiver,), receiver, ("p",))
         callee = dataclasses.replace(entry, ret=receiver, ex=receiver, **carried)
         after, slot = interp.leave(caller, callee)
         assert after.env == caller.env
