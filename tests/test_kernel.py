@@ -356,7 +356,7 @@ def test_outcome_payload_is_null_exactly_when_its_state_escapes(monkeypatch):
 @pytest.mark.parametrize("source, reached", [
     ("x = 1; y = 2; z = 3;", 3),
     ("x = 1; throw x; y = 2; z = 3;", 2),  # nothing after the throw runs
-])
+], ids=["straight", "throw"])
 def test_trace_reports_a_block_once_after_its_statements(source, reached):
     """A statement list is one block: the hook sees the statements that ran,
     in order, then the outer ``Seq`` once, with the block's outcome, and no
