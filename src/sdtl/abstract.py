@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from . import kernel
-from .kernel import VOID, VOID_VAL, DeadBranch, FrozenMap, Marker
+from .kernel import VOID_VAL, DeadBranch, FrozenMap, Marker
 from .syntax import Program
 
 
@@ -47,24 +47,9 @@ AVal = Union[Marker, AObjRef, AFunPtr]  # NUM, BOOL, or VOID_VAL
 
 
 @dataclass(frozen=True, eq=False)
-class AState(kernel.Record):
-    env: FrozenMap
-    obj_mem: FrozenMap  # site -> FrozenMap of members
-    this: int
-    curried: FrozenMap  # (sid, count, anchor) -> frozenset of value tuples
-    ret: object
-    ex: object
-
-
-def initial_state() -> AState:
-    return AState(
-        env=FrozenMap(),
-        obj_mem=FrozenMap({0: FrozenMap()}),
-        this=0,
-        curried=FrozenMap(),
-        ret=VOID,
-        ex=VOID,
-    )
+class AState(kernel.State):  # obj_mem is keyed by allocation site
+    # (sid, count, anchor) -> frozenset of value tuples
+    curried: FrozenMap = field(default_factory=FrozenMap)
 
 
 @dataclass(frozen=True, order=True)
@@ -307,15 +292,12 @@ class AnalysisResult:
     diagnostics: tuple
     stats: dict = field(compare=False)
 
-    def sorted_states(self) -> list:
-        return sorted(self.final_states, key=lambda s: json.dumps(state_to_json(s)))
-
 
 def analyze_program(program: Program, trace=None) -> AnalysisResult:
     """Analyze a program, returning all final abstract states plus the
     diagnostic log."""
     interp = AbstractInterpretation(program, trace)
-    outcome = kernel.stm_meaning(program.root)(interp, initial_state())
+    outcome = kernel.stm_meaning(program.root)(interp, AState())
     stats = dict(interp.stats)
     stats["reused_allocation_sites"] = frozenset(interp.reused_sites)
     stats["reset_curried_keys"] = frozenset(interp.reset_curried_keys)
@@ -343,10 +325,6 @@ def aval_to_json(value):
     raise AssertionError(f"not an abstract value: {value!r}")
 
 
-def _slot_to_json(slot):
-    return "void" if slot is VOID else aval_to_json(slot)
-
-
 def state_to_json(state: AState) -> dict:
     curried = []
     for (sid, count, anchor), lists in sorted(state.curried.items()):
@@ -355,22 +333,13 @@ def state_to_json(state: AState) -> dict:
             key=json.dumps,
         )
         curried.append({"key": [sid, count, anchor], "lists": rendered})
-    return {
-        "env": {name: aval_to_json(v) for name, v in sorted(state.env.items())},
-        "objmem": {
-            str(site): {name: aval_to_json(v) for name, v in sorted(members.items())}
-            for site, members in sorted(state.obj_mem.items())
-        },
-        "this": state.this,
-        "curried": curried,
-        "ret": _slot_to_json(state.ret),
-        "ex": _slot_to_json(state.ex),
-    }
+    return kernel.state_to_json(state, aval_to_json, curried=curried)
 
 
 def result_to_json(result: AnalysisResult) -> dict:
+    states = (state_to_json(s) for s in result.final_states)
     return {
-        "states": [state_to_json(s) for s in result.sorted_states()],
+        "states": sorted(states, key=json.dumps),
         "diagnostics": [
             {"node": d.node, "message": d.message} for d in result.diagnostics
         ],

@@ -64,7 +64,7 @@ def _attach_vectors(argv) -> list:
 
 def _load(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as err:
         raise CliError(f"cannot read {path}: {err.strerror or err}")
     except UnicodeDecodeError as err:
@@ -106,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int)
     check.add_argument("--count", type=_non_negative)
     check.add_argument("--size", type=_positive)
+    check.set_defaults(usage_error=check.error)  # its usage line, not the top level's
 
     dump = sub.add_parser("dump-ast", help="dump the id-annotated AST as JSON")
     dump.add_argument("file")
@@ -118,7 +119,7 @@ def _cmd_run(args) -> int:
     trace = None
     if args.trace:
         def trace(node, outcome):
-            for state, _ in sorted(outcome, key=repr):
+            for state, _ in outcome:  # one outcome: a concrete run is deterministic
                 print(concrete.trace_line(node, state), file=sys.stderr)
 
     result = concrete.run_program(program, args.input, trace=trace)
@@ -143,14 +144,14 @@ def _cmd_analyze(args) -> int:
             print(f"sid={node.sid} states={len(outcome)}", file=sys.stderr)
 
     result = abstract.analyze_program(program, trace=trace)
+    rendered = abstract.result_to_json(result)
     if args.format == "json":
-        print(json.dumps(abstract.result_to_json(result), indent=2, sort_keys=True))
+        print(json.dumps(rendered, indent=2, sort_keys=True))
         return 0
-    for index, state in enumerate(result.sorted_states(), 1):
-        rendered = abstract.state_to_json(state)
+    for index, state in enumerate(rendered["states"], 1):
         print(f"state {index}:")
-        for key in ("env", "objmem", "this", "curried", "ret", "ex"):
-            print(f"  {key}: {json.dumps(rendered[key], sort_keys=True)}")
+        for key, value in state.items():
+            print(f"  {key}: {json.dumps(value, sort_keys=True)}")
     for diagnostic in result.diagnostics:
         print(f"diagnostic: node {diagnostic.node}: {diagnostic.message}")
     return 0
@@ -160,8 +161,8 @@ def _cmd_check(args) -> int:
     if args.generate:
         # a generated corpus brings its own programs and input vectors
         if args.file or args.per_statement or args.input_sets is not None:
-            build_parser().error("argument --generate: not allowed with "
-                                 "a file, --per-statement or --input-sets")
+            args.usage_error("argument --generate: not allowed with "
+                             "a file, --per-statement or --input-sets")
         reports = soundness.check_generated_corpus(
             0 if args.seed is None else args.seed,
             200 if args.count is None else args.count,
@@ -176,10 +177,10 @@ def _cmd_check(args) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 3 if violating else 0
     if not args.file:
-        build_parser().error("check-soundness needs a file or --generate")
+        args.usage_error("check-soundness needs a file or --generate")
     if (args.seed, args.count, args.size) != (None, None, None):
-        build_parser().error("arguments --seed, --count and --size: "
-                             "only allowed with --generate")
+        args.usage_error("arguments --seed, --count and --size: "
+                         "only allowed with --generate")
     report = soundness.differential_test(
         _load(args.file),
         args.input_sets or [()],  # by default, one run on no input

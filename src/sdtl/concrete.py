@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import kernel
-from .kernel import VOID, VOID_VAL, EvalError, FrozenMap
+from .kernel import VOID_VAL, EvalError, FrozenMap
 from .syntax import Program
 
 
@@ -47,24 +47,12 @@ class IOState(kernel.Record):
 
 
 @dataclass(frozen=True, eq=False)
-class CState(kernel.Record):
-    env: FrozenMap
-    obj_mem: FrozenMap  # ref -> FrozenMap of members
-    this: int
-    ret: object
-    ex: object
-    io: IOState
+class CState(kernel.State):  # obj_mem is keyed by allocation order
+    io: IOState = IOState()
 
 
 def initial_state(inputs=()) -> CState:
-    return CState(
-        env=FrozenMap(),
-        obj_mem=FrozenMap({0: FrozenMap()}),
-        this=0,
-        ret=VOID,
-        ex=VOID,
-        io=IOState(tuple(inputs), ()),
-    )
+    return CState(io=IOState(tuple(inputs)))
 
 
 def _category(value) -> str:
@@ -267,27 +255,12 @@ def value_to_json(value):
     raise AssertionError(f"not a concrete value: {value!r}")
 
 
-def _slot_to_json(slot):
-    return "void" if slot is VOID else value_to_json(slot)
-
-
 def state_to_json(state: CState) -> dict:
-    return {
-        "env": {name: value_to_json(v) for name, v in sorted(state.env.items())},
-        "objmem": {
-            str(ref): {name: value_to_json(v) for name, v in sorted(members.items())}
-            for ref, members in sorted(state.obj_mem.items())
-        },
-        "this": state.this,
-        "ret": _slot_to_json(state.ret),
-        "ex": _slot_to_json(state.ex),
-        "outputs": list(state.io.outputs),
-    }
+    return kernel.state_to_json(state, value_to_json, outputs=list(state.io.outputs))
 
 
 def trace_line(node, state: CState) -> str:
     env = ", ".join(f"{name}: {value!r}" for name, value in sorted(state.env.items()))
-    return (
-        f"sid={node.sid} env={{{env}}} "
-        f"ex={_slot_to_json(state.ex)} ret={_slot_to_json(state.ret)}"
-    )
+    ex = kernel.slot_to_json(state.ex, value_to_json)
+    ret = kernel.slot_to_json(state.ret, value_to_json)
+    return f"sid={node.sid} env={{{env}}} ex={ex} ret={ret}"

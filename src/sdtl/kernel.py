@@ -5,11 +5,10 @@ run's :class:`Interpretation` and a state, and returning a set of (successor
 state, payload) pairs.  Payloads are values for expressions, ``UNIT`` for
 statements, and ``NULL`` exactly for states that escape (pending return or
 exception).  The semantic equations here are written once against the
-interpretation contract, as are the primitives that only touch the state
-record's ``env``, ``ret``, ``ex`` and ``this`` fields.  The concrete
-interpreter and the abstract type analysis plug in their own state/value
-carriers and value-level primitives without touching either, and each
-builds the initial state that its runs start from.
+interpretation contract, as are the primitives that only touch the fields
+of the :class:`State` record.  The concrete interpreter and the abstract
+type analysis plug in their own state fields, values and value-level
+primitives without touching either.
 
 Every transformer is built once, with the program's meaning: evaluating a
 node loops over its parts' outcomes and calls primitives, and builds no
@@ -22,6 +21,7 @@ immutable ``dict``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Callable, Set, Tuple
 
 from . import syntax
@@ -139,6 +139,42 @@ def replace(record, **changes):
     return copy
 
 
+@dataclass(frozen=True, eq=False)
+class State(Record):
+    """The fields every domain's state has, at their start values: the
+    record-state primitives read ``env``, ``this``, ``ret`` and ``ex``, and
+    the domain's heap primitives ``obj_mem``.  A domain's state subclasses
+    it and adds its own fields."""
+
+    env: FrozenMap = field(default_factory=FrozenMap)
+    # key -> FrozenMap of members; key 0 is the global object
+    obj_mem: FrozenMap = field(default_factory=lambda: FrozenMap({0: FrozenMap()}))
+    this: int = 0  # key of the receiver object
+    ret: object = VOID
+    ex: object = VOID
+
+
+def slot_to_json(slot, value_to_json):
+    """JSON of a return or exception slot: "void" when it is empty."""
+    return "void" if slot is VOID else value_to_json(slot)
+
+
+def state_to_json(state: State, value_to_json, **fields) -> dict:
+    """JSON of `state`'s shared fields, values rendered by `value_to_json`,
+    with the domain's own `fields`, already rendered, before the slots."""
+    return {
+        "env": {name: value_to_json(v) for name, v in sorted(state.env.items())},
+        "objmem": {
+            str(key): {name: value_to_json(v) for name, v in sorted(members.items())}
+            for key, members in sorted(state.obj_mem.items())
+        },
+        "this": state.this,
+        **fields,
+        "ret": slot_to_json(state.ret, value_to_json),
+        "ex": slot_to_json(state.ex, value_to_json),
+    }
+
+
 # --- Transformer combinators -------------------------------------------------
 
 
@@ -252,13 +288,12 @@ class Interpretation:
     plus the primitive operations the equations below defer to, the program
     and the run's trace hook.
 
-    States are records (frozen dataclasses, usually :class:`Record`s) with
-    fields ``env``, ``ret``, ``ex`` and ``this``, the key of the receiver
-    object.  The record-state primitives are written here once against those
-    fields, and any further field (heap, I/O, ...) is carried through calls
-    untouched.  A domain declares its object-pointer class (one field: the
-    heap key, 0 for the global object) and its function-pointer class (built
-    from a sid), and writes the value-level primitives.
+    States are :class:`State` records.  The record-state primitives are
+    written here once against its fields, and any field a domain adds is
+    carried through calls untouched.  A domain declares its object-pointer
+    class (one field: the heap key, 0 for the global object) and its
+    function-pointer class (built from a sid), and writes the value-level
+    primitives.
 
     Every primitive returns one result: a value, the successor state, or one
     (state, value) pair (``getinput``, ``newobj``).  Only three can branch:

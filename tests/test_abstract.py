@@ -43,7 +43,7 @@ def test_conval_approximates_by_type():
 
 
 def test_getinput_yields_num_without_state_change():
-    state = abstract.initial_state()
+    state = abstract.AState()
     assert INTERP.getinput(state) == (state, NUM)
 
 
@@ -69,7 +69,7 @@ def test_fundecl_binds_uncurried_pointer():
 
 
 def test_exs_moves_exception_into_environment():
-    state = abstract.initial_state()
+    state = abstract.AState()
     thrown = kernel.replace(state, ex=NUM)
     after = INTERP.exs(thrown, "e")
     assert after.env["e"] is NUM and after.ex is VOID

@@ -49,6 +49,17 @@ def test_run_trace_lines(capsys):
     assert all(line.startswith("sid=") and " env={" in line for line in err.splitlines())
 
 
+@pytest.mark.parametrize("command, expected", [
+    ("run", "1\n"),
+    ("analyze", 'state 1:\n  env: {"x": "Num"}\n'),
+], ids=["run", "analyze"])
+def test_a_file_may_start_with_a_byte_order_mark(tmp_path, capsys, command, expected):
+    prog = tmp_path / "bom.sdtl"
+    prog.write_bytes(b"\xef\xbb\xbfx = 1; output x;")
+    code, out, err = run_cli(capsys, command, str(prog))
+    assert code == 0 and out.startswith(expected) and err == ""
+
+
 def test_run_division_by_zero(tmp_path, capsys):
     bad = tmp_path / "div0.sdtl"
     bad.write_text("x = 1 / 0;")
@@ -189,6 +200,7 @@ def test_generate_with_a_file_or_its_options_is_usage_error(capsys, extra):
     file, ``--per-statement`` or ``--input-sets`` next to ``--generate``
     would be ignored; the command refuses them instead."""
     err = usage_error(capsys, "check-soundness", "--generate", "--count", "1", *extra)
+    assert err.startswith("usage: sdtl check-soundness ")
     assert err.endswith(
         "error: argument --generate: not allowed with a file, --per-statement "
         "or --input-sets\n"
@@ -205,6 +217,7 @@ def test_corpus_options_with_a_file_are_usage_errors(capsys, extra):
     """``--seed``, ``--count`` and ``--size`` shape a generated corpus and
     would be ignored next to a file, even at their default values."""
     err = usage_error(capsys, "check-soundness", path("fact.sdtl"), *extra)
+    assert err.startswith("usage: sdtl check-soundness ")
     assert err.endswith(
         "error: arguments --seed, --count and --size: only allowed with --generate\n"
     )
@@ -212,9 +225,10 @@ def test_corpus_options_with_a_file_are_usage_errors(capsys, extra):
 
 def test_check_soundness_without_a_file_is_a_usage_error(capsys):
     """Neither a file nor ``--generate`` is a usage error, reported with the
-    usage line and exit status 2 like the other ``check-soundness`` ones."""
+    usage line of ``check-soundness`` and exit status 2 like the other
+    ``check-soundness`` ones."""
     err = usage_error(capsys, "check-soundness")
-    assert err.startswith("usage: ")
+    assert err.startswith("usage: sdtl check-soundness ")
     assert err.endswith("error: check-soundness needs a file or --generate\n")
 
 
@@ -258,6 +272,32 @@ def test_analyze_while_example(capsys):
 def test_analyze_text_mode(capsys):
     code, out, _ = run_cli(capsys, "analyze", path("while_types.sdtl"))
     assert code == 0 and out.count("state ") == 2
+
+
+ANALYZE_TEXT_GOLDEN = json.loads(
+    (GOLDEN_OUTPUT / "analyze_text.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_TEXT_GOLDEN))
+def test_analyze_text_matches_golden_output(capsys, name):
+    r"""tests/golden/analyze_text.json holds the text-mode `analyze` output
+    of every sample program, recorded before each state was rendered once,
+    from the repository root, with
+
+        PYTHONPATH=src python -c 'import contextlib, io, json, os
+        from sdtl import cli
+        golden = {}
+        for name in sorted(os.listdir("tests/programs")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli.main(["analyze", f"tests/programs/{name}"])
+            golden[name] = out.getvalue()
+        print(json.dumps(golden, indent=2, sort_keys=True))' \
+            > tests/golden/analyze_text.json
+    """
+    code, out, _ = run_cli(capsys, "analyze", path(name))
+    assert code == 0 and out == ANALYZE_TEXT_GOLDEN[name]
 
 
 def test_analyze_trace_reports_state_counts(capsys):

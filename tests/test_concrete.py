@@ -229,7 +229,7 @@ CALL_DOMAINS = (
     (
         abstract.AbstractInterpretation(None),
         dataclasses.replace(
-            abstract.initial_state(), obj_mem=HEAP, curried=ABSTRACT_CURRIED
+            abstract.AState(), obj_mem=HEAP, curried=ABSTRACT_CURRIED
         ),
         abstract.AObjRef(1),
         {

@@ -43,6 +43,9 @@ def test_record_hash_is_the_field_tuple_hash_and_not_copied():
     assert hash(moved) == hash(fields[:2] + (3,) + fields[3:]) != hash(state)
     assert moved != state and kernel.replace(moved, this=0) == state
     assert hash(state.io) == hash((state.io.inputs, state.io.outputs))
+    astate = abstract.AState()
+    afields = (astate.env, astate.obj_mem, astate.this, astate.ret, astate.ex)
+    assert hash(astate) == hash(afields + (astate.curried,))
 
 
 def test_frozen_map_behaves_like_mapping():

@@ -14,7 +14,7 @@ from sdtl.soundness import (
 )
 from sdtl.syntax import parse
 
-ASTATE0 = abstract.initial_state()
+ASTATE0 = abstract.AState()
 CSTATE0 = concrete.initial_state()
 
 
@@ -32,7 +32,7 @@ def test_atoms():
 
 
 def test_function_pointers():
-    astate = abstract.initial_state()
+    astate = abstract.AState()
     astate = astate.__class__(
         env=astate.env, obj_mem=astate.obj_mem, this=0,
         curried=FrozenMap({(1, 1, 7): frozenset({(NUM,)})}),
@@ -53,7 +53,7 @@ def test_objects_compare_through_member_maps():
         obj_mem=cstate.obj_mem.set(1, FrozenMap({"value": 15})),
         this=0, ret=VOID, ex=VOID, io=cstate.io,
     )
-    astate = abstract.initial_state()
+    astate = abstract.AState()
     astate = astate.__class__(
         env=astate.env,
         obj_mem=astate.obj_mem.set(9, FrozenMap({"value": NUM})),
@@ -97,7 +97,7 @@ def test_missing_binding_fails_with_explanation():
 
 
 def test_extra_abstract_bindings_are_fine():
-    astate = abstract.initial_state()
+    astate = abstract.AState()
     astate = astate.__class__(
         env=FrozenMap({"ghost": NUM}), obj_mem=astate.obj_mem,
         this=0, curried=FrozenMap(), ret=VOID, ex=VOID,
