@@ -6,7 +6,6 @@ from .concrete import RunResult, run_program
 from .kernel import EvalError
 from .soundness import (
     abstracts_outcome,
-    abstracts_state,
     abstracts_value,
     differential_test,
     generate_programs,
@@ -20,7 +19,6 @@ __all__ = [
     "Program",
     "RunResult",
     "abstracts_outcome",
-    "abstracts_state",
     "abstracts_value",
     "analyze_program",
     "differential_test",

@@ -84,6 +84,10 @@ class ConcreteInterpretation(kernel.Interpretation):
     obj_ref_class = ObjRef
     fun_ptr_class = FunPtr
 
+    def __init__(self, program, trace=None):
+        super().__init__(program, trace)
+        self.sites = {0: 0}  # object key -> allocation site, for this run
+
     def cond(self, value):
         if value is True or value is False:
             return (value,)
@@ -187,6 +191,7 @@ class ConcreteInterpretation(kernel.Interpretation):
     def newobj(self, state, eid):
         ref = len(state.obj_mem)
         obj_mem = state.obj_mem.set(ref, FrozenMap())
+        self.sites[ref] = eid
         return kernel.replace(state, obj_mem=obj_mem), ObjRef(ref)
 
 
@@ -194,6 +199,9 @@ class ConcreteInterpretation(kernel.Interpretation):
 class RunResult:
     final_states: tuple
     outputs: tuple
+    # object key -> allocation site: 0 for the global object, else the eid of
+    # the `new` that made it; keys are never reused within a run
+    sites: dict
 
     @property
     def final_state(self) -> CState:
@@ -222,9 +230,10 @@ def run_program(program: Program, inputs=(), trace=None) -> RunResult:
     """Run a program on a finite input queue.
 
     The concrete semantics is deterministic: there is exactly one final
-    state, whose output log is returned alongside it.  A run that takes more
-    than ``Interpretation.max_loop_iterations`` loop iterations, over all its
-    loops, stops with a run-time error that names the budget.
+    state, whose output log is returned alongside it, with the allocation
+    site of every object the run made (``RunResult.sites``).  A run that
+    takes more than ``Interpretation.max_loop_iterations`` loop iterations,
+    over all its loops, stops with a run-time error that names the budget.
     """
     interp = ConcreteInterpretation(program, trace)
     with recursion_headroom():
@@ -237,7 +246,7 @@ def run_program(program: Program, inputs=(), trace=None) -> RunResult:
             raise
     finals = tuple(state for state, _ in outcome)
     assert len(finals) == 1, "internal error: concrete run must be deterministic"
-    return RunResult(finals, finals[0].io.outputs)
+    return RunResult(finals, finals[0].io.outputs, interp.sites)
 
 
 # --- Rendering ---------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Soundness harness: the abstraction relation and a differential tester.
 
 A type analysis result is sound for a run when every concrete final state
-is abstracted by some abstract final state.  This module makes the relation
-executable (including cyclic object graphs and curried function pointers),
-checks it over concrete runs, and generates random terminating programs to
-probe it at scale.  Failures carry a nearest-miss explanation per abstract
-candidate state.
+is abstracted by some abstract final state.  The relation reads the run's
+allocation-site map, so each concrete object is checked once, against the
+abstract object of its own site, and cyclic object graphs need no special
+case.  This module makes the relation executable, checks it over concrete
+runs, and generates random terminating programs to probe it at scale.
+Failures carry a nearest-miss explanation per abstract candidate state.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from .kernel import VOID, VOID_VAL, EvalError
 # --- The abstraction relation --------------------------------------------------
 
 
-def abstracts_value(astate, cstate, aval, cval, _assumed=frozenset()) -> bool:
+def abstracts_value(astate, sites, aval, cval) -> bool:
     """Does abstract value `aval` safely describe concrete value `cval`?
 
-    Object references are compared through their member maps; the check is
-    coinductive (an assumed pair set) so cyclic heaps terminate.
-    """
+    A reference is abstracted exactly by the reference to its allocation
+    site, `sites[ref]`; objects are checked by :func:`state_mismatch`."""
     if aval is VOID_VAL or cval is VOID_VAL:
         return aval is VOID_VAL and cval is VOID_VAL
     if type(cval) is bool:
@@ -33,18 +33,7 @@ def abstracts_value(astate, cstate, aval, cval, _assumed=frozenset()) -> bool:
     if isinstance(cval, int):
         return aval is abstract.NUM
     if isinstance(cval, concrete.ObjRef):
-        if not isinstance(aval, abstract.AObjRef):
-            return False
-        pair = (aval.site, cval.ref)
-        if pair in _assumed:
-            return True
-        amembers = astate.obj_mem.get(aval.site)
-        cmembers = cstate.obj_mem.get(cval.ref)
-        if amembers is None or cmembers is None:
-            return False
-        return _abstracts_members(
-            astate, cstate, amembers, cmembers, _assumed | {pair}
-        )
+        return aval == abstract.AObjRef(sites[cval.ref])
     if isinstance(cval, concrete.FunPtr):
         if not isinstance(aval, abstract.AFunPtr):
             return False
@@ -55,7 +44,7 @@ def abstracts_value(astate, cstate, aval, cval, _assumed=frozenset()) -> bool:
         lists = astate.curried.get((aval.sid, aval.count, aval.anchor), frozenset())
         return any(
             all(
-                abstracts_value(astate, cstate, a, c, _assumed)
+                abstracts_value(astate, sites, a, c)
                 for a, c in zip(values, cval.curried)
             )
             for values in lists
@@ -63,53 +52,45 @@ def abstracts_value(astate, cstate, aval, cval, _assumed=frozenset()) -> bool:
     raise AssertionError(f"not a concrete value: {cval!r}")
 
 
-def _abstracts_members(astate, cstate, amembers, cmembers, assumed) -> bool:
-    """Symbol-map abstraction: every concretely bound member must be bound
-    and abstracted on the abstract side."""
-    for name, cval in cmembers.items():
-        if name not in amembers:
-            return False
-        if not abstracts_value(astate, cstate, amembers[name], cval, assumed):
-            return False
-    return True
-
-
-def _slot_abstracts(astate, cstate, aslot, cslot) -> bool:
+def _slot_abstracts(astate, sites, aslot, cslot) -> bool:
     if cslot is VOID or aslot is VOID:
         return cslot is VOID and aslot is VOID
-    return abstracts_value(astate, cstate, aslot, cslot)
+    return abstracts_value(astate, sites, aslot, cslot)
 
 
-def state_mismatch(astate, cstate):
+def state_mismatch(astate, cstate, sites):
     """None if `astate` abstracts `cstate`, else a short explanation of the
-    first component of the relation that fails."""
+    first component of the relation that fails.
+
+    Each concrete object is checked once, against the abstract object at its
+    own allocation site `sites[ref]`."""
     for name, cval in sorted(cstate.env.items()):
         aval = astate.env.get(name)
         if aval is None:
             return f"env[{name!r}] is unbound in the abstract state"
-        if not abstracts_value(astate, cstate, aval, cval):
+        if not abstracts_value(astate, sites, aval, cval):
             return f"env[{name!r}]: {aval!r} does not abstract {cval!r}"
     for ref, cmembers in sorted(cstate.obj_mem.items()):
-        if not any(
-            _abstracts_members(
-                astate, cstate, amembers, cmembers, frozenset({(site, ref)})
-            )
-            for site, amembers in astate.obj_mem.items()
-        ):
-            return f"objmem: no abstract object covers concrete object {ref}"
-    if not abstracts_value(
-        astate, cstate, abstract.AObjRef(astate.this), concrete.ObjRef(cstate.this)
-    ):
+        site = sites[ref]
+        amembers = astate.obj_mem.get(site)
+        if amembers is None:
+            return f"object {ref} (site {site}): the site has no abstract object"
+        for name, cval in sorted(cmembers.items()):
+            aval = amembers.get(name)
+            if aval is None:
+                return f"object {ref} (site {site}): member {name!r} is unbound"
+            if not abstracts_value(astate, sites, aval, cval):
+                return (
+                    f"object {ref} (site {site}): member {name!r}: "
+                    f"{aval!r} does not abstract {cval!r}"
+                )
+    if astate.this != sites[cstate.this]:
         return f"this: site {astate.this} does not abstract object {cstate.this}"
-    if not _slot_abstracts(astate, cstate, astate.ret, cstate.ret):
+    if not _slot_abstracts(astate, sites, astate.ret, cstate.ret):
         return f"ret: {astate.ret!r} does not abstract {cstate.ret!r}"
-    if not _slot_abstracts(astate, cstate, astate.ex, cstate.ex):
+    if not _slot_abstracts(astate, sites, astate.ex, cstate.ex):
         return f"ex: {astate.ex!r} does not abstract {cstate.ex!r}"
     return None
-
-
-def abstracts_state(astate, cstate) -> bool:
-    return state_mismatch(astate, cstate) is None
 
 
 @dataclass(frozen=True)
@@ -119,17 +100,18 @@ class Judgment:
     witnesses: tuple = ()
 
 
-def abstracts_outcome(astates, cstates) -> Judgment:
+def abstracts_outcome(astates, cstates, sites) -> Judgment:
     """Powerset abstraction: every concrete state needs an abstract cover.
 
     The concrete states are taken in the order given: a run has one final
-    state, and each per-statement stage holds at most one."""
+    state, and each per-statement stage holds at most one.  `sites` is the
+    run's allocation-site map (:attr:`concrete.RunResult.sites`)."""
     witnesses = []
     candidates = sorted(astates, key=repr)
     for cstate in cstates:
         explanations = []
         for astate in candidates:
-            mismatch = state_mismatch(astate, cstate)
+            mismatch = state_mismatch(astate, cstate, sites)
             if mismatch is None:
                 break
             explanations.append(mismatch)
@@ -189,11 +171,13 @@ def differential_test(
             errors.append({"inputs": list(vector), "error": str(err)})
             continue
         checked += 1
-        judgment = abstracts_outcome(analysis.final_states, result.final_states)
+        judgment = abstracts_outcome(
+            analysis.final_states, result.final_states, result.sites
+        )
         _collect_violations(violations, vector, judgment, stage=None)
         if per_statement:
             for index, (astage, cstage) in enumerate(zip(abstract_stages, stages())):
-                judgment = abstracts_outcome(astage, cstage)
+                judgment = abstracts_outcome(astage, cstage, result.sites)
                 _collect_violations(violations, vector, judgment, stage=index)
     return {
         "program": label,

@@ -80,7 +80,11 @@ def find_new_eid(program, ctor_name) -> int:
 
 def straight_line(count: int) -> str:
     """`count` top-level statements over eight variables and no control flow:
-    every tenth prints a variable, the rest assign nested arithmetic."""
+    every tenth prints a variable, the rest assign nested arithmetic.
+
+    The products make the integers grow without bound, so the program is
+    for the parser and the analysis only: never run it concretely (at 800
+    statements a run does not finish in a minute)."""
     lines = [f"x{index} = {index};" for index in range(min(count, 8))]
     for index in range(len(lines), count):
         if index % 10 == 0:

@@ -3,32 +3,33 @@ import itertools
 import pytest
 
 from helpers import GOLDEN_RUNNABLE, iter_nodes, load, load_program
-from sdtl import abstract, concrete, soundness, syntax
+from sdtl import abstract, concrete, kernel, soundness, syntax
 from sdtl.abstract import BOOL, NUM, AFunPtr, AObjRef, analyze_program
 from sdtl.concrete import FunPtr, ObjRef, run_program
 from sdtl.kernel import VOID, VOID_VAL, FrozenMap
 from sdtl.soundness import (
-    abstracts_outcome, abstracts_state, abstracts_value, check_generated_corpus,
-    classify_caveat, differential_test, generate_programs, shrink_program,
-    split_top_level, state_mismatch,
+    abstracts_outcome, abstracts_value, check_generated_corpus, classify_caveat,
+    differential_test, generate_programs, shrink_program, split_top_level,
+    state_mismatch,
 )
 from sdtl.syntax import parse
 
 ASTATE0 = abstract.AState()
 CSTATE0 = concrete.initial_state()
+SITES0 = {0: 0}  # the allocation-site map of a run that made no object
 
 
 # --- value-level relation -------------------------------------------------------
 
 
 def test_atoms():
-    assert abstracts_value(ASTATE0, CSTATE0, NUM, 42)
-    assert abstracts_value(ASTATE0, CSTATE0, NUM, -7)
-    assert abstracts_value(ASTATE0, CSTATE0, BOOL, True)
-    assert not abstracts_value(ASTATE0, CSTATE0, BOOL, 42)
-    assert not abstracts_value(ASTATE0, CSTATE0, NUM, True)
-    assert abstracts_value(ASTATE0, CSTATE0, VOID_VAL, VOID_VAL)
-    assert not abstracts_value(ASTATE0, CSTATE0, NUM, VOID_VAL)
+    assert abstracts_value(ASTATE0, SITES0, NUM, 42)
+    assert abstracts_value(ASTATE0, SITES0, NUM, -7)
+    assert abstracts_value(ASTATE0, SITES0, BOOL, True)
+    assert not abstracts_value(ASTATE0, SITES0, BOOL, 42)
+    assert not abstracts_value(ASTATE0, SITES0, NUM, True)
+    assert abstracts_value(ASTATE0, SITES0, VOID_VAL, VOID_VAL)
+    assert not abstracts_value(ASTATE0, SITES0, NUM, VOID_VAL)
 
 
 def test_function_pointers():
@@ -38,37 +39,59 @@ def test_function_pointers():
         curried=FrozenMap({(1, 1, 7): frozenset({(NUM,)})}),
         ret=VOID, ex=VOID,
     )
-    assert abstracts_value(astate, CSTATE0, AFunPtr(1, 1, 7), FunPtr(1, (5,)))
-    assert not abstracts_value(astate, CSTATE0, AFunPtr(1, 1, 7), FunPtr(2, (5,)))
-    assert not abstracts_value(astate, CSTATE0, AFunPtr(1, 1, 7), FunPtr(1, (5, 6)))
-    assert not abstracts_value(astate, CSTATE0, AFunPtr(1, 1, 7), FunPtr(1, (True,)))
+    assert abstracts_value(astate, SITES0, AFunPtr(1, 1, 7), FunPtr(1, (5,)))
+    assert not abstracts_value(astate, SITES0, AFunPtr(1, 1, 7), FunPtr(2, (5,)))
+    assert not abstracts_value(astate, SITES0, AFunPtr(1, 1, 7), FunPtr(1, (5, 6)))
+    assert not abstracts_value(astate, SITES0, AFunPtr(1, 1, 7), FunPtr(1, (True,)))
     # an uncurried pointer needs no table entry
-    assert abstracts_value(ASTATE0, CSTATE0, AFunPtr(3, 0, 0), FunPtr(3, ()))
+    assert abstracts_value(ASTATE0, SITES0, AFunPtr(3, 0, 0), FunPtr(3, ()))
 
 
-def test_objects_compare_through_member_maps():
+def test_objects_relate_by_allocation_site():
+    """Object 1 was allocated at site 5: only a reference to site 5
+    abstracts it, even where site 9's object has the same members."""
+    sites = {0: 0, 1: 5}
     cstate = concrete.initial_state()
     cstate = cstate.__class__(
-        env=cstate.env,
+        env=FrozenMap({"o": ObjRef(1)}),
         obj_mem=cstate.obj_mem.set(1, FrozenMap({"value": 15})),
         this=0, ret=VOID, ex=VOID, io=cstate.io,
     )
-    astate = abstract.AState()
-    astate = astate.__class__(
-        env=astate.env,
-        obj_mem=astate.obj_mem.set(9, FrozenMap({"value": NUM})),
-        this=0, curried=FrozenMap(), ret=VOID, ex=VOID,
+    members = FrozenMap({"value": NUM})
+
+    def astate(env_site, *sites_present):
+        base = abstract.AState()
+        obj_mem = base.obj_mem
+        for site in sites_present:
+            obj_mem = obj_mem.set(site, members)
+        return base.__class__(
+            env=FrozenMap({"o": AObjRef(env_site)}), obj_mem=obj_mem,
+            this=0, curried=FrozenMap(), ret=VOID, ex=VOID,
+        )
+
+    assert not abstracts_value(astate(9, 5, 9), sites, AObjRef(9), ObjRef(1))
+    assert abstracts_value(astate(9, 5, 9), sites, AObjRef(5), ObjRef(1))
+    assert state_mismatch(astate(9, 5, 9), cstate, sites) == (
+        "env['o']: obj@9 does not abstract obj(1)"
     )
-    assert abstracts_value(astate, cstate, AObjRef(9), ObjRef(1))
-    assert not abstracts_value(astate, cstate, AObjRef(0), ObjRef(1))
+    assert state_mismatch(astate(5, 9), cstate, sites) == (
+        "object 1 (site 5): the site has no abstract object"
+    )
+    assert state_mismatch(astate(5, 5), cstate, sites) is None
+    bare = kernel.replace(astate(5), obj_mem=astate(5).obj_mem.set(5, FrozenMap()))
+    assert state_mismatch(bare, cstate, sites) == (
+        "object 1 (site 5): member 'value' is unbound"
+    )
 
 
 def test_cyclic_heaps_terminate():
     source = "function F(v){ this.value = v; } a = new F(1); a.self = a;"
     program = parse(source)
-    concrete_final = run_program(program).final_state
+    result = run_program(program)
     analysis = analyze_program(program)
-    judgment = abstracts_outcome(analysis.final_states, {concrete_final})
+    judgment = abstracts_outcome(
+        analysis.final_states, result.final_states, result.sites
+    )
     assert judgment.holds
 
 
@@ -76,14 +99,17 @@ def test_cyclic_heaps_terminate():
 
 
 def test_initial_states_relate():
-    assert abstracts_state(ASTATE0, CSTATE0)
+    assert state_mismatch(ASTATE0, CSTATE0, SITES0) is None
 
 
 def test_factorial_finals_relate():
     program = load_program("fact.sdtl")
     analysis = analyze_program(program)
-    concrete_final = run_program(program, (2,)).final_state
-    assert any(abstracts_state(a, concrete_final) for a in analysis.final_states)
+    result = run_program(program, (2,))
+    assert any(
+        state_mismatch(a, result.final_state, result.sites) is None
+        for a in analysis.final_states
+    )
 
 
 def test_missing_binding_fails_with_explanation():
@@ -92,7 +118,7 @@ def test_missing_binding_fails_with_explanation():
         env=FrozenMap({"z": 2}), obj_mem=cstate.obj_mem,
         this=0, ret=VOID, ex=VOID, io=cstate.io,
     )
-    mismatch = state_mismatch(ASTATE0, cstate)
+    mismatch = state_mismatch(ASTATE0, cstate, SITES0)
     assert mismatch == "env['z'] is unbound in the abstract state"
 
 
@@ -102,11 +128,13 @@ def test_extra_abstract_bindings_are_fine():
         env=FrozenMap({"ghost": NUM}), obj_mem=astate.obj_mem,
         this=0, curried=FrozenMap(), ret=VOID, ex=VOID,
     )
-    assert abstracts_state(astate, CSTATE0)
+    assert state_mismatch(astate, CSTATE0, SITES0) is None
 
 
-def type_erase(cstate):
-    """Canonical abstraction of a concrete state; holds by construction."""
+def type_erase(cstate, sites):
+    """Canonical abstraction of a concrete state through its run's
+    allocation-site map; holds by construction where the objects of each
+    site agree on their members' types."""
     anchors = itertools.count(10_000)
     curried = {}
 
@@ -118,7 +146,7 @@ def type_erase(cstate):
         if isinstance(value, int):
             return NUM
         if isinstance(value, ObjRef):
-            return AObjRef(value.ref)
+            return AObjRef(sites[value.ref])
         assert isinstance(value, FunPtr)
         if not value.curried:
             return AFunPtr(value.sid, 0, 0)
@@ -130,13 +158,15 @@ def type_erase(cstate):
     def erase_slot(slot):
         return VOID if slot is VOID else erase(slot)
 
+    obj_mem = {}
+    for ref, members in cstate.obj_mem.items():
+        obj_mem.setdefault(sites[ref], {}).update(
+            (k, erase(v)) for k, v in members.items()
+        )
     return abstract.AState(
         env=FrozenMap({k: erase(v) for k, v in cstate.env.items()}),
-        obj_mem=FrozenMap({
-            ref: FrozenMap({k: erase(v) for k, v in members.items()})
-            for ref, members in cstate.obj_mem.items()
-        }),
-        this=cstate.this,
+        obj_mem=FrozenMap({site: FrozenMap(m) for site, m in obj_mem.items()}),
+        this=sites[cstate.this],
         curried=FrozenMap(curried),
         ret=erase_slot(cstate.ret),
         ex=erase_slot(cstate.ex),
@@ -150,25 +180,26 @@ def type_erase(cstate):
     ("exceptions_basic.sdtl", (-5,)),
 ])
 def test_type_erasure_always_relates(name, inputs):
-    final = run_program(load_program(name), inputs).final_state
-    assert abstracts_state(type_erase(final), final)
+    result = run_program(load_program(name), inputs)
+    final = result.final_state
+    assert state_mismatch(type_erase(final, result.sites), final, result.sites) is None
 
 
 # --- outcome-level relation ---------------------------------------------------------
 
 
 def test_singleton_match():
-    judgment = abstracts_outcome({ASTATE0}, {CSTATE0})
+    judgment = abstracts_outcome({ASTATE0}, {CSTATE0}, SITES0)
     assert judgment.holds and judgment.witnesses == ()
 
 
 def test_empty_concrete_holds_vacuously():
-    assert abstracts_outcome(set(), set()).holds
-    assert abstracts_outcome({ASTATE0}, set()).holds
+    assert abstracts_outcome(set(), set(), SITES0).holds
+    assert abstracts_outcome({ASTATE0}, set(), SITES0).holds
 
 
 def test_no_abstract_candidates_fails():
-    judgment = abstracts_outcome(set(), {CSTATE0})
+    judgment = abstracts_outcome(set(), {CSTATE0}, SITES0)
     assert not judgment.holds
     ((_, explanations),) = judgment.witnesses
     assert explanations == ("no abstract final states at all",)
@@ -177,17 +208,20 @@ def test_no_abstract_candidates_fails():
 def test_while_example_outcome():
     program = load_program("while_types.sdtl")
     analysis = analyze_program(program)
-    concrete_final = run_program(program, (0,)).final_state
-    assert abstracts_outcome(analysis.final_states, {concrete_final}).holds
+    result = run_program(program, (0,))
+    assert abstracts_outcome(
+        analysis.final_states, result.final_states, result.sites
+    ).holds
 
 
 def test_enlarging_abstract_side_is_monotone():
     program = load_program("fact.sdtl")
     analysis = analyze_program(program)
-    concrete_final = run_program(program, (2,)).final_state
+    result = run_program(program, (2,))
     extra = analysis.final_states | {ASTATE0}
-    assert abstracts_outcome(analysis.final_states, {concrete_final}).holds
-    assert abstracts_outcome(extra, {concrete_final}).holds
+    finals, sites = result.final_states, result.sites
+    assert abstracts_outcome(analysis.final_states, finals, sites).holds
+    assert abstracts_outcome(extra, finals, sites).holds
 
 
 def test_witnesses_explain_every_candidate():
@@ -197,7 +231,7 @@ def test_witnesses_explain_every_candidate():
         env=FrozenMap({"sum": ObjRef(0)}), obj_mem=CSTATE0.obj_mem,
         this=0, ret=VOID, ex=VOID, io=CSTATE0.io,
     )
-    judgment = abstracts_outcome(analysis.final_states, {bogus})
+    judgment = abstracts_outcome(analysis.final_states, {bogus}, SITES0)
     assert not judgment.holds
     ((_, explanations),) = judgment.witnesses
     assert len(explanations) == len(analysis.final_states)
@@ -264,6 +298,21 @@ def test_mutual_recursion_relates():
     """
     report = differential_test(source, [(0,), (1,), (4,), (7,)])
     assert report["checked"] == 4 and report["violations"] == []
+
+
+@pytest.mark.parametrize("name,inputs", [
+    ("objects.sdtl", ()),
+    ("showcase.sdtl", (3, 4, 100)),
+])
+def test_wrong_site_mutant_is_caught(monkeypatch, name, inputs):
+    """An analysis that hands out the global object for every `new` keeps a
+    cover for each concrete object's members, but not for its site."""
+    monkeypatch.setattr(
+        abstract.AbstractInterpretation, "newobj",
+        lambda self, state, eid: (state, AObjRef(0)),
+    )
+    report = differential_test(load(name), [inputs], per_statement=True)
+    assert report["checked"] == 1 and report["violations"]
 
 
 def test_errors_reported_separately():
