@@ -13,6 +13,7 @@ kill the offending branch and log a diagnostic.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -91,7 +92,7 @@ class AbstractInterpretation(kernel.Interpretation):
     def __init__(self, program, trace=None):
         super().__init__(program, trace)
         self.diagnostics = set()
-        # (node id, entry state) -> frozenset of (exit state, payload)
+        # (node id, entry state) -> dict keyed by (exit state, payload)
         self._summaries = {}
         self._final = set()  # keys whose summaries are complete
         # node id -> (depth, worklist in joining order) of each solve in
@@ -170,15 +171,15 @@ class AbstractInterpretation(kernel.Interpretation):
             prefixes = state.curried.get((sid, count, anchor), frozenset())
         total = count + len(args)
         if total == arity:
-            out = set()
+            out = []
             for prefix in prefixes:
-                out |= kernel.call(self, state, sid, prefix + tuple(args), this_value)
+                out += kernel.call(self, state, sid, prefix + tuple(args), this_value)
             return out
         if total < arity:
             if total == 0:
                 # zero arguments were supplied: the pointer is unchanged
                 # (uncurried pointers stay unanchored)
-                return {(state, fun_value)}
+                return ((state, fun_value),)
             key, lists = (sid, total, eid), set()
             for prefix in prefixes:
                 lists.add(prefix + tuple(args))
@@ -187,7 +188,7 @@ class AbstractInterpretation(kernel.Interpretation):
             if old is not None and old != lists:
                 self.reset_curried_keys.add(key)
             new_state = kernel.replace(state, curried=state.curried.set(key, lists))
-            return {(new_state, AFunPtr(sid, total, eid))}
+            return ((new_state, AFunPtr(sid, total, eid)),)
         self._dead(
             f"possible type error: too many arguments "
             f"({total} for arity {arity})"
@@ -244,7 +245,7 @@ class AbstractInterpretation(kernel.Interpretation):
                 depth, worklist = self._worklists[nid]
                 worklist.setdefault(state)
                 self._low[-1] = min(self._low[-1], depth)
-        return set(self._summaries.get(key, frozenset()))
+        return self._summaries.get(key, ())
 
     def _solve(self, kind, nid, step, state):
         """Re-evaluate `step` on the node's worklist, newest state first,
@@ -265,10 +266,10 @@ class AbstractInterpretation(kernel.Interpretation):
                 changed = False
                 for entry in reversed(list(worklist)):
                     key = (nid, entry)
-                    previous = self._summaries.get(key, frozenset())
-                    out = frozenset(step(self, entry))
+                    previous = self._summaries.get(key, {})
+                    out = dict.fromkeys(step(self, entry))
                     # summaries never shrink between iterations
-                    assert previous <= out, f"{kind} summary shrank"
+                    assert previous.keys() <= out.keys(), f"{kind} summary shrank"
                     if out != previous:
                         self._summaries[key] = previous | out
                         changed = True
@@ -302,7 +303,7 @@ def analyze_program(program: Program, trace=None) -> AnalysisResult:
     stats["reused_allocation_sites"] = frozenset(interp.reused_sites)
     stats["reset_curried_keys"] = frozenset(interp.reset_curried_keys)
     return AnalysisResult(
-        final_states=frozenset(dict(outcome)),  # the outcomes' states
+        final_states=frozenset(map(operator.itemgetter(0), outcome)),
         diagnostics=tuple(sorted(interp.diagnostics)),
         stats=stats,
     )

@@ -165,7 +165,7 @@ class ConcreteInterpretation(kernel.Interpretation):
         if len(combined) == arity:
             return kernel.call(self, state, fun_value.sid, combined, this_value)
         if len(combined) < arity:
-            return {(state, FunPtr(fun_value.sid, combined))}
+            return ((state, FunPtr(fun_value.sid, combined)),)
         raise EvalError(
             f"too many arguments ({len(combined)} for arity {arity})"
         )

@@ -1,14 +1,17 @@
 """Parametric semantics kernel.
 
 The meaning of a program fragment is a *transformer*: a function taking the
-run's :class:`Interpretation` and a state, and returning a set of (successor
-state, payload) pairs.  Payloads are values for expressions, ``UNIT`` for
+run's :class:`Interpretation` and a state, and returning its (successor
+state, payload) outcomes.  Payloads are values for expressions, ``UNIT`` for
 statements, and ``NULL`` exactly for states that escape (pending return or
-exception).  The semantic equations here are written once against the
-interpretation contract, as are the primitives that only touch the fields
-of the :class:`State` record.  The concrete interpreter and the abstract
-type analysis plug in their own state fields, values and value-level
-primitives without touching either.
+exception).  The outcomes are a sequence, a list of successes (Wadler,
+FPCA 1985) that may repeat one: only the points where paths meet drop
+duplicates, keeping first-seen order, so a concrete run, which has one
+outcome per step, hashes no state.  The semantic equations here are
+written once against the interpretation contract, as are the primitives
+that only touch the fields of the :class:`State` record.  The concrete
+interpreter and the abstract type analysis plug in their own state fields,
+values and value-level primitives without touching either.
 
 Every transformer is built once, with the program's meaning: evaluating a
 node loops over its parts' outcomes and calls primitives, and builds no
@@ -22,11 +25,12 @@ immutable ``dict``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Set, Tuple
+from typing import Any, Callable, Collection, Tuple
 
 from . import syntax
 
-Transformer = Callable[["Interpretation", Any], Set[Tuple[Any, Any]]]
+# the outcomes: a list, a tuple, or a dict keyed by outcome at a join point
+Transformer = Callable[["Interpretation", Any], Collection[Tuple[Any, Any]]]
 
 
 class Marker:
@@ -182,7 +186,7 @@ def pure(value) -> Transformer:
     """Identity state transformer yielding `value` (the monadic return)."""
 
     def run(interp, s):
-        return {(s, value)}
+        return ((s, value),)
 
     return run
 
@@ -193,29 +197,30 @@ _SKIP = pure(UNIT)  # the meaning of ``nil``, shared by every equation that skip
 def _block(node) -> Transformer:
     """The statement list of `node` (see :func:`syntax.statements`) as one
     block: its statements run in turn, each once from every distinct state
-    the one before left, and escaping outcomes pass straight through.
+    the one before left, in first-seen order, and escaping outcomes pass
+    straight through.
 
     The block is reported to the trace hook once, by the equation of its
     outer ``Seq``, with its outcomes; inner ``Seq`` nodes are not reported.
     """
     *parts, last = map(stm_meaning, syntax.statements(node))
 
-    # its own loop: it drops duplicate states and does not grow the host stack
+    # its own loop: it joins the states and does not grow the host stack
     def run(interp, s):
-        out, states = set(), (s,)
+        out, states = [], (s,)
         for t in parts:
             after = []
             for s0 in states:
                 for s1, a in t(interp, s0):
                     if a is NULL:
-                        out.add((s1, a))
+                        out.append((s1, a))
                     else:
                         after.append(s1)
-            states = set(after) if len(after) > 1 else after
+            states = dict.fromkeys(after) if len(after) > 1 else after
             if not states:
                 break
         for s0 in states:
-            out |= last(interp, s0)
+            out += last(interp, s0)
         return out
 
     return run
@@ -233,14 +238,14 @@ def _bind(nid, t: Transformer, body) -> Transformer:
     """
 
     def run(interp, s):
-        out = set()
+        out = []
         for s1, a in t(interp, s):
             if a is NULL:
-                out.add((s1, a))
+                out.append((s1, a))
                 continue
             interp.current_node = nid
             try:
-                out.update(body(interp, s1, a))
+                out += body(interp, s1, a)
             except DeadBranch:
                 pass
         return out
@@ -250,34 +255,26 @@ def _bind(nid, t: Transformer, body) -> Transformer:
 
 def _choose(then_t: Transformer, else_t: Transformer):
     """Step body of a selection: `then_t` and/or `else_t` from the state, as
-    ``cond`` of the guard value allows."""
+    ``cond`` of the guard value allows.  Where both branches run, their
+    paths meet: the body drops duplicate outcomes, then-branch first."""
 
     def body(interp, s, v):
-        out = set()
-        for taken in interp.cond(v):
-            out |= (then_t if taken else else_t)(interp, s)
-        return out
+        branches = interp.cond(v)
+        if len(branches) == 1:
+            return (then_t if branches[0] else else_t)(interp, s)
+        return dict.fromkeys([*then_t(interp, s), *else_t(interp, s)])
 
     return body
 
 
-def _collect(first: Transformer, exps) -> Transformer:
+def _collect(nid, first: Transformer, exps) -> Transformer:
     """`first`, then the expressions `exps` left to right, each run from
-    every non-escaping successor of the one before; the payload is the tuple
-    of their payloads."""
-    rest = _collect(exp_meaning(exps[0]), exps[1:]) if exps else pure(())
-
-    # its own loop: as a `_bind` body it made more calls per evaluation
-    def run(interp, s):
-        out = set()
-        for s1, a in first(interp, s):
-            if a is NULL:
-                out.add((s1, a))
-            else:
-                out |= {(s2, v if v is NULL else (a,) + v) for s2, v in rest(interp, s1)}
-        return out
-
-    return run
+    every non-escaping successor of the one before, as steps of node `nid`;
+    the payload is the tuple of their payloads."""
+    rest = _collect(nid, exp_meaning(exps[0]), exps[1:]) if exps else pure(())
+    return _bind(nid, first, lambda i, s, a: [
+        (s1, v if v is NULL else (a,) + v) for s1, v in rest(i, s)
+    ])
 
 
 # --- The interpretation contract ----------------------------------------------
@@ -298,9 +295,16 @@ class Interpretation:
     Every primitive returns one result: a value, the successor state, or one
     (state, value) pair (``getinput``, ``newobj``).  Only three can branch:
     ``cond`` takes a guard value and returns the branches that may run,
-    ``(True,)``, ``(False,)`` or both; ``apply`` and ``fixpoint`` return sets
-    of (state, payload) outcomes, and ``fixpoint`` alone takes a transformer,
+    ``(True,)``, ``(False,)`` or both; ``apply`` and ``fixpoint`` return
+    (state, payload) outcomes, and ``fixpoint`` alone takes a transformer,
     one unfolding.  State equality must be decidable.
+
+    Outcomes, a transformer's too, are a list, a tuple or a dict keyed by
+    outcome, and may repeat one: consumers only iterate them or take their
+    ``len`` (``dict`` of a dict of pairs is its keys), and never mutate
+    outcomes they did not build.  Only join points drop duplicates, in
+    first-seen order: a block's states between statements, a selection that
+    runs both branches, and the analysis's summaries.
 
     An outcome's payload is ``NULL`` exactly when its state has a pending
     return or exception; the equations read escapes off the payload alone.
@@ -434,13 +438,13 @@ class Interpretation:
                     f"({self.max_loop_iterations:,} iterations)", nid
                 )
             active[1].append(state)
-            return set()
+            return ()
         frontier = [state]
         self._active = (nid, frontier)
-        out = set()
+        out = []
         try:
             while frontier:
-                out |= step(self, frontier.pop())
+                out += step(self, frontier.pop())
         finally:
             self._active = active
         return out
@@ -458,12 +462,12 @@ def call(interp, s, sid, args, this_value):  # -> outcomes
     a Void return slot the unusable ``VOID_VAL``.
     """
     entry = interp.enter(s, args, this_value, interp.program.param(sid))
-    out = set()
+    out = []
     for exit_state, _ in interp.fixpoint("call", sid, interp.fun_body(sid), entry):
         after, ret = interp.leave(s, exit_state)
         if after.ex is not VOID:
             ret = NULL
-        out.add((after, VOID_VAL if ret is VOID else ret))
+        out.append((after, VOID_VAL if ret is VOID else ret))
     return out
 
 
@@ -502,7 +506,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
             )
         case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
             run = _bind(
-                sid, _collect(exp_meaning(obj), (value,)),
+                sid, _collect(sid, exp_meaning(obj), (value,)),
                 lambda i, s, rv: ((i.set(s, rv[0], member, rv[1]), UNIT),),
             )
         case syntax.If() | syntax.IfElse():
@@ -526,13 +530,13 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
             body_t, handler_t = stm_meaning(body), stm_meaning(handler)
 
             def run(interp, s):
-                out = set()
+                out = []
                 for s1, a in body_t(interp, s):
                     if s1.ex is VOID:
-                        out.add((s1, a))
+                        out.append((s1, a))
                     else:
                         interp.current_node = sid
-                        out |= handler_t(interp, interp.exs(s1, exc_name))
+                        out += handler_t(interp, interp.exs(s1, exc_name))
                 return out
 
         case syntax.Throw(exp=exp):
@@ -548,7 +552,7 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
     match node:
         case syntax.Con(value=value):
             def run(interp, s):
-                return {(s, interp.conval(value))}
+                return ((s, interp.conval(value)),)
 
         case syntax.LexpRef(lexp=lexp):
             run = lexp_meaning(lexp)
@@ -556,7 +560,7 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
             run = _bind(eid, _SKIP, lambda i, s, _: (i.getinput(s),))
         case syntax.Call(callee=callee, args=args):
             run = _bind(
-                eid, _collect(lexp_meaning(callee), args),
+                eid, _collect(eid, lexp_meaning(callee), args),
                 lambda i, s, p: i.apply(s, p[0], p[1:], i.getthis(s), eid),
             )
         case syntax.MethodCall(receiver=obj, member=member, args=args):
@@ -565,7 +569,7 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
                 eid, exp_meaning(obj), lambda i, s, r: ((s, (r, i.get(s, r, member))),)
             )
             run = _bind(
-                eid, _collect(method_t, args),
+                eid, _collect(eid, method_t, args),
                 lambda i, s, p: i.apply(s, p[0][1], p[1:], p[0][0], eid),
             )
         case syntax.BinOp(op=op, left=left, right=right):
@@ -573,18 +577,18 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
 
             # its own loop: two operands, and no tuple built to pair them
             def run(interp, s):
-                out = set()
+                out = []
                 for s1, c1 in left_t(interp, s):
                     if c1 is NULL:
-                        out.add((s1, c1))
+                        out.append((s1, c1))
                         continue
                     for s2, c2 in right_t(interp, s1):
                         if c2 is NULL:
-                            out.add((s2, c2))
+                            out.append((s2, c2))
                             continue
                         interp.current_node = eid
                         try:
-                            out.add((s2, interp.bin(op, c1, c2)))
+                            out.append((s2, interp.bin(op, c1, c2)))
                         except DeadBranch:
                             pass
                 return out
@@ -602,7 +606,7 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
                 outcomes = i.apply(s1, p[0], p[1:], obj, eid)
                 return [(s2, a if a is NULL else obj) for s2, a in outcomes]
 
-            run = _bind(eid, _collect(lexp_meaning(callee), args), construct)
+            run = _bind(eid, _collect(eid, lexp_meaning(callee), args), construct)
         case _:
             raise TypeError(f"not an expression node: {node!r}")
     return run
@@ -613,14 +617,7 @@ def lexp_meaning(node: syntax.Lexp) -> Transformer:
     eid = node.eid
     match node:
         case syntax.Var(name=name):
-            # its own loop: there is no sub-transformer to bind
-            def run(interp, s):
-                interp.current_node = eid
-                try:
-                    return {(s, interp.val(s, name))}
-                except DeadBranch:
-                    return set()
-
+            run = _bind(eid, _SKIP, lambda i, s, _: ((s, i.val(s, name)),))
         case syntax.Member(obj=obj, member=name):
             run = _bind(eid, exp_meaning(obj), lambda i, s, v: ((s, i.get(s, v, name)),))
         case _:

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sdtl
 from helpers import (
     GOLDEN, find_call_eid, find_fundecl, find_new_eid, iter_nodes, load, load_program,
 )
+from perfbench import programs
 from sdtl import abstract, kernel
 from sdtl.abstract import (
     BOOL, NUM, AFunPtr, AObjRef, AbstractInterpretation, analyze_program,
@@ -358,6 +363,34 @@ def test_nested_loops_are_solved_once_per_entry_state():
     # an engine that re-solves inner loops on every outer iteration needs
     # hundreds of thousands of statement evaluations here
     assert len(evaluations) < 1000
+
+
+# analyses the 12 loop nests and prints the trace-hook calls and final states
+_NESTS = """
+import random
+from perfbench import programs
+from sdtl import abstract, syntax
+rng, calls, states = random.Random(1), [], 0
+for depth in (3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5):
+    program = syntax.parse(programs.loop_nest(rng, depth).source)
+    result = abstract.analyze_program(program, trace=lambda n, o: calls.append(n))
+    states += len(result.final_states)
+print(len(calls), states)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_analysis_work_does_not_depend_on_the_hash_seed(seed):
+    """Join points keep first-seen order, so the analysis's work depends on
+    the program alone: 12 loop nests, four each of depths 3, 4 and 5 from
+    one `Random(1)`, take 1,452 trace-hook calls in every process (1,436 to
+    1,548 when join points were sets, even at one hash seed)."""
+    pythonpath = os.pathsep.join(str(Path(m.__file__).parents[1]) for m in (sdtl, programs))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+    completed = subprocess.run(
+        [sys.executable, "-c", _NESTS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert completed.stdout.split() == ["1452", "48"], completed.stderr
 
 
 def test_loop_states_join_the_worklist_without_host_recursion():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import sdtl
 from helpers import GOLDEN, PROGRAMS, straight_line
+from perfbench import programs
 from sdtl import abstract, cli, kernel, soundness
 
 GOLDEN_OUTPUT = PROGRAMS.parent / "golden"
@@ -306,6 +308,57 @@ def test_analyze_trace_reports_state_counts(capsys):
     assert all(line.startswith("sid=") and " states=" in line
                for line in err.splitlines())
     assert any(line.endswith("states=2") for line in err.splitlines())
+
+
+def test_analyze_trace_counts_distinct_outcomes(capsys, tmp_path):
+    """`f`'s two exits collapse under `leave` into one outcome, which the
+    call's outcomes hold twice; the trace counts it once."""
+    prog = tmp_path / "two_exits.sdtl"
+    prog.write_text(
+        "function f() { if (input > 0) { a = 1; } else { b = 2; } return 1; }\n"
+        "x = f();\n"
+    )
+    code, _, err = run_cli(capsys, "analyze", str(prog), "--trace")
+    assert code == 0 and err.splitlines()[-2:] == ["sid=16 states=1", "sid=1 states=1"]
+
+
+ANALYZE_TRACE_GOLDEN = json.loads(
+    (GOLDEN_OUTPUT / "analyze_trace.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_TRACE_GOLDEN))
+def test_analyze_trace_matches_golden_output(capsys, tmp_path, name):
+    r"""tests/golden/analyze_trace.json holds the `analyze --trace` stderr of
+    every sample program and of `loop_nest(Random(1), 4)`.  Join points keep
+    first-seen order, so it is the same in every process.  It was recorded,
+    from the repository root, with
+
+        PYTHONPATH=src:. python -c 'import contextlib, io, json, os, random
+        from perfbench import programs
+        from sdtl import cli
+        def trace(path):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["analyze", path, "--trace"])
+            return err.getvalue()
+        golden = {name: trace(f"tests/programs/{name}")
+                  for name in sorted(os.listdir("tests/programs"))}
+        with open("nest.sdtl", "w") as f:
+            f.write(programs.loop_nest(random.Random(1), 4).source)
+        golden["loop_nest_d4"] = trace("nest.sdtl")
+        os.remove("nest.sdtl")
+        print(json.dumps(golden, indent=2, sort_keys=True))' \
+            > tests/golden/analyze_trace.json
+    """
+    if name == "loop_nest_d4":
+        prog = tmp_path / "nest.sdtl"
+        prog.write_text(programs.loop_nest(random.Random(1), 4).source)
+    else:
+        prog = path(name)
+    code, _, err = run_cli(capsys, "analyze", str(prog), "--trace")
+    assert code == 0 and err == ANALYZE_TRACE_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", GOLDEN)
