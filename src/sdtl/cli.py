@@ -141,7 +141,7 @@ def _cmd_analyze(args) -> int:
     trace = None
     if args.trace:
         def trace(node, outcome):
-            print(f"sid={node.sid} states={len(set(outcome))}", file=sys.stderr)
+            print(f"sid={node.sid} states={len(outcome)}", file=sys.stderr)
 
     result = abstract.analyze_program(program, trace=trace)
     rendered = abstract.result_to_json(result)

@@ -5,9 +5,9 @@ run's :class:`Interpretation` and a state, and returning its (successor
 state, payload) outcomes.  Payloads are values for expressions, ``UNIT`` for
 statements, and ``NULL`` exactly for states that escape (pending return or
 exception).  The outcomes are a sequence, a list of successes (Wadler,
-FPCA 1985) that may repeat one: only the points where paths meet drop
-duplicates, keeping first-seen order, so a concrete run, which has one
-outcome per step, hashes no state.  The semantic equations here are
+FPCA 1985), each once: a transformer that gathers several drops repeats,
+keeping first-seen order, and returns one as is, so a concrete run, which
+has one outcome per step, hashes no state.  The semantic equations here are
 written once against the interpretation contract, as are the primitives
 that only touch the fields of the :class:`State` record.  The concrete
 interpreter and the abstract type analysis plug in their own state fields,
@@ -29,7 +29,7 @@ from typing import Any, Callable, Collection, Tuple
 
 from . import syntax
 
-# the outcomes: a list, a tuple, or a dict keyed by outcome at a join point
+# the outcomes, each once: a list, a tuple, or a dict keyed by outcome
 Transformer = Callable[["Interpretation", Any], Collection[Tuple[Any, Any]]]
 
 
@@ -221,7 +221,7 @@ def _block(node) -> Transformer:
                 break
         for s0 in states:
             out += last(interp, s0)
-        return out
+        return dict.fromkeys(out) if len(out) > 1 else out
 
     return run
 
@@ -234,7 +234,8 @@ def _bind(nid, t: Transformer, body) -> Transformer:
     interpretation's current node and adds ``body(interp, state, payload)``,
     any iterable of outcomes, or nothing if the body raises
     :class:`DeadBranch`.  Only a primitive raises it, and only inside a step
-    that catches it, so no transformer does.
+    that catches it, so no transformer does.  The step returns each outcome
+    once, in first-seen order.
     """
 
     def run(interp, s):
@@ -248,21 +249,21 @@ def _bind(nid, t: Transformer, body) -> Transformer:
                 out += body(interp, s1, a)
             except DeadBranch:
                 pass
-        return out
+        return dict.fromkeys(out) if len(out) > 1 else out
 
     return run
 
 
 def _choose(then_t: Transformer, else_t: Transformer):
     """Step body of a selection: `then_t` and/or `else_t` from the state, as
-    ``cond`` of the guard value allows.  Where both branches run, their
-    paths meet: the body drops duplicate outcomes, then-branch first."""
+    ``cond`` of the guard value allows; where both run, their paths meet and
+    the step drops repeats, then-branch first."""
 
     def body(interp, s, v):
         branches = interp.cond(v)
         if len(branches) == 1:
             return (then_t if branches[0] else else_t)(interp, s)
-        return dict.fromkeys([*then_t(interp, s), *else_t(interp, s)])
+        return [*then_t(interp, s), *else_t(interp, s)]
 
     return body
 
@@ -300,11 +301,11 @@ class Interpretation:
     one unfolding.  State equality must be decidable.
 
     Outcomes, a transformer's too, are a list, a tuple or a dict keyed by
-    outcome, and may repeat one: consumers only iterate them or take their
-    ``len`` (``dict`` of a dict of pairs is its keys), and never mutate
-    outcomes they did not build.  Only join points drop duplicates, in
-    first-seen order: a block's states between statements, a selection that
-    runs both branches, and the analysis's summaries.
+    outcome: consumers only iterate them or take their ``len`` (``dict`` of
+    a dict of pairs is its keys), and never mutate outcomes they did not
+    build.  ``apply`` may repeat one, as a call's exits meet under
+    ``leave``; a transformer or ``fixpoint`` that gathers several outcomes
+    drops repeats with ``dict.fromkeys``, in first-seen order.
 
     An outcome's payload is ``NULL`` exactly when its state has a pending
     return or exception; the equations read escapes off the payload alone.
@@ -447,7 +448,7 @@ class Interpretation:
                 out += step(self, frontier.pop())
         finally:
             self._active = active
-        return out
+        return dict.fromkeys(out) if len(out) > 1 else out
 
 
 # --- Auxiliary call machinery --------------------------------------------------
@@ -537,7 +538,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                     else:
                         interp.current_node = sid
                         out += handler_t(interp, interp.exs(s1, exc_name))
-                return out
+                return dict.fromkeys(out) if len(out) > 1 else out
 
         case syntax.Throw(exp=exp):
             run = _bind(sid, exp_meaning(exp), lambda i, s, v: ((i.throw(s, v), NULL),))
@@ -591,7 +592,7 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
                             out.append((s2, interp.bin(op, c1, c2)))
                         except DeadBranch:
                             pass
-                return out
+                return dict.fromkeys(out) if len(out) > 1 else out
 
         case syntax.Paren(inner=inner):
             run = exp_meaning(inner)

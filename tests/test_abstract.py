@@ -381,10 +381,11 @@ print(len(calls), states)
 
 @pytest.mark.parametrize("seed", ["0", "1"])
 def test_analysis_work_does_not_depend_on_the_hash_seed(seed):
-    """Join points keep first-seen order, so the analysis's work depends on
-    the program alone: 12 loop nests, four each of depths 3, 4 and 5 from
-    one `Random(1)`, take 1,452 trace-hook calls in every process (1,436 to
-    1,548 when join points were sets, even at one hash seed)."""
+    """Steps drop repeated outcomes in first-seen order, so the analysis's
+    work depends on the program alone: 12 loop nests, four each of depths 3,
+    4 and 5 from one `Random(1)`, take 1,452 trace-hook calls in every
+    process (1,436 to 1,548 when outcomes were sets, even at one hash
+    seed)."""
     pythonpath = os.pathsep.join(str(Path(m.__file__).parents[1]) for m in (sdtl, programs))
     env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
     completed = subprocess.run(

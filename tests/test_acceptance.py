@@ -172,7 +172,7 @@ def test_criterion_09_property_suite():
             bigger = {s: t_map[s] | extra[s] for s in range(3)}
             k_map = {p: _toy_transformer(rng) for p in range(3)}
             t, t_big, k = from_map(t_map), from_map(bigger), kont(k_map)
-            # outcomes may repeat one: the laws hold up to duplicates
+            # a step returns a sequence: the laws compare the sets of outcomes
             for start in range(3):
                 # monotonicity of the step in its first argument
                 assert set(bind(t, k)(toy, start)) <= set(bind(t_big, k)(toy, start))

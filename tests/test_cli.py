@@ -312,7 +312,7 @@ def test_analyze_trace_reports_state_counts(capsys):
 
 def test_analyze_trace_counts_distinct_outcomes(capsys, tmp_path):
     """`f`'s two exits collapse under `leave` into one outcome, which the
-    call's outcomes hold twice; the trace counts it once."""
+    call's step returns once."""
     prog = tmp_path / "two_exits.sdtl"
     prog.write_text(
         "function f() { if (input > 0) { a = 1; } else { b = 2; } return 1; }\n"
@@ -330,8 +330,9 @@ ANALYZE_TRACE_GOLDEN = json.loads(
 @pytest.mark.parametrize("name", sorted(ANALYZE_TRACE_GOLDEN))
 def test_analyze_trace_matches_golden_output(capsys, tmp_path, name):
     r"""tests/golden/analyze_trace.json holds the `analyze --trace` stderr of
-    every sample program and of `loop_nest(Random(1), 4)`.  Join points keep
-    first-seen order, so it is the same in every process.  It was recorded,
+    every sample program and of `loop_nest(Random(1), 4)`.  Steps drop
+    repeated outcomes in first-seen order, so it is the same in every
+    process.  It was recorded,
     from the repository root, with
 
         PYTHONPATH=src:. python -c 'import contextlib, io, json, os, random

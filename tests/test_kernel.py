@@ -71,8 +71,8 @@ def test_frozen_map_behaves_like_mapping():
 # states are 0, 1, 2 and payloads 0, 1, 2 or NULL, the payload of an escaping
 # outcome.  A primitive step `_bind(nid, t, body)` is the monadic bind of `t`
 # with the continuation `body`; `_collect` sequences without a primitive.
-# Outcomes may repeat one, so the laws hold up to duplicates: they compare
-# the sets of outcomes.
+# A step returns a sequence and the toy's tables are sets, so the laws compare
+# the sets of outcomes; both sides of associativity list them in one order.
 
 STATES = (0, 1, 2)
 VALUES = (0, 1, 2)
@@ -158,7 +158,7 @@ def test_bind_associativity(table, kont1, kont2, start):
     t, k, h = from_table(table), cont_from_table(kont1), cont_from_table(kont2)
     left = step(step(t, k), h)(TOY, start)
     right = step(t, lambda i, s, a: step(lambda i1, s1: k(i1, s1, a), h)(i, s))
-    assert left == right(TOY, start)
+    assert list(left) == list(right(TOY, start))
 
 
 def test_bind_maps_both_branches():
@@ -330,12 +330,10 @@ def test_trace_hook_reports_statements():
 def test_outcome_payload_is_null_exactly_when_its_state_escapes(monkeypatch):
     """Every outcome that either interpretation reports to the trace hook
     has payload NULL exactly when its state has a pending return or
-    exception, so no state appears in an outcome with two payloads (an
-    outcome may repeat, since only join points drop duplicates).  The
-    samples run on
-    inputs 3,4,100 and each generated program on the first input vector of
-    its corpus; a budget of 1,000 loop iterations ends the sample that does
-    not terminate."""
+    exception, so no statement's outcomes hold a state twice.  The samples
+    run on inputs 3,4,100 and each generated program on the first input
+    vector of its corpus; a budget of 1,000 loop iterations ends the sample
+    that does not terminate."""
     monkeypatch.setattr(kernel.Interpretation, "max_loop_iterations", 1000)
     cases = [(path.read_text(), (3, 4, 100)) for path in sorted(PROGRAMS.glob("*.sdtl"))]
     cases += [
@@ -348,8 +346,7 @@ def test_outcome_payload_is_null_exactly_when_its_state_escapes(monkeypatch):
         for state, payload in outcome:
             if (payload is NULL) != (state.ret is not VOID or state.ex is not VOID):
                 wrong.append((node.sid, state, payload))
-        distinct = set(outcome)
-        if len(distinct) != len({state for state, _ in distinct}):
+        if len(outcome) != len({state for state, _ in outcome}):
             wrong.append((node.sid, outcome))
 
     for source, inputs in cases:
@@ -428,8 +425,8 @@ def test_concrete_loop_work_per_iteration():
 
 
 def test_concrete_run_hashes_no_state():
-    """Outcomes are sequences, and a concrete run never reaches a join point
-    with two states, so a counter-loop run calls neither `Record.__hash__`
+    """Outcomes are sequences, and no step of a concrete run gathers two
+    outcomes or two states, so a counter-loop run calls neither `Record.__hash__`
     nor `FrozenMap.__hash__` (3,832 calls for 200 iterations when every
     outcome was a set)."""
     case = programs.counter_loop(random.Random(1), 200)
@@ -512,6 +509,49 @@ def test_analysis_runs_a_statement_once_per_distinct_state():
     )
     assert len(calls) <= 200
     assert len(result.final_states) == 1 and result.diagnostics == ()
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of the analysis's primitive `name`."""
+    calls, primitive = [], getattr(abstract.AbstractInterpretation, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return primitive(self, *args)
+
+    monkeypatch.setattr(abstract.AbstractInterpretation, name, counted)
+    return calls
+
+
+def test_analysis_of_calls_in_one_expression_grows_linearly(monkeypatch):
+    """`f`'s two exits differ only in its locals and meet under `leave`; the
+    call's step returns the outcome once, so each of the 19 `+` runs `bin`
+    once, and solving `f`'s summary runs `input > 0` twice (2,097,150 `bin`
+    calls when the outcomes of a step could repeat one)."""
+    source = (
+        "function f() { if (input > 0) { a = 1; } else { b = 2; } return 1; }\n"
+        "x = " + " + ".join(["f()"] * 20) + ";\n"
+    )
+    calls = _counting(monkeypatch, "bin")
+    result = abstract.analyze_program(parse(source))
+    assert len(calls) == 21 and len(result.final_states) == 1
+
+
+def test_analysis_of_comparisons_in_one_call_grows_linearly(monkeypatch):
+    """`f(a, b) == f(a, b)` compares four pairs of functions and gives the
+    same outcome each time; the comparison returns it once, so ten such
+    arguments take 3 applications each and `g` one (2,097,151 when the
+    outcomes of a step could repeat one)."""
+    params = ", ".join(f"p{i}" for i in range(10))
+    source = (
+        "function a() { return 1; }\nfunction b() { return 2; }\n"
+        "function f(a, b) { if (input > 0) { return a; } return b; }\n"
+        f"function g({params}) {{ return 1; }}\n"
+        "x = g(" + ", ".join(["f(a, b) == f(a, b)"] * 10) + ");\n"
+    )
+    calls = _counting(monkeypatch, "apply")
+    result = abstract.analyze_program(parse(source))
+    assert len(calls) == 31 and len(result.final_states) == 1
 
 
 def test_analysis_builds_no_closure_per_evaluation():
