@@ -49,7 +49,7 @@ AVal = Union[Marker, AObjRef, AFunPtr]  # NUM, BOOL, or VOID_VAL
 
 @dataclass(frozen=True, eq=False)
 class AState(kernel.State):  # obj_mem is keyed by allocation site
-    # (sid, count, anchor) -> frozenset of value tuples
+    # (sid, count, anchor) -> the tuple of values curried at that anchor
     curried: FrozenMap = field(default_factory=FrozenMap)
 
 
@@ -100,10 +100,14 @@ class AbstractInterpretation(kernel.Interpretation):
         # summary that solve has read
         self._worklists = {}
         self._low = []
-        self.stats = {"max_call_iterations": 0, "max_loop_iterations": 0}
-        # abstract-cell reuse history, consumed by the soundness harness
-        self.reused_sites = set()
-        self.reset_curried_keys = set()
+        # the solver's maxima, and the abstract-cell reuse history that the
+        # soundness harness consumes
+        self.stats = {
+            "max_call_iterations": 0,
+            "max_loop_iterations": 0,
+            "reused_allocation_sites": set(),
+            "reset_curried_keys": set(),
+        }
 
     # diagnostics
 
@@ -165,33 +169,23 @@ class AbstractInterpretation(kernel.Interpretation):
             )
         sid, count, anchor = fun_value.sid, fun_value.count, fun_value.anchor
         arity = self.program.arity(sid)
-        if count == 0:
-            prefixes = ((),)
-        else:
-            prefixes = state.curried.get((sid, count, anchor), frozenset())
-        total = count + len(args)
-        if total == arity:
-            out = []
-            for prefix in prefixes:
-                out += kernel.call(self, state, sid, prefix + tuple(args), this_value)
-            return out
-        if total < arity:
-            if total == 0:
+        args = (state.curried[sid, count, anchor] if count else ()) + tuple(args)
+        if len(args) == arity:
+            return kernel.call(self, state, sid, args, this_value)
+        if len(args) < arity:
+            if not args:
                 # zero arguments were supplied: the pointer is unchanged
                 # (uncurried pointers stay unanchored)
                 return ((state, fun_value),)
-            key, lists = (sid, total, eid), set()
-            for prefix in prefixes:
-                lists.add(prefix + tuple(args))
-            lists = frozenset(lists)
+            key = (sid, len(args), eid)
             old = state.curried.get(key)
-            if old is not None and old != lists:
-                self.reset_curried_keys.add(key)
-            new_state = kernel.replace(state, curried=state.curried.set(key, lists))
-            return ((new_state, AFunPtr(sid, total, eid)),)
+            if old is not None and old != args:
+                self.stats["reset_curried_keys"].add(key)
+            new_state = kernel.replace(state, curried=state.curried.set(key, args))
+            return ((new_state, AFunPtr(*key)),)
         self._dead(
             f"possible type error: too many arguments "
-            f"({total} for arity {arity})"
+            f"({len(args)} for arity {arity})"
         )
 
     def _members(self, state, ref):
@@ -201,18 +195,18 @@ class AbstractInterpretation(kernel.Interpretation):
             self._dead(
                 f"possible type error: member access on a {_category(ref)}"
             )
-        return state.obj_mem.get(ref.site)
+        # every site a reference names is allocated: site 0 from the start,
+        # the others by `newobj`, and no step removes one
+        return state.obj_mem[ref.site]
 
     def get(self, state, ref, member):
         members = self._members(state, ref)
-        if members is None or member not in members:
+        if member not in members:
             self._dead(f"possibly undefined member {member!r}")
         return members[member]
 
     def set(self, state, ref, member, value):
         members = self._members(state, ref)
-        if members is None:
-            self._dead("possible write to an unallocated object")
         obj_mem = state.obj_mem.set(ref.site, members.set(member, value))
         return kernel.replace(state, obj_mem=obj_mem)
 
@@ -220,7 +214,7 @@ class AbstractInterpretation(kernel.Interpretation):
         # allocation-site abstraction: the site's previous abstract object,
         # if any, is reset to empty
         if eid in state.obj_mem:
-            self.reused_sites.add(eid)
+            self.stats["reused_allocation_sites"].add(eid)
         obj_mem = state.obj_mem.set(eid, FrozenMap())
         return kernel.replace(state, obj_mem=obj_mem), AObjRef(eid)
 
@@ -299,13 +293,10 @@ def analyze_program(program: Program, trace=None) -> AnalysisResult:
     diagnostic log."""
     interp = AbstractInterpretation(program, trace)
     outcome = kernel.stm_meaning(program.root)(interp, AState())
-    stats = dict(interp.stats)
-    stats["reused_allocation_sites"] = frozenset(interp.reused_sites)
-    stats["reset_curried_keys"] = frozenset(interp.reset_curried_keys)
     return AnalysisResult(
         final_states=frozenset(map(operator.itemgetter(0), outcome)),
         diagnostics=tuple(sorted(interp.diagnostics)),
-        stats=stats,
+        stats=interp.stats,
     )
 
 
@@ -327,13 +318,10 @@ def aval_to_json(value):
 
 
 def state_to_json(state: AState) -> dict:
-    curried = []
-    for (sid, count, anchor), lists in sorted(state.curried.items()):
-        rendered = sorted(
-            ([aval_to_json(v) for v in values] for values in lists),
-            key=json.dumps,
-        )
-        curried.append({"key": [sid, count, anchor], "lists": rendered})
+    curried = [
+        {"key": list(key), "lists": [[aval_to_json(v) for v in values]]}
+        for key, values in sorted(state.curried.items())
+    ]
     return kernel.state_to_json(state, aval_to_json, curried=curried)
 
 

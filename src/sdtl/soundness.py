@@ -41,13 +41,10 @@ def abstracts_value(astate, sites, aval, cval) -> bool:
             return False
         if aval.count == 0:
             return True
-        lists = astate.curried.get((aval.sid, aval.count, aval.anchor), frozenset())
-        return any(
-            all(
-                abstracts_value(astate, sites, a, c)
-                for a, c in zip(values, cval.curried)
-            )
-            for values in lists
+        values = astate.curried.get((aval.sid, aval.count, aval.anchor))
+        return values is not None and all(
+            abstracts_value(astate, sites, a, c)
+            for a, c in zip(values, cval.curried)
         )
     raise AssertionError(f"not a concrete value: {cval!r}")
 
@@ -210,7 +207,7 @@ def classify_caveat(report) -> str | None:
 
     Allocation-site object abstraction resets a site's abstract object on
     re-allocation, and a re-curried anchor likewise replaces its argument
-    lists; both can under-approximate two live concrete cells sharing one
+    tuple; both can under-approximate two live concrete cells sharing one
     abstract cell.  Violations on programs exercising either pattern are
     reported against that caveat instead of a harness failure.
     """

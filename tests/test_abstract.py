@@ -8,10 +8,11 @@ import pytest
 
 import sdtl
 from helpers import (
-    GOLDEN, find_call_eid, find_fundecl, find_new_eid, iter_nodes, load, load_program,
+    GOLDEN, PROGRAMS, find_call_eid, find_fundecl, find_new_eid, iter_nodes, load,
+    load_program,
 )
 from perfbench import programs
-from sdtl import abstract, kernel
+from sdtl import abstract, kernel, soundness
 from sdtl.abstract import (
     BOOL, NUM, AFunPtr, AObjRef, AbstractInterpretation, analyze_program,
     aval_to_json, state_to_json,
@@ -146,7 +147,7 @@ def test_partial_application_anchored_to_call_site():
     anchor = find_call_eid(program, "add")
     (state,) = result.final_states
     assert state.env["a"] == AFunPtr(sid, 1, anchor)
-    assert state.curried[(sid, 1, anchor)] == frozenset({(NUM,)})
+    assert state.curried[(sid, 1, anchor)] == (NUM,)
 
 
 def test_three_stage_currying_chains_anchors():
@@ -162,8 +163,8 @@ def test_three_stage_currying_chains_anchors():
     two = state.env["p2"]
     assert (one.sid, one.count) == (sid, 1)
     assert (two.sid, two.count) == (sid, 2)
-    assert state.curried[(sid, 1, one.anchor)] == frozenset({(NUM,)})
-    assert state.curried[(sid, 2, two.anchor)] == frozenset({(NUM, NUM)})
+    assert state.curried[(sid, 1, one.anchor)] == (NUM,)
+    assert state.curried[(sid, 2, two.anchor)] == (NUM, NUM)
 
 
 def test_mutually_recursive_summaries_terminate():
@@ -203,14 +204,62 @@ def test_currying_loop_terminates_with_three_rows():
 
     rows = {
         (json.dumps(aval_to_json(s.env["x"])), tuple(sorted(s.curried)),
-         frozenset(s.curried.get(key, frozenset())))
+         s.curried.get(key, ()))
         for s in result.final_states
     }
     assert rows == {
-        ('"Num"', (), frozenset()),
-        (json.dumps(aval_to_json(pointer)), (key,), frozenset({(NUM,)})),
-        (json.dumps(aval_to_json(pointer)), (key,), frozenset({(pointer,)})),
+        ('"Num"', (), ()),
+        (json.dumps(aval_to_json(pointer)), (key,), (NUM,)),
+        (json.dumps(aval_to_json(pointer)), (key,), (pointer,)),
     }
+
+
+@pytest.mark.parametrize("source, fun, call, resets", [
+    # `x = foo(x)` re-curries foo's anchor with `x`'s new type
+    (load("currying_loop.sdtl"), "foo", "foo", True),
+    # `part(add, 1)` then `part(add, true)`: Num, then Bool at one anchor
+    (load("caveat_curried_reset.sdtl"), "add", "f", True),
+    # Num at every iteration
+    ("function add(x,y){ return x+y; } i = 0; while(i < 3) { f = add(i); i = i + 1; }",
+     "add", "add", False),
+], ids=["currying_loop", "caveat_curried_reset", "same_types"])
+def test_reset_curried_keys(source, fun, call, resets):
+    program = parse(source)
+    result = analyze_program(program)
+    key = (find_fundecl(program, fun).sid, 1, find_call_eid(program, call))
+    assert result.stats["reset_curried_keys"] == ({key} if resets else set())
+    if not resets:  # the anchor was curried, with Num each time
+        assert any(s.curried.get(key) == (NUM,) for s in result.final_states)
+
+
+def test_every_state_holds_what_its_values_point_to():
+    """In every outcome state of every statement, each curried pointer's
+    anchor holds a tuple of its length, and each reference's site is
+    allocated: `apply` indexes `curried` and `_members` indexes `obj_mem`
+    without a fallback."""
+    checked = {AFunPtr: 0, AObjRef: 0}
+
+    def trace(node, outcome):
+        for state, _ in outcome:
+            assert state.this in state.obj_mem
+            values = [*state.env.values(), state.ret, state.ex]
+            for members in state.obj_mem.values():
+                values += members.values()
+            for args in state.curried.values():
+                values += args
+            for value in values:
+                if isinstance(value, AFunPtr) and value.count:
+                    entry = state.curried.get((value.sid, value.count, value.anchor))
+                    assert entry is not None and len(entry) == value.count, value
+                    checked[AFunPtr] += 1
+                elif isinstance(value, AObjRef):
+                    assert value.site in state.obj_mem, value
+                    checked[AObjRef] += 1
+
+    samples = [path.read_text() for path in sorted(PROGRAMS.glob("*.sdtl"))]
+    for source in samples + soundness.generate_programs(2026, 200):
+        analyze_program(parse(source), trace=trace)
+    assert checked[AFunPtr] > 0 and checked[AObjRef] > 0
 
 
 # --- objects ------------------------------------------------------------------------
@@ -259,7 +308,7 @@ def test_objects_example_single_final_state():
         "value": NUM,
         "juice": AFunPtr(juiceme.sid, 1, anchor),
     }
-    assert dict(state.curried) == {(juiceme.sid, 1, anchor): frozenset({(NUM,)})}
+    assert dict(state.curried) == {(juiceme.sid, 1, anchor): (NUM,)}
     assert state.ret is VOID and state.ex is VOID and state.this == 0
 
 

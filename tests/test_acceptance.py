@@ -94,13 +94,13 @@ def test_criterion_05_abstract_currying_loop():
         key = (sid, 1, anchor)
         rows = {
             (s.env["x"], tuple(sorted(s.curried)),
-             frozenset(s.curried.get(key, frozenset())))
+             s.curried.get(key, ()))
             for s in result.final_states
         }
         assert rows == {
-            (NUM, (), frozenset()),
-            (pointer, (key,), frozenset({(NUM,)})),
-            (pointer, (key,), frozenset({(pointer,)})),
+            (NUM, (), ()),
+            (pointer, (key,), (NUM,)),
+            (pointer, (key,), (pointer,)),
         }
 
 
@@ -117,7 +117,7 @@ def test_criterion_06_abstract_objects_row():
             "value": NUM,
             "juice": AFunPtr(juiceme, 1, anchor),
         }
-        assert dict(state.curried) == {(juiceme, 1, anchor): frozenset({(NUM,)})}
+        assert dict(state.curried) == {(juiceme, 1, anchor): (NUM,)}
 
 
 def test_criterion_07_abstract_exception_states():

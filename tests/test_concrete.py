@@ -215,7 +215,7 @@ class LoggedInterpretation(kernel.Interpretation):
 
 
 HEAP = FrozenMap({0: FrozenMap(), 1: FrozenMap()})
-ABSTRACT_CURRIED = FrozenMap({(7, 1, 9): frozenset({(abstract.NUM,)})})
+ABSTRACT_CURRIED = FrozenMap({(7, 1, 9): (abstract.NUM,)})
 
 # per domain: interpretation, caller state, receiver pointer, and a callee
 # value for each field the call must carry in and back out

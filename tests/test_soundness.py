@@ -36,13 +36,15 @@ def test_function_pointers():
     astate = abstract.AState()
     astate = astate.__class__(
         env=astate.env, obj_mem=astate.obj_mem, this=0,
-        curried=FrozenMap({(1, 1, 7): frozenset({(NUM,)})}),
+        curried=FrozenMap({(1, 1, 7): (NUM,)}),
         ret=VOID, ex=VOID,
     )
     assert abstracts_value(astate, SITES0, AFunPtr(1, 1, 7), FunPtr(1, (5,)))
     assert not abstracts_value(astate, SITES0, AFunPtr(1, 1, 7), FunPtr(2, (5,)))
     assert not abstracts_value(astate, SITES0, AFunPtr(1, 1, 7), FunPtr(1, (5, 6)))
     assert not abstracts_value(astate, SITES0, AFunPtr(1, 1, 7), FunPtr(1, (True,)))
+    # a curried pointer whose anchor has no entry abstracts nothing
+    assert not abstracts_value(ASTATE0, SITES0, AFunPtr(1, 1, 7), FunPtr(1, (5,)))
     # an uncurried pointer needs no table entry
     assert abstracts_value(ASTATE0, SITES0, AFunPtr(3, 0, 0), FunPtr(3, ()))
 
@@ -152,7 +154,7 @@ def type_erase(cstate, sites):
             return AFunPtr(value.sid, 0, 0)
         anchor = next(anchors)
         key = (value.sid, len(value.curried), anchor)
-        curried[key] = frozenset({tuple(erase(v) for v in value.curried)})
+        curried[key] = tuple(erase(v) for v in value.curried)
         return AFunPtr(*key)
 
     def erase_slot(slot):
