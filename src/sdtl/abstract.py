@@ -5,9 +5,11 @@ allocation site, and curried function pointers by the call-site expression
 that produced them.  Branches are explored non-deterministically.  Loops
 and (possibly recursive, side-effecting) calls are both fixed points of
 their own unfolding, found by one top-down engine over a table of summaries
-keyed by (node id, entry state); summaries accumulate monotonically over a
-finite state space.  Impossible operations never abort the analysis; they
-kill the offending branch and log a diagnostic.
+keyed by (node id, entry state), which grow monotonically over a finite state
+space: a loop runs each state it passes through once, and a call entry runs
+again only when a summary it read has grown (Le Charlier & Van Hentenryck
+1992).  Impossible operations never abort the analysis; they kill the
+offending branch and log a diagnostic.
 """
 
 from __future__ import annotations
@@ -95,9 +97,10 @@ class AbstractInterpretation(kernel.Interpretation):
         # (node id, entry state) -> dict keyed by (exit state, payload)
         self._summaries = {}
         self._final = set()  # keys whose summaries are complete
-        # node id -> (depth, worklist in joining order) of each solve in
-        # progress, and per depth the lowest depth whose unfinished
-        # summary that solve has read
+        # node id -> (depth, worklist, pending, entry under evaluation) of
+        # each solve in progress, the worklist mapping its entries in joining
+        # order to the entries that read their summaries; and per depth the
+        # lowest depth whose unfinished summary that solve has read
         self._worklists = {}
         self._low = []
         # the solver's maxima, and the abstract-cell reuse history that the
@@ -225,60 +228,76 @@ class AbstractInterpretation(kernel.Interpretation):
         (`nid`, `state`) is answered with its summary.
 
         Summaries are keyed by (node id, entry state) and only grow.  A key
-        whose node is not being solved starts a solve of that node; a key
-        whose node is already being solved joins the node's worklist and is
-        answered with its current summary.  When a solve ends without having
-        read an unfinished summary of another node, its keys are final and
-        later queries are answered from the table.
+        whose node is not being solved starts a solve of that node.  A loop
+        re-enters itself in tail position, so a state that joins a loop being
+        solved goes on its frontier, with no outcomes of its own; one that
+        joins a call being solved is answered with its current summary, a
+        read recorded against the entry under evaluation.  When a solve ends
+        without having read an unfinished summary of another node, its keys
+        are final and later queries are answered from the table.
         """
         key = (nid, state)
         if key not in self._final:
             if nid not in self._worklists:
                 self._solve(kind, nid, step, state)
             else:
-                depth, worklist = self._worklists[nid]
-                worklist.setdefault(state)
+                depth, worklist, pending, running = self._worklists[nid]
+                if state not in worklist:
+                    worklist[state] = set()
+                    pending.add(state)
+                if kind == "loop":
+                    return ()
+                worklist[state].add(running)
                 self._low[-1] = min(self._low[-1], depth)
         return self._summaries.get(key, ())
 
     def _solve(self, kind, nid, step, state):
-        """Re-evaluate `step` on the node's worklist, newest state first,
-        until no summary grows and no state joins."""
-        depth, worklist = len(self._low), {state: None}
-        self._worklists[nid] = (depth, worklist)
+        """Evaluate `step` on the node's pending entries, newest first, in
+        rounds until none is pending: each state of a loop's frontier once,
+        their outcomes together the summary of its entry `state`, and a call
+        entry when it joins and when a summary its evaluation read grew."""
+        depth, worklist, pending = len(self._low), {state: set()}, {state}
+        self._worklists[nid] = (depth, worklist, pending, state)
         self._low.append(depth)
+        outcomes = {}  # of a loop's frontier, in first-seen order
         try:
             iterations = 0
-            while True:
+            while pending:
                 iterations += 1
                 if iterations > self.max_iterations:
                     raise AnalysisLimitError(
                         f"{kind} summary for node {nid} did not stabilize "
                         f"within {self.max_iterations} iterations"
                     )
-                joined = len(worklist)
-                changed = False
                 for entry in reversed(list(worklist)):
-                    key = (nid, entry)
-                    previous = self._summaries.get(key, {})
-                    out = dict.fromkeys(step(self, entry))
-                    # summaries never shrink between iterations
-                    assert previous.keys() <= out.keys(), f"{kind} summary shrank"
-                    if out != previous:
-                        self._summaries[key] = previous | out
-                        changed = True
-                if not changed and len(worklist) == joined:
-                    break
+                    if entry in pending:
+                        pending.remove(entry)
+                        self._worklists[nid] = (depth, worklist, pending, entry)
+                        out = dict.fromkeys(step(self, entry))
+                        if kind == "loop":
+                            outcomes |= out
+                        elif self._grow(kind, (nid, entry), out):
+                            pending |= worklist[entry]
         finally:
             low = self._low.pop()
             del self._worklists[nid]
         stat = f"max_{kind}_iterations"
         self.stats[stat] = max(self.stats[stat], iterations)
+        if kind == "loop":
+            self._grow(kind, (nid, state), outcomes)
+            worklist = (state,)  # the other frontier states have no summary
         if low >= depth:
             for entry in worklist:
                 self._final.add((nid, entry))
         else:
             self._low[-1] = min(self._low[-1], low)
+
+    def _grow(self, kind, key, out):
+        """Store `out` as the summary of `key`; whether the summary grew."""
+        previous = self._summaries.get(key, {})
+        assert previous.keys() <= out.keys(), f"{kind} summary shrank"
+        self._summaries[key] = previous | out
+        return len(out) > len(previous)
 
 
 @dataclass(frozen=True)

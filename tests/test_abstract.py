@@ -342,6 +342,48 @@ def test_non_recursive_call_single_pass():
     assert envs_of(result) == {env(one={"fun": [2, 0, 0]}, x="Num")}
 
 
+def test_call_that_reads_no_summary_runs_its_body_once():
+    """A function that reads no summary of its own is evaluated once per
+    entry state: 9 trace-hook calls (15 when every entry was run a second
+    time to confirm its summary)."""
+    source = (
+        "function f(x){ if (x > 0) { y = 1; } else { y = true; } return y; }\n"
+        "z = f(input);\n"
+    )
+    evaluations = []
+    result = analyze_program(
+        parse(source), trace=lambda node, outcome: evaluations.append(node)
+    )
+    assert {s.env["z"] for s in result.final_states} == {NUM, BOOL}
+    assert len(evaluations) == 9
+    assert result.stats["max_call_iterations"] == 1
+
+
+def test_loop_that_reads_an_unfinished_call_summary():
+    """The loop's body calls the function that contains it, so the loop's
+    result reads the call's summary before it is final, and the loop is
+    solved again whenever that summary grows.  The final states are those
+    recorded when every worklist entry was run again in every round."""
+    source = """
+    function g(self, n) {
+        a = 1; b = 1; c = 1;
+        while (n > 0) {
+            c = b; b = a; a = self(self, n - 1);
+            if (input > 0) { a = true; }
+            n = n - 1;
+        }
+        return c;
+    }
+    x = g(g, input);
+    """
+    result = analyze(source)
+    assert envs_of(result) == {
+        env(g={"fun": [2, 0, 0]}, x="Num"),
+        env(g={"fun": [2, 0, 0]}, x="Bool"),
+    }
+    assert result.diagnostics == ()
+
+
 # --- loop engine -------------------------------------------------------------------------
 
 
@@ -374,6 +416,20 @@ def test_nested_loops_stabilize():
     result = analyze(source)
     # exits: never entered (Num), or inner loop last wrote true (Bool) or not (Num)
     assert envs_of(result) == {env(a="Num"), env(a="Bool")}
+
+
+def test_loop_entered_at_a_state_it_passed_through():
+    """The first call's loop passes through `x` Bool; only its entry state
+    has a summary, so the second call, which enters the loop there, solves
+    it anew instead of reading an empty summary."""
+    source = (
+        "function f(x){ while (input > 0) { x = true; } return x; }\n"
+        "a = f(1);\nb = f(true);\n"
+    )
+    result = analyze(source)
+    assert {(s.env["a"], s.env["b"]) for s in result.final_states} == {
+        (NUM, BOOL), (BOOL, BOOL),
+    }
 
 
 # --- engine properties ----------------------------------------------------------------
@@ -432,15 +488,15 @@ print(len(calls), states)
 def test_analysis_work_does_not_depend_on_the_hash_seed(seed):
     """Steps drop repeated outcomes in first-seen order, so the analysis's
     work depends on the program alone: 12 loop nests, four each of depths 3,
-    4 and 5 from one `Random(1)`, take 1,452 trace-hook calls in every
-    process (1,436 to 1,548 when outcomes were sets, even at one hash
-    seed)."""
+    4 and 5 from one `Random(1)`, take 828 trace-hook calls in every process
+    (1,452 when every worklist entry was run again in every round, and 1,436
+    to 1,548 when outcomes were sets, even at one hash seed)."""
     pythonpath = os.pathsep.join(str(Path(m.__file__).parents[1]) for m in (sdtl, programs))
     env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
     completed = subprocess.run(
         [sys.executable, "-c", _NESTS], capture_output=True, text=True, env=env, timeout=120
     )
-    assert completed.stdout.split() == ["1452", "48"], completed.stderr
+    assert completed.stdout.split() == ["828", "48"], completed.stderr
 
 
 def test_loop_states_join_the_worklist_without_host_recursion():
@@ -468,6 +524,29 @@ def test_loop_states_join_the_worklist_without_host_recursion():
         sys.setrecursionlimit(limit)
     assert {s.env[f"x{k}"] for s in result.final_states} == {NUM, BOOL}
     assert len(result.final_states) == k + 1
+
+
+def test_loop_evaluates_each_state_once():
+    """The chain `v0 = true; v1 = 1; ... vk = 1; i = 0; while (i < 5) { vk =
+    vk-1; ... v1 = v0; i = i + 1; }` moves Bool one variable per iteration,
+    so the loop passes through k + 1 states, and evaluating each once takes
+    at most (k + 1) * (k + 4) trace-hook calls: 1,766 at k = 40 (37,928 when
+    every frontier state was run again in every round, quadratic in k)."""
+    k = 40
+    source = (
+        "v0 = true;\n"
+        + "".join(f"v{i} = 1;\n" for i in range(1, k + 1))
+        + "i = 0;\nwhile (i < 5) {\n"
+        + "".join(f"v{i} = v{i - 1};\n" for i in range(k, 0, -1))
+        + "i = i + 1;\n}\n"
+    )
+    evaluations = []
+    result = analyze_program(
+        parse(source), trace=lambda node, outcome: evaluations.append(node)
+    )
+    assert len(result.final_states) == k + 1
+    assert len(evaluations) <= (k + 1) * (k + 4)
+    assert result.stats["max_loop_iterations"] == k + 1
 
 
 # --- serialization ------------------------------------------------------------------------
