@@ -302,18 +302,18 @@ class AbstractInterpretation(kernel.Interpretation):
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    final_states: frozenset
+    final_states: tuple
     diagnostics: tuple
     stats: dict = field(compare=False)
 
 
 def analyze_program(program: Program, trace=None) -> AnalysisResult:
-    """Analyze a program, returning all final abstract states plus the
-    diagnostic log."""
+    """Analyze a program, returning its distinct final abstract states, in
+    first-seen order, plus the diagnostic log."""
     interp = AbstractInterpretation(program, trace)
     outcome = kernel.stm_meaning(program.root)(interp, AState())
     return AnalysisResult(
-        final_states=frozenset(map(operator.itemgetter(0), outcome)),
+        final_states=tuple(dict.fromkeys(map(operator.itemgetter(0), outcome))),
         diagnostics=tuple(sorted(interp.diagnostics)),
         stats=interp.stats,
     )

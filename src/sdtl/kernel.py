@@ -96,10 +96,6 @@ class FrozenMap(dict):
         dict.__setitem__(copy, key, value)
         return copy
 
-    def __repr__(self):
-        items = sorted(self.items(), key=lambda kv: repr(kv[0]))
-        return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in items) + "}"
-
 
 # --- State records -----------------------------------------------------------
 # States are records (frozen dataclasses); operations written against a few

@@ -6,7 +6,8 @@ allocation-site map, so each concrete object is checked once, against the
 abstract object of its own site, and cyclic object graphs need no special
 case.  This module makes the relation executable, checks it over concrete
 runs, and generates random terminating programs to probe it at scale.
-Failures carry a nearest-miss explanation per abstract candidate state.
+Failures carry a nearest-miss explanation per abstract candidate state,
+in the analysis's first-seen order.
 """
 
 from __future__ import annotations
@@ -100,20 +101,19 @@ class Judgment:
 def abstracts_outcome(astates, cstates, sites) -> Judgment:
     """Powerset abstraction: every concrete state needs an abstract cover.
 
-    The concrete states are taken in the order given: a run has one final
-    state, and each per-statement stage holds at most one.  `sites` is the
+    Candidates are tried, and explained, in the order given: the analysis's
+    own.  A run has one final state, and each stage one.  `sites` is the
     run's allocation-site map (:attr:`concrete.RunResult.sites`)."""
     witnesses = []
-    candidates = sorted(astates, key=repr)
     for cstate in cstates:
         explanations = []
-        for astate in candidates:
+        for astate in astates:
             mismatch = state_mismatch(astate, cstate, sites)
             if mismatch is None:
                 break
             explanations.append(mismatch)
         else:
-            if not candidates:
+            if not astates:
                 explanations.append("no abstract final states at all")
             witnesses.append((cstate, tuple(explanations)))
     return Judgment(holds=not witnesses, witnesses=tuple(witnesses))
@@ -124,20 +124,23 @@ def abstracts_outcome(astates, cstates, sites) -> Judgment:
 
 def _stage_recorder(program):
     """A trace hook that collects the outcomes of each top-level statement
-    by sid, and a generator of the state sets after each statement in
-    order, escaped outcomes (payload ``NULL``) carried forward."""
-    sids = [stm.sid for stm in syntax.statements(program.root)]
-    outcomes = {sid: set() for sid in sids}
+    but the last (its stage would be the final states) by sid, and a
+    generator of the state sequences after each in order: escaped states
+    (payload ``NULL``) so far first, then the statement's others, repeats
+    dropped only where several meet, so a concrete stage hashes none."""
+    sids = [stm.sid for stm in syntax.statements(program.root)][:-1]
+    outcomes = {sid: [] for sid in sids}
 
     def trace(node, outcome):
         if node.sid in outcomes:
-            outcomes[node.sid].update(outcome)
+            outcomes[node.sid] += outcome
 
     def stages():
-        escaped = set()
+        escaped = []
         for sid in sids:
-            escaped.update(s for s, a in outcomes[sid] if a is kernel.NULL)
-            yield frozenset(s for s, _ in outcomes[sid]).union(escaped)
+            escaped += (s for s, a in outcomes[sid] if a is kernel.NULL)
+            states = escaped + [s for s, a in outcomes[sid] if a is not kernel.NULL]
+            yield dict.fromkeys(states) if len(states) > 1 else states
 
     return trace, stages
 
@@ -149,9 +152,9 @@ def differential_test(
 
     The program is analyzed once and run concretely per input vector;
     vectors that hit run-time errors are skipped and reported separately.
-    With `per_statement`, the abstraction relation is also required after
-    every top-level statement, not just at the end: a trace hook on the
-    analysis and on each run collects the states after each statement.
+    With `per_statement`, the relation is also required after every
+    top-level statement but the last, whose states are the final ones: a
+    trace hook on the analysis and on each run collects them.
     """
     program = syntax.parse(source)
     trace, stages = _stage_recorder(program) if per_statement else (None, None)

@@ -78,6 +78,18 @@ def find_new_eid(program, ctor_name) -> int:
     raise LookupError(ctor_name)
 
 
+# the allocation-site caveat (caveat_site_reset.sdtl) after a selection that
+# leaves `z` a number or a boolean: after statement 4 both abstract states
+# are candidates for each run, so a violation there has two explanations
+MULTI_CANDIDATE = """if (input > 0) { z = 1; } else { z = true; }
+function F(v){this.m=v;}
+function mk(c,v){return new c(v);}
+a=mk(F,1);
+b=mk(F,true);
+output a.m+1;
+"""
+
+
 def straight_line(count: int) -> str:
     """`count` top-level statements over eight variables and no control flow:
     every tenth prints a variable, the rest assign nested arithmetic.

@@ -105,13 +105,13 @@ def test_pass_through_branch_kept():
 
 def test_undefined_variable_is_diagnostic():
     result = analyze("output q;")
-    assert result.final_states == frozenset()
+    assert result.final_states == ()
     assert any("undefined variable 'q'" in d.message for d in result.diagnostics)
 
 
 def test_calling_a_number_is_diagnostic():
     result = analyze("x = 5; x(1);")
-    assert result.final_states == frozenset()
+    assert result.final_states == ()
     assert any("calling a" in d.message for d in result.diagnostics)
 
 
@@ -119,13 +119,13 @@ def test_missing_member_is_diagnostic():
     result = analyze(
         "function F(v){ this.value = v; } o = new F(1); output o.nope;"
     )
-    assert result.final_states == frozenset()
+    assert result.final_states == ()
     assert any("possibly undefined member" in d.message for d in result.diagnostics)
 
 
 def test_member_write_on_non_object_is_diagnostic():
     result = analyze("x = 5; x.m = 1;")
-    assert result.final_states == frozenset()
+    assert result.final_states == ()
     assert any("member access on a number" in d.message for d in result.diagnostics)
 
 
@@ -190,7 +190,7 @@ def test_zero_argument_partial_application_is_identity():
 
 def test_too_many_arguments_is_diagnostic():
     result = analyze("function g(a){ return a; } g(1,2);")
-    assert result.final_states == frozenset()
+    assert result.final_states == ()
     assert any("too many arguments" in d.message for d in result.diagnostics)
 
 

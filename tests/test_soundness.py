@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from helpers import GOLDEN_RUNNABLE, iter_nodes, load, load_program
+from helpers import (
+    GOLDEN_RUNNABLE, MULTI_CANDIDATE, iter_nodes, load, load_program,
+)
 from sdtl import abstract, concrete, kernel, soundness, syntax
 from sdtl.abstract import BOOL, NUM, AFunPtr, AObjRef, analyze_program
 from sdtl.concrete import FunPtr, ObjRef, run_program
@@ -220,7 +222,7 @@ def test_enlarging_abstract_side_is_monotone():
     program = load_program("fact.sdtl")
     analysis = analyze_program(program)
     result = run_program(program, (2,))
-    extra = analysis.final_states | {ASTATE0}
+    extra = analysis.final_states + (ASTATE0,)
     finals, sites = result.final_states, result.sites
     assert abstracts_outcome(analysis.final_states, finals, sites).holds
     assert abstracts_outcome(extra, finals, sites).holds
@@ -315,6 +317,62 @@ def test_wrong_site_mutant_is_caught(monkeypatch, name, inputs):
     )
     report = differential_test(load(name), [inputs], per_statement=True)
     assert report["checked"] == 1 and report["violations"]
+
+
+def test_harness_hashes_no_concrete_state(monkeypatch):
+    """A per-statement check relates each concrete state as it is: every
+    concrete stage holds the run's one state, and no step hashes it."""
+
+    def unhashable(state):
+        raise AssertionError("a concrete state was hashed")
+
+    monkeypatch.setattr(concrete.CState, "__hash__", unhashable)
+    samples = GOLDEN_RUNNABLE + ["caveat_site_reset.sdtl", "caveat_curried_reset.sdtl"]
+    cases = [(load(name), [(), (0,), (1,), (5, 2, 100, 7)]) for name in samples]
+    cases += [
+        (source, soundness.default_input_vectors(2026, index))
+        for index, source in enumerate(generate_programs(2026, 40))
+    ]
+    for source, vectors in cases:
+        report = differential_test(source, vectors, per_statement=True)
+        assert report["checked"] + len(report["errors"]) == len(vectors)
+        program = parse(source)
+        statements = len(list(syntax.statements(program.root)))
+        for vector in vectors:
+            trace, stages = soundness._stage_recorder(program)
+            try:
+                run_program(program, vector, trace=trace)
+            except soundness.EvalError:
+                continue
+            assert [len(stage) for stage in stages()] == [1] * (statements - 1)
+
+
+def test_explanations_follow_the_analysis_order():
+    """A violation's explanations name its candidates in the analysis's
+    order: the stage recorder's for a stage, `final_states`' for the final
+    check.  After statement 4 the then-branch's state, `z` a number, comes
+    first, though its repr sorts after the boolean one's."""
+    program = parse(MULTI_CANDIDATE)
+    trace, stages = soundness._stage_recorder(program)
+    analysis = analyze_program(program, trace=trace)
+    astages = list(stages())
+    assert [s.env["z"] for s in astages[4]] == [NUM, BOOL]
+    report = differential_test(MULTI_CANDIDATE, [(0,), (1,)], per_statement=True)
+    for vector in [(0,), (1,)]:
+        trace, stages = soundness._stage_recorder(program)
+        result = run_program(program, vector, trace=trace)
+        checks = [(None, analysis.final_states, result.final_state)]
+        checks += [(i, a, c) for i, (a, (c,)) in enumerate(zip(astages, stages()))]
+        expected = {}
+        for stage, astates, cstate in checks:
+            mismatches = [state_mismatch(a, cstate, result.sites) for a in astates]
+            if None not in mismatches:
+                expected[stage] = mismatches or ["no abstract final states at all"]
+        assert len(expected[4]) == 2
+        assert {
+            v.get("afterStatement"): v["explanations"]
+            for v in report["violations"] if v["inputs"] == list(vector)
+        } == expected
 
 
 def test_errors_reported_separately():
