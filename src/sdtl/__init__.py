@@ -8,7 +8,7 @@ from .soundness import (
     abstracts_outcome,
     abstracts_value,
     differential_test,
-    generate_programs,
+    enumerate_programs,
 )
 from .syntax import ParseError, Program, parse
 
@@ -22,7 +22,7 @@ __all__ = [
     "abstracts_value",
     "analyze_program",
     "differential_test",
-    "generate_programs",
+    "enumerate_programs",
     "parse",
     "run_program",
 ]

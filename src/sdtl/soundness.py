@@ -4,15 +4,18 @@ A type analysis result is sound for a run when every concrete final state
 is abstracted by some abstract final state.  The relation reads the run's
 allocation-site map, so each concrete object is checked once, against the
 abstract object of its own site, and cyclic object graphs need no special
-case.  This module makes the relation executable, checks it over concrete
-runs, and generates random terminating programs to probe it at scale.
-Failures carry a nearest-miss explanation per abstract candidate state,
-in the analysis's first-seen order.
+case.  This module makes the relation executable and checks it over
+concrete runs: of one program, or of every well-scoped program of up to
+three statements over a fixed alphabet, enumerated smallest first so that
+the first failure is a smallest one (Runciman, Naylor & Lindblad,
+"SmallCheck and Lazy SmallCheck", 2008).  Failures carry a nearest-miss
+explanation per abstract candidate state, in the analysis's first-seen
+order.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 
 from . import abstract, concrete, kernel, syntax
@@ -94,7 +97,8 @@ def state_mismatch(astate, cstate, sites):
 @dataclass(frozen=True)
 class Judgment:
     holds: bool
-    # per unmatched concrete state: (state, tuple of per-candidate explanations)
+    # per unmatched concrete state: (state, tuple of per-candidate explanations),
+    # the tuple empty when there was no candidate
     witnesses: tuple = ()
 
 
@@ -113,8 +117,6 @@ def abstracts_outcome(astates, cstates, sites) -> Judgment:
                 break
             explanations.append(mismatch)
         else:
-            if not astates:
-                explanations.append("no abstract final states at all")
             witnesses.append((cstate, tuple(explanations)))
     return Judgment(holds=not witnesses, witnesses=tuple(witnesses))
 
@@ -195,6 +197,11 @@ def differential_test(
 
 def _collect_violations(violations, vector, judgment, stage):
     for cstate, explanations in judgment.witnesses:
+        if not explanations:
+            explanations = (
+                "no abstract final states at all" if stage is None
+                else f"no abstract states after statement {stage} at all",
+            )
         entry = {
             "inputs": list(vector),
             "concreteState": concrete.state_to_json(cstate),
@@ -224,331 +231,75 @@ def classify_caveat(report) -> str | None:
     return None
 
 
-# --- Random program generation ----------------------------------------------------
+# --- Small programs, enumerated ---------------------------------------------------
 
-_KINDS = (
-    "assign", "output", "if", "ifelse", "while", "fundecl",
-    "call", "trycatch", "throw", "new", "member", "nil",
+CORPUS_PRELUDE = (
+    "function F(v){this.m=v;}\n"
+    "function mk(c,v){return new c(v);}\n"
+    "function add(x,y){return x+y;}\n"
+    "function part(f,v){return f(v);}\n"
 )
 
-
-class _ProgramBuilder:
-    """One random, well-formed, concretely terminating program.
-
-    Loops count a fresh variable down from a small constant, and functions
-    only call previously declared functions, so every concrete run finishes.
-    """
-
-    def __init__(self, rng, size):
-        self.rng = rng
-        self.size = size
-        self.names = 0
-        self.functions = []  # (name, arity) declared so far, in order
-        self.constructors = []  # functions known to set this.value
-        self.partials = []  # (variable, missing argument count)
-        self.variables = []
-        self.objects = ["global"]
-        self.members = []  # (object name, member name) known assigned
-        self.methods = []  # (object name, member name, missing count)
-        self.inputs_used = 0
-
-    def fresh(self, prefix):
-        self.names += 1
-        return f"{prefix}{self.names}"
-
-    def pick(self, items):
-        return items[self.rng.randrange(len(items))]
-
-    def literal(self):
-        if self.rng.random() < 0.2:
-            return self.pick(["true", "false"])
-        return str(self.rng.randint(0, 9))
-
-    def number(self):
-        if self.inputs_used < 4 and self.rng.random() < 0.25:
-            self.inputs_used += 1
-            return "input"
-        return str(self.rng.randint(0, 9))
-
-    def atom(self, numeric=False):
-        if self.variables and self.rng.random() < 0.55:
-            return self.pick(self.variables)
-        return self.number() if numeric else self.literal()
-
-    def expression(self, depth=0):
-        roll = self.rng.random()
-        if depth < 2 and roll < 0.35:
-            op = self.pick(["+", "-", "*"])
-            return f"{self.expression(depth + 1)} {op} {self.expression(depth + 1)}"
-        if depth < 2 and roll < 0.45:
-            divisor = self.rng.randint(1, 4)
-            return f"{self.expression(depth + 1)} / {divisor}"
-        if depth < 2 and roll < 0.55 and self.functions:
-            return self.call_expression()
-        if depth < 2 and roll < 0.6 and self.partials:
-            name, missing = self.pick(self.partials)
-            args = ", ".join(self.atom(numeric=True) for _ in range(missing))
-            return f"{name}({args})"
-        if depth < 2 and roll < 0.64 and self.methods:
-            obj, member, missing = self.pick(self.methods)
-            args = ", ".join(self.atom(numeric=True) for _ in range(missing))
-            return f"{obj}.{member}({args})"
-        if depth < 2 and roll < 0.7 and self.members:
-            obj, member = self.pick(self.members)
-            return f"{obj}.{member}"
-        return self.atom(numeric=True)
-
-    def comparison(self):
-        op = self.pick([">", "<"])
-        return f"{self.atom(numeric=True)} {op} {self.atom(numeric=True)}"
-
-    def call_expression(self):
-        name, arity = self.pick(self.functions)
-        args = ", ".join(self.atom(numeric=True) for _ in range(arity))
-        return f"{name}({args})"
-
-    def statement(self, kind, indent, depth):
-        pad = "\t" * indent
-        rng = self.rng
-        if kind == "assign":
-            if depth > 0 or (self.variables and rng.random() < 0.5):
-                name = self.pick(self.variables)
-                return [f"{pad}{name} = {self.expression()};"]
-            rhs = self.expression()
-            name = self.fresh("x")
-            self.variables.append(name)
-            return [f"{pad}{name} = {rhs};"]
-        if kind == "output":
-            return [f"{pad}output {self.expression()};"]
-        if kind == "if":
-            return [
-                f"{pad}if({self.comparison()}) {{",
-                *self.block(indent + 1, depth),
-                f"{pad}}}",
-            ]
-        if kind == "ifelse":
-            return [
-                f"{pad}if({self.comparison()}) {{",
-                *self.block(indent + 1, depth),
-                f"{pad}}} else {{",
-                *self.block(indent + 1, depth),
-                f"{pad}}}",
-            ]
-        if kind == "while":
-            # the counter stays out of the variable pool so no generated
-            # statement can clobber it: every loop terminates
-            counter = self.fresh("w")
-            return [
-                f"{pad}{counter} = {rng.randint(1, 3)};",
-                f"{pad}while({counter} > 0) {{",
-                f"{pad}\t{counter} = {counter} - 1;",
-                *self.block(indent + 1, depth),
-                f"{pad}}}",
-            ]
-        if kind == "fundecl":
-            return self.fundecl(indent)
-        if kind == "call":
-            if not self.functions:
-                return self.fundecl(indent)
-            curryable = [(n, a) for n, a in self.functions if a >= 1]
-            if curryable and rng.random() < 0.3:
-                fun, arity = self.pick(curryable)
-                count = rng.randrange(arity)
-                args = ", ".join(self.atom(numeric=True) for _ in range(count))
-                name = self.fresh("p")
-                self.partials.append((name, arity - count))
-                return [f"{pad}{name} = {fun}({args});"]
-            if rng.random() < 0.4:
-                source = self.call_expression()
-                name = self.fresh("x")
-                self.variables.append(name)
-                return [f"{pad}{name} = {source};"]
-            return [f"{pad}{self.call_expression()};"]
-        if kind == "trycatch":
-            exc = self.fresh("e")
-            body = self.block(indent + 1, depth)
-            thrown = rng.random() < 0.7
-            if thrown:
-                body.append(
-                    "\t" * (indent + 1) + f"throw {self.atom(numeric=True)};"
-                )
-            handler_var = self.fresh("x")
-            lines = [
-                f"{pad}try {{",
-                *body,
-                f"{pad}}} catch({exc}) {{",
-                f"{pad}\t{handler_var} = {exc};",
-                f"{pad}}}",
-            ]
-            if thrown:
-                # the handler certainly ran, so these are bound afterwards
-                self.variables.append(handler_var)
-                self.variables.append(exc)
-            return lines
-        if kind == "throw":
-            exc = self.fresh("e")
-            return [
-                f"{pad}try {{",
-                f"{pad}\tthrow {self.atom(numeric=True)};",
-                f"{pad}}} catch({exc}) {{",
-                f"{pad}\toutput {exc};",
-                f"{pad}}}",
-            ]
-        if kind == "new":
-            if not self.constructors:
-                return self.fundecl(indent, constructor=True)
-            name, arity = self.pick(self.constructors)
-            obj = self.fresh("o")
-            self.objects.append(obj)
-            self.members.append((obj, "value"))
-            args = ", ".join(self.atom(numeric=True) for _ in range(arity))
-            return [f"{pad}{obj} = new {name}({args});"]
-        if kind == "member":
-            obj = self.pick(self.objects)
-            curryable = [(n, a) for n, a in self.functions if a >= 1]
-            if depth == 0 and curryable and rng.random() < 0.35:
-                # attach a method: a mixin-style partial application
-                fun, arity = self.pick(curryable)
-                count = rng.randrange(arity)
-                args = ", ".join(self.atom(numeric=True) for _ in range(count))
-                member = self.fresh("m")
-                self.methods.append((obj, member, arity - count))
-                return [f"{pad}{obj}.{member} = {fun}({args});"]
-            member = self.pick(["value", "extra"])
-            rhs = self.expression()
-            self.members.append((obj, member))
-            return [f"{pad}{obj}.{member} = {rhs};"]
-        if kind == "nil":
-            return [f"{pad}nil;"]
-        raise AssertionError(kind)
-
-    def block(self, indent, depth):
-        if depth >= 2:
-            return ["\t" * indent + "nil;"]
-        kinds = ["assign", "output", "assign", "member"]
-        lines = []
-        for _ in range(self.rng.randint(1, 2)):
-            lines.extend(self.statement(self.pick(kinds), indent, depth + 1))
-        return lines
-
-    def fundecl(self, indent, constructor=False):
-        pad = "\t" * indent
-        name = self.fresh("F" if constructor else "f")
-        arity = self.rng.randint(1, 2) if constructor else self.rng.randint(0, 2)
-        params = [self.fresh("a") for _ in range(arity)]
-        header = f"{pad}function {name}({', '.join(params)}) {{"
-        body = []
-        if constructor or (params and self.rng.random() < 0.3):
-            body.append(f"{pad}\tthis.value = {params[0] if params else 1};")
-        if self.rng.random() < 0.3:
-            body.append(f"{pad}\toutput {self.rng.randint(0, 9)};")
-        if params and self.rng.random() < 0.8:
-            body.append(f"{pad}\treturn {params[0]} + {self.rng.randint(0, 5)};")
-        else:
-            body.append(f"{pad}\treturn {self.rng.randint(0, 9)};")
-        self.functions.append((name, arity))
-        if constructor:
-            self.constructors.append((name, arity))
-        return [header, *body, f"{pad}}}"]
-
-    def build(self, forced_kind):
-        lines = []
-        if self.rng.random() < 0.8:
-            lines.extend(self.fundecl(0))
-        for _ in range(self.rng.randint(1, 2)):
-            name = self.fresh("x")
-            self.variables.append(name)
-            lines.append(f"{name} = {self.literal()};")
-        count = self.rng.randint(min(2, self.size), self.size)
-        kinds = [forced_kind] + [self.pick(_KINDS) for _ in range(count)]
-        self.rng.shuffle(kinds)
-        for kind in kinds:
-            lines.extend(self.statement(kind, 0, 0))
-        lines.append(f"output {self.atom(numeric=True)};")
-        return "\n".join(lines) + "\n"
+# (statement, the names it reads, the names it binds), each name one letter;
+# no statement reads more than one input, and every loop ends
+CORPUS_ALPHABET = (
+    ("x=1;", "", "x"),
+    ("x=true;", "", "x"),
+    ("x=input;", "", "x"),
+    ("x=input<1;", "", "x"),
+    ("x=(x-1)*2/3>0==true;", "x", "x"),
+    ("output x+1;", "x", ""),
+    ("if(input<1){x=1;}else{x=true;}", "", "x"),
+    ("if(x){x=1;}", "x", ""),
+    ("a=mk(F,1);", "", "a"),
+    ("b=mk(F,true);", "", "b"),
+    ("a.m=true;", "a", ""),
+    ("x=a.m;", "a", "x"),
+    ("p=part(add,1);", "", "p"),
+    ("q=part(add,true);", "", "q"),
+    ("x=p(2);", "p", "x"),
+    ("global.f=p;x=global.f(2);", "p", "x"),
+    ("i=0;y=1;while(i<2){i=i+1;x=y;y=true;}", "", "ixy"),
+    ("try{throw input;}catch(e){x=e;}", "", "xe"),
+    ("mk(F,input);", "", ""),
+    ("nil;", "", ""),
+)
+CORPUS_STATEMENTS = 3  # the most alphabet statements in one program
+CORPUS_INPUTS = ((0, 0, 0), (1, 1, 1))
 
 
-def generate_programs(seed, count, size_bound=None) -> list:
-    """Deterministically generate `count` well-formed SDTL programs.
+def enumerate_programs() -> list:
+    """Every well-scoped program of 1 to `CORPUS_STATEMENTS` alphabet
+    statements, one a line after the prelude, fewest statements first.
 
-    Program `i` force-includes statement kind ``i mod 12`` so the corpus
-    covers the whole grammar, next to at most `size_bound` (default 6)
-    random top-level statement kinds; every loop is counter-bounded so
-    concrete runs terminate.
-    """
-    size = 6 if size_bound is None else size_bound
+    A program is well-scoped when each statement reads only names bound
+    before it, so no run ends at an undefined variable or member."""
     programs = []
-    for index in range(count):
-        rng = random.Random(f"sdtl-{seed}-{index}")
-        builder = _ProgramBuilder(rng, size)
-        programs.append(builder.build(_KINDS[index % len(_KINDS)]))
+    for count in range(1, CORPUS_STATEMENTS + 1):
+        for statements in itertools.product(CORPUS_ALPHABET, repeat=count):
+            bound = set()
+            for _, reads, binds in statements:
+                if not bound.issuperset(reads):
+                    break
+                bound.update(binds)
+            else:
+                lines = (text + "\n" for text, _, _ in statements)
+                programs.append(CORPUS_PRELUDE + "".join(lines))
     return programs
 
 
-def split_top_level(source) -> list:
-    """Split generated source back into top-level statement chunks.
-
-    Generated programs put every top-level statement at column zero with
-    continuation lines indented or starting with '}'."""
-    chunks = []
-    for line in source.splitlines():
-        starts_chunk = line and not line[0] in " \t}"
-        if starts_chunk or not chunks:
-            chunks.append([line])
-        else:
-            chunks[-1].append(line)
-    return ["\n".join(chunk) for chunk in chunks]
-
-
-def shrink_program(source, still_failing) -> str:
-    """Greedy 1-minimal statement deletion: drop any top-level chunk whose
-    removal keeps `still_failing` true."""
-    chunks = split_top_level(source)
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(chunks)):
-            candidate = chunks[:index] + chunks[index + 1:]
-            if not candidate:
-                continue
-            candidate_source = "\n".join(candidate) + "\n"
-            if still_failing(candidate_source):
-                chunks = candidate
-                changed = True
-                break
-    return "\n".join(chunks) + "\n"
-
-
-def default_input_vectors(seed, index) -> list:
-    """The four input vectors of generated program `index`."""
-    rng = random.Random(f"sdtl-inputs-{seed}-{index}")
-    return [tuple(rng.randint(-3, 9) for _ in range(8)) for _ in range(4)]
-
-
-def check_generated_corpus(seed, count, size_bound=None) -> list:
-    """Differential-test a generated corpus; violating programs are
-    minimized and classified against the documented abstraction caveats."""
+def check_generated_corpus() -> list:
+    """Differential-test every enumerated program, per statement, on
+    `CORPUS_INPUTS`.  Programs come smallest first, so the first violating
+    one is a smallest; a violating report carries its source and is
+    classified against the documented abstraction caveats."""
     reports = []
-    for index, source in enumerate(generate_programs(seed, count, size_bound)):
-        input_vectors = default_input_vectors(seed, index)
-        label = f"generated:{seed}:{index}"
-
-        def check(candidate):
-            return differential_test(candidate, input_vectors, label=label)
-
-        report = check(source)
+    for index, source in enumerate(enumerate_programs()):
+        report = differential_test(
+            source, CORPUS_INPUTS, label=f"enumerated:{index}", per_statement=True
+        )
         if report["violations"]:
-
-            def still_failing(candidate):
-                try:
-                    trial = check(candidate)
-                except (syntax.ParseError, abstract.AnalysisLimitError):
-                    return False
-                return bool(trial["violations"])
-
-            minimized = shrink_program(source, still_failing)
-            report = check(minimized)
-            report["source"] = minimized
+            report["source"] = source
             report["caveat"] = classify_caveat(report)
         reports.append(report)
     return reports

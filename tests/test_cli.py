@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import sdtl
-from helpers import GOLDEN, MULTI_CANDIDATE, PROGRAMS, straight_line
+from helpers import (
+    GENERATED, GOLDEN, MULTI_CANDIDATE, PROGRAMS, generated_reports, straight_line,
+)
 from perfbench import programs
 from sdtl import abstract, cli, kernel, soundness
 
@@ -171,26 +174,6 @@ def test_loop_budget_ends_an_endless_run_with_one_error_line(capsys, monkeypatch
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("option, value, expected", [
-    ("--size", "0", "positive"),
-    ("--size", "-2", "positive"),
-    ("--count", "-1", "non-negative"),
-])
-def test_generator_bounds_out_of_range_are_usage_errors(capsys, option, value, expected):
-    err = usage_error(capsys, "check-soundness", "--generate", option, value)
-    assert f"argument {option}: not a {expected} integer: '{value}'" in err
-
-
-@pytest.mark.parametrize("option, value, checked", [
-    ("--size", "1", 12),
-    ("--count", "0", 0),
-])
-def test_generator_bounds_at_their_minimum(capsys, option, value, checked):
-    argv = ["check-soundness", "--generate", "--count", "12", option, value]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and json.loads(out)["checked"] == checked
-
-
 @pytest.mark.parametrize("extra", [
     [path("fact.sdtl"), "--per-statement", "--input-sets=5"],
     [path("fact.sdtl")],
@@ -201,7 +184,7 @@ def test_generate_with_a_file_or_its_options_is_usage_error(capsys, extra):
     """A generated corpus brings its own programs and input vectors, so a
     file, ``--per-statement`` or ``--input-sets`` next to ``--generate``
     would be ignored; the command refuses them instead."""
-    err = usage_error(capsys, "check-soundness", "--generate", "--count", "1", *extra)
+    err = usage_error(capsys, "check-soundness", "--generate", *extra)
     assert err.startswith("usage: sdtl check-soundness ")
     assert err.endswith(
         "error: argument --generate: not allowed with a file, --per-statement "
@@ -216,13 +199,12 @@ def test_generate_with_a_file_or_its_options_is_usage_error(capsys, extra):
     ["--size", "2"],
 ])
 def test_corpus_options_with_a_file_are_usage_errors(capsys, extra):
-    """``--seed``, ``--count`` and ``--size`` shape a generated corpus and
-    would be ignored next to a file, even at their default values."""
-    err = usage_error(capsys, "check-soundness", path("fact.sdtl"), *extra)
-    assert err.startswith("usage: sdtl check-soundness ")
-    assert err.endswith(
-        "error: arguments --seed, --count and --size: only allowed with --generate\n"
-    )
+    """The enumerated corpus has no seed, count or size: ``--seed``,
+    ``--count`` and ``--size`` are unknown options, with a file and with
+    ``--generate`` alike."""
+    for argv in ([path("fact.sdtl"), *extra], ["--generate", *extra]):
+        err = usage_error(capsys, "check-soundness", *argv)
+        assert f"error: unrecognized arguments: {extra[0]}" in err
 
 
 def test_check_soundness_without_a_file_is_a_usage_error(capsys):
@@ -232,19 +214,6 @@ def test_check_soundness_without_a_file_is_a_usage_error(capsys):
     err = usage_error(capsys, "check-soundness")
     assert err.startswith("usage: sdtl check-soundness ")
     assert err.endswith("error: check-soundness needs a file or --generate\n")
-
-
-def test_generate_defaults_to_seed_0_and_200_programs(capsys, monkeypatch):
-    calls = []
-
-    def corpus(seed, count, size_bound=None):
-        calls.append((seed, count, size_bound))
-        return []
-
-    monkeypatch.setattr(soundness, "check_generated_corpus", corpus)
-    code, out, _ = run_cli(capsys, "check-soundness", "--generate")
-    assert code == 0 and json.loads(out)["checked"] == 0
-    assert calls == [(0, 200, None)]
 
 
 def test_check_soundness_says_when_no_run_was_checked(capsys):
@@ -384,10 +353,10 @@ GENERATED_GOLDEN_DIGEST = (
 
 def test_analyze_generated_matches_golden_digest(tmp_path, capsys):
     """sha256 over the exit code and `analyze --format json` output of each
-    of ``generate_programs(2026, 60)``, recorded before the call and loop
-    engines were merged into one."""
+    of the first 60 recorded programs of ``helpers.GENERATED``, recorded
+    before the call and loop engines were merged into one."""
     digest = hashlib.sha256()
-    for index, source in enumerate(soundness.generate_programs(2026, 60)):
+    for index, (source, _) in enumerate(GENERATED[:60]):
         prog = tmp_path / f"p{index}.sdtl"
         prog.write_text(source)
         code, out, _ = run_cli(capsys, "analyze", str(prog), "--format", "json")
@@ -452,7 +421,7 @@ def test_analyze_iteration_cap(capsys, monkeypatch):
 
 def test_check_soundness_generated_iteration_cap(capsys, monkeypatch):
     monkeypatch.setattr(abstract.AbstractInterpretation, "max_iterations", 1)
-    code, _, err = run_cli(capsys, "check-soundness", "--generate", "--count", "12")
+    code, _, err = run_cli(capsys, "check-soundness", "--generate")
     assert code == 1 and "analysis failure" in err
 
 
@@ -513,13 +482,21 @@ def test_multi_candidate_report_is_the_same_in_every_process(tmp_path):
     assert reports[0] == reports[1] == expected.read_text(encoding="utf-8")
 
 
-def test_check_soundness_generated(capsys):
-    code, out, _ = run_cli(
-        capsys, "check-soundness", "--generate", "--seed", "9", "--count", "10"
-    )
-    assert code == 0
+def test_check_soundness_generated(capsys, monkeypatch):
+    """The enumerated corpus finds both documented caveats and classifies
+    every violating program; the runs of clean programs are counted too.
+    The corpus is checked once per test run, shared with test_soundness."""
+    monkeypatch.setattr(soundness, "check_generated_corpus", generated_reports)
+    code, out, _ = run_cli(capsys, "check-soundness", "--generate")
     summary = json.loads(out)
-    assert summary["checked"] == 10 and summary["violationPrograms"] == 0
+    assert code == 3
+    assert (summary["checked"], summary["checkedRuns"], summary["discardedRuns"]) == (
+        3308, 5825, 791,
+    )
+    assert summary["violationPrograms"] == len(summary["reports"]) == 232
+    assert collections.Counter(r["caveat"] for r in summary["reports"]) == {
+        "allocation-site-reset": 152, "curried-anchor-reset": 80,
+    }
 
 
 def test_dump_ast(capsys):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PROGRAMS, calls_by_file, iter_nodes, load_program, max_depth
+from helpers import (
+    GENERATED, PROGRAMS, calls_by_file, iter_nodes, load_program, max_depth,
+)
 from perfbench import programs
-from sdtl import abstract, concrete, kernel, soundness, syntax
+from sdtl import abstract, concrete, kernel, syntax
 from sdtl.kernel import NULL, UNIT, VOID, FrozenMap, pure
 from sdtl.syntax import parse
 
@@ -331,15 +333,12 @@ def test_outcome_payload_is_null_exactly_when_its_state_escapes(monkeypatch):
     """Every outcome that either interpretation reports to the trace hook
     has payload NULL exactly when its state has a pending return or
     exception, so no statement's outcomes hold a state twice.  The samples
-    run on inputs 3,4,100 and each generated program on the first input
-    vector of its corpus; a budget of 1,000 loop iterations ends the sample
-    that does not terminate."""
+    run on inputs 3,4,100 and each recorded program of ``helpers.GENERATED``
+    on its first input vector; a budget of 1,000 loop iterations ends the
+    sample that does not terminate."""
     monkeypatch.setattr(kernel.Interpretation, "max_loop_iterations", 1000)
     cases = [(path.read_text(), (3, 4, 100)) for path in sorted(PROGRAMS.glob("*.sdtl"))]
-    cases += [
-        (source, soundness.default_input_vectors(2026, index)[0])
-        for index, source in enumerate(soundness.generate_programs(2026, 200))
-    ]
+    cases += [(source, vectors[0]) for source, vectors in GENERATED]
     wrong = []
 
     def trace(node, outcome):

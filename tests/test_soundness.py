@@ -1,18 +1,19 @@
+import collections
 import itertools
 
 import pytest
 
 from helpers import (
-    GOLDEN_RUNNABLE, MULTI_CANDIDATE, iter_nodes, load, load_program,
+    GENERATED, GOLDEN_RUNNABLE, MULTI_CANDIDATE, generated_reports, iter_nodes, load,
+    load_program,
 )
 from sdtl import abstract, concrete, kernel, soundness, syntax
 from sdtl.abstract import BOOL, NUM, AFunPtr, AObjRef, analyze_program
 from sdtl.concrete import FunPtr, ObjRef, run_program
 from sdtl.kernel import VOID, VOID_VAL, FrozenMap
 from sdtl.soundness import (
-    abstracts_outcome, abstracts_value, check_generated_corpus, classify_caveat,
-    differential_test, generate_programs, shrink_program, split_top_level,
-    state_mismatch,
+    CORPUS_PRELUDE, abstracts_outcome, abstracts_value, check_generated_corpus,
+    classify_caveat, differential_test, enumerate_programs, state_mismatch,
 )
 from sdtl.syntax import parse
 
@@ -206,7 +207,23 @@ def test_no_abstract_candidates_fails():
     judgment = abstracts_outcome(set(), {CSTATE0}, SITES0)
     assert not judgment.holds
     ((_, explanations),) = judgment.witnesses
-    assert explanations == ("no abstract final states at all",)
+    assert explanations == ()
+
+
+def test_no_abstract_candidates_are_explained_at_their_stage():
+    """The site-reset caveat leaves the analysis no state after `x=a.m+1`,
+    statement 4, while the run goes on: the explanation names that
+    statement, and only the final check speaks of final states."""
+    source = (
+        "function F(v){this.m=v;} function mk(c,v){return new c(v);} "
+        "a=mk(F,1); b=mk(F,true); x=a.m+1; output x;"
+    )
+    report = differential_test(source, [(0,)], per_statement=True)
+    assert {v.get("afterStatement"): v["explanations"] for v in report["violations"]} == {
+        None: ["no abstract final states at all"],
+        3: ["object 1 (site 11): member 'm': Bool does not abstract 1"],
+        4: ["no abstract states after statement 4 at all"],
+    }
 
 
 def test_while_example_outcome():
@@ -329,10 +346,7 @@ def test_harness_hashes_no_concrete_state(monkeypatch):
     monkeypatch.setattr(concrete.CState, "__hash__", unhashable)
     samples = GOLDEN_RUNNABLE + ["caveat_site_reset.sdtl", "caveat_curried_reset.sdtl"]
     cases = [(load(name), [(), (0,), (1,), (5, 2, 100, 7)]) for name in samples]
-    cases += [
-        (source, soundness.default_input_vectors(2026, index))
-        for index, source in enumerate(generate_programs(2026, 40))
-    ]
+    cases += GENERATED[:40]
     for source, vectors in cases:
         report = differential_test(source, vectors, per_statement=True)
         assert report["checked"] + len(report["errors"]) == len(vectors)
@@ -367,7 +381,10 @@ def test_explanations_follow_the_analysis_order():
         for stage, astates, cstate in checks:
             mismatches = [state_mismatch(a, cstate, result.sites) for a in astates]
             if None not in mismatches:
-                expected[stage] = mismatches or ["no abstract final states at all"]
+                expected[stage] = mismatches or [
+                    f"no abstract states after statement {stage} at all"
+                    if stage is not None else "no abstract final states at all"
+                ]
         assert len(expected[4]) == 2
         assert {
             v.get("afterStatement"): v["explanations"]
@@ -420,87 +437,82 @@ def test_clean_reports_have_no_caveat():
     assert classify_caveat(report) is None
 
 
-# --- generator and shrinking -----------------------------------------------------------------
+# --- the enumerated corpus --------------------------------------------------------
 
 
-def test_generation_is_deterministic():
-    assert generate_programs(5, 10) == generate_programs(5, 10)
-    assert generate_programs(5, 10) != generate_programs(6, 10)
+def statement_lines(source):
+    return source.removeprefix(CORPUS_PRELUDE).splitlines()
 
 
 def test_generated_programs_parse():
-    for source in generate_programs(11, 200):
+    programs = enumerate_programs()
+    for source in programs:
         parse(source)
+    counts = collections.Counter(len(statement_lines(p)) for p in programs)
+    assert counts == {1: 13, 2: 194, 3: 3101}
 
 
-def test_size_bound_defaults_to_6_and_may_be_1():
-    assert generate_programs(5, 12) == generate_programs(5, 12, size_bound=6)
-    smallest = generate_programs(5, 12, size_bound=1)
-    assert smallest != generate_programs(5, 12)
-    for source in smallest:
-        parse(source)
+def test_generated_programs_come_fewest_statements_first():
+    """Programs come in non-decreasing statement count, so the first one
+    that fails is a smallest one."""
+    counts = [len(statement_lines(p)) for p in enumerate_programs()]
+    assert counts == sorted(counts)
 
 
-def test_generated_kind_coverage_per_hundred():
-    kinds_needed = {
-        "Nil", "Seq", "ExpStm", "Output", "Assign", "If", "IfElse",
-        "While", "FunDecl", "Return", "TryCatch", "Throw",
-    }
-    programs = generate_programs(2, 200)
-    for start in (0, 100):
-        seen = set()
-        for source in programs[start:start + 100]:
-            seen |= {
-                type(n).__name__
-                for n in iter_nodes(parse(source).root)
-                if isinstance(n, syntax.Stm)
-            }
-        assert kinds_needed <= seen
+def test_generated_programs_cover_every_node_class_and_operator():
+    classes, operators = set(), set()
+    for source in enumerate_programs():
+        for node in iter_nodes(parse(source).root):
+            classes.add(type(node))
+            if isinstance(node, syntax.BinOp):
+                operators.add(node.op)
+    assert classes == set(syntax._LAYOUT)
+    assert operators == set(syntax._Parser._PRECEDENCE)
 
 
 def test_generated_runs_terminate():
-    for index, source in enumerate(generate_programs(3, 30)):
-        for vector in soundness.default_input_vectors(3, index)[:2]:
-            try:
-                run_program(parse(source), vector)
-            except soundness.EvalError:
-                pass  # run-time errors are fine; non-termination is not
+    """Every run of every program ends, and every discarded run in a type
+    error: well-scoped programs never read an undefined variable or member,
+    and none reads more inputs than a vector holds."""
+    errors = collections.Counter()
+    for report in generated_reports():
+        assert report["checked"] + len(report["errors"]) == 2
+        for error in report["errors"]:
+            assert not any(
+                text in error["error"]
+                for text in ("undefined variable", "undefined member", "input exhausted")
+            ), error
+            errors[error["error"].split(" (")[0]] += 1
+    assert errors == {
+        "condition not boolean": 271,
+        "operator '+' needs integers": 260,
+        "operator '-' needs integers": 260,
+    }
 
 
-def test_split_top_level_round_trips():
-    for source in generate_programs(4, 20):
-        chunks = split_top_level(source)
-        assert "\n".join(chunks) + "\n" == source
-        assert len(chunks) >= 2
-
-
-def test_shrinking_minimizes_site_reset():
-    vectors = [()]
-
-    def still_failing(candidate):
-        try:
-            trial = differential_test(candidate, vectors)
-        except syntax.ParseError:
-            return False
-        return bool(trial["violations"])
-
-    minimized = shrink_program(SITE_RESET, still_failing)
-    assert still_failing(minimized)
-    assert len(split_top_level(minimized)) <= len(split_top_level(SITE_RESET))
-    # the loop and constructor are essential to the counterexample
-    assert "while" in minimized and "function F" in minimized
+def test_first_violating_generated_programs_are_the_caveats_smallest():
+    """No shrinking is needed: the first violating program of each caveat is
+    two statements that allocate, or partially apply, at one site twice."""
+    first = {}
+    for report in generated_reports():
+        if report["violations"]:
+            first.setdefault(report["caveat"], statement_lines(report["source"]))
+    assert first == {
+        "allocation-site-reset": ["a=mk(F,1);", "b=mk(F,true);"],
+        "curried-anchor-reset": ["p=part(add,1);", "q=part(add,true);"],
+    }
 
 
 def test_generated_corpus_is_clean_or_classified():
-    reports = check_generated_corpus(seed=42, count=60)
-    assert len(reports) == 60
-    assert sum(r["checked"] for r in reports) > 100
-    for report in reports:
-        if report["violations"]:
-            assert report["caveat"] is not None
+    reports = generated_reports()
+    assert len(reports) == len(enumerate_programs())
+    caveats = collections.Counter(
+        report["caveat"] for report in reports if report["violations"]
+    )
+    assert caveats == {"allocation-site-reset": 152, "curried-anchor-reset": 80}
 
 
 def test_generated_corpus_honours_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(abstract.AbstractInterpretation, "max_iterations", 1)
     with pytest.raises(abstract.AnalysisLimitError):
-        check_generated_corpus(2026, 12)
+        check_generated_corpus()

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    GOLDEN, PROGRAMS, calls_by_file, find_fundecl, iter_nodes, load, load_program,
-    node_to_json, straight_line,
+    GENERATED, GOLDEN, PROGRAMS, calls_by_file, find_fundecl, iter_nodes, load,
+    load_program, node_to_json, straight_line,
 )
-from sdtl import concrete, soundness, syntax
+from sdtl import concrete, syntax
 from sdtl.syntax import (
     Assign, BinOp, Call, Con, FunDecl, Member, MethodCall, Nil, ParseError,
     Seq, Var, child_nodes, node_id, parse,
@@ -292,12 +292,12 @@ GENERATED_AST_DIGEST = (
 
 def test_ast_of_generated_and_long_programs_matches_digest():
     """sha256 over the compact JSON of each tree and its function table's
-    sids (each followed by a newline), for ``generate_programs(2026, 200)``
-    and straight-line programs of 100, 300 and 800 statements, recorded
+    sids (each followed by a newline), for the 200 recorded programs of
+    ``helpers.GENERATED`` and straight-line programs of 100, 300 and 800 statements, recorded
     before parsing was made linear.  Turning a tree into JSON recurses once
     per statement of a top-level sequence, so it runs with headroom."""
     sources = [
-        *soundness.generate_programs(2026, 200),
+        *(source for source, _ in GENERATED),
         *(straight_line(count) for count in (100, 300, 800)),
     ]
     digest = hashlib.sha256()
@@ -344,7 +344,7 @@ def test_dump_ast_work_grows_linearly():
 
 def test_dump_ast_is_indented_json_of_the_tree():
     sources = [
-        *soundness.generate_programs(2026, 40),
+        *(source for source, _ in GENERATED[:40]),
         *(straight_line(count) for count in (1, 2, 100)),
     ]
     with concrete.recursion_headroom():
