@@ -90,10 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--per-statement", action="store_true")
     check.add_argument("--generate", action="store_true")
-    check.set_defaults(usage_error=check.error)  # its usage line, not the top level's
 
     dump = sub.add_parser("dump-ast", help="dump the id-annotated AST as JSON")
     dump.add_argument("file")
+    for command in (run, analyze, check, dump):  # its usage line, not the top level's
+        command.set_defaults(usage_error=command.error)
 
     return parser
 
@@ -195,7 +196,9 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(_attach_vectors(argv))
+        args, unknown = build_parser().parse_known_args(_attach_vectors(argv))
+        if unknown:
+            args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # so that a closed stdout fails here
         return code

@@ -13,13 +13,13 @@ that only touch the fields of the :class:`State` record.  The concrete
 interpreter and the abstract type analysis plug in their own state fields,
 values and value-level primitives without touching either.
 
-Every transformer is built once, with the program's meaning: evaluating a
-node loops over its parts' outcomes and calls primitives, and builds no
-closure.  Each primitive step first makes its node the interpretation's
-``current_node``; ``concrete.run_program`` tags a run-time error with it.
-A statement list is one block, reported to the trace hook once, by its
-outer ``Seq``.  Environments and heaps are :class:`FrozenMap`, an
-immutable ``dict``.
+Every transformer is built once per parsed node, and shared by the
+analysis, every run and every call: evaluating a node loops over its
+parts' outcomes and calls primitives, and builds no closure.  Each
+primitive step first makes its node the interpretation's ``current_node``;
+``concrete.run_program`` tags a run-time error with it.  A statement list
+is one block, reported to the trace hook once, by its outer ``Seq``.
+Environments and heaps are :class:`FrozenMap`, an immutable ``dict``.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ class Interpretation:
 
     The function space, sid -> meaning of the function's body, is the least
     fixed point of its equations, realized lazily: each body's meaning is
-    built on its first call in the run, and a call runs it through the
+    looked up on its first call in the run, and a call runs it through the
     fixed-point hook, so recursion in the interpreted program becomes
     recursion in the host (or, abstractly, a query against the summary
     engine).  The optional trace hook ``trace(node, outcome)`` is invoked
@@ -329,7 +329,7 @@ class Interpretation:
         self._fun_bodies = {}
 
     def fun_body(self, sid) -> Transformer:
-        """Meaning of the body of function `sid`, built once per run."""
+        """Meaning of the body of function `sid`: its node's, indexed per run."""
         if sid not in self._fun_bodies:
             self._fun_bodies[sid] = stm_meaning(self.program.stm(sid))
         return self._fun_bodies[sid]
@@ -484,7 +484,12 @@ def _traced(node, run) -> Transformer:
 
 
 def stm_meaning(node: syntax.Stm) -> Transformer:
-    """Meaning of a statement (payloads are UNIT, or NULL once escaped)."""
+    """Meaning of a statement (payloads are UNIT, or NULL once escaped): the
+    equation's transformer, built once and kept on the node (it does not
+    capture the node, so no cycle), wrapped in the report to the trace hook."""
+    memo = node.__dict__
+    if "_run" in memo:
+        return _traced(node, memo["_run"])
     sid = node.sid
     match node:
         case syntax.Nil():
@@ -540,6 +545,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
             run = _bind(sid, exp_meaning(exp), lambda i, s, v: ((i.throw(s, v), NULL),))
         case _:
             raise TypeError(f"not a statement node: {node!r}")
+    memo["_run"] = run
     return _traced(node, run)
 
 

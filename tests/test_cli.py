@@ -207,6 +207,20 @@ def test_corpus_options_with_a_file_are_usage_errors(capsys, extra):
         assert f"error: unrecognized arguments: {extra[0]}" in err
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (("run", path("fact.sdtl"), "--frobnicate"), "--frobnicate"),
+    (("analyze", "--trace", path("fact.sdtl"), "extra"), "extra"),
+    (("check-soundness", "--seed", "1"), "--seed"),  # `1` is taken as the file
+    (("dump-ast", path("fact.sdtl"), "--input", "3"), "--input 3"),
+])
+def test_unknown_arguments_are_reported_under_the_subcommand_usage(capsys, argv, unknown):
+    """Arguments no option or positional takes are a usage error of the
+    subcommand, under its own usage line, like its other usage errors."""
+    err = usage_error(capsys, *argv)
+    assert err.startswith(f"usage: sdtl {argv[0]} ")
+    assert err.endswith(f"sdtl {argv[0]}: error: unrecognized arguments: {unknown}\n")
+
+
 def test_check_soundness_without_a_file_is_a_usage_error(capsys):
     """Neither a file nor ``--generate`` is a usage error, reported with the
     usage line of ``check-soundness`` and exit status 2 like the other

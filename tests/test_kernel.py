@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import inspect
 import math
 import os
 import random
+import weakref
 from dataclasses import dataclass
 
 import pytest
@@ -10,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    GENERATED, PROGRAMS, calls_by_file, iter_nodes, load_program, max_depth,
+    GENERATED, PROGRAMS, calls_by_file, iter_nodes, load, load_program, max_depth,
 )
 from perfbench import programs
-from sdtl import abstract, concrete, kernel, syntax
+from sdtl import abstract, concrete, kernel, soundness, syntax
 from sdtl.kernel import NULL, UNIT, VOID, FrozenMap, pure
 from sdtl.syntax import parse
 
@@ -376,11 +378,8 @@ def test_trace_reports_a_block_once_after_its_statements(source, reached):
     assert seen[-1][1] == seen[reached - 1][1] and len(seen[-1][1]) == 1
 
 
-def test_argument_meanings_are_built_once(monkeypatch):
-    """Meanings are built with the program's meaning, not per evaluation:
-    the number of `exp_meaning` calls does not depend on how often the
-    recursive call's arguments are evaluated."""
-    program = load_program("fact.sdtl")
+def count_exp_meanings(monkeypatch) -> list:
+    """The nodes of every later `exp_meaning` call, in call order."""
     builds = []
     original = kernel.exp_meaning
 
@@ -389,12 +388,85 @@ def test_argument_meanings_are_built_once(monkeypatch):
         return original(node)
 
     monkeypatch.setattr(kernel, "exp_meaning", counting)
+    return builds
+
+
+def test_argument_meanings_are_built_once(monkeypatch):
+    """Meanings are built with the program's meaning, not per evaluation:
+    the number of `exp_meaning` calls does not depend on how often the
+    recursive call's arguments are evaluated, and a second run of the same
+    parsed program builds none."""
+    builds = count_exp_meanings(monkeypatch)
     counts = []
     for n in (5, 20):
+        program = load_program("fact.sdtl")
         builds.clear()
         assert concrete.run_program(program, (n,)).outputs == (math.factorial(n),)
         counts.append(len(builds))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
+    builds.clear()
+    assert concrete.run_program(program, (5,)).outputs == (120,)
+    assert builds == []
+
+
+def test_analysis_and_runs_share_one_meaning(monkeypatch):
+    """`differential_test` parses once, and its analysis, its four runs
+    and their per-statement staging share the meanings the analysis built:
+    as many `exp_meaning` calls as the analysis alone makes."""
+    source = load("fact.sdtl")
+    builds = count_exp_meanings(monkeypatch)
+    abstract.analyze_program(parse(source))
+    alone = len(builds)
+    builds.clear()
+    report = soundness.differential_test(
+        source, [(0,), (1,), (3,), (6,)], per_statement=True
+    )
+    assert report["checked"] == 4 and not report["violations"]
+    assert len(builds) == alone > 0
+
+
+@pytest.mark.parametrize("name", ["showcase.sdtl", "while_types.sdtl"])
+def test_a_parsed_program_is_freed_without_the_cyclic_collector(name):
+    """The transformer kept on a node does not refer back to it, so a
+    parsed program and its meanings are freed by reference counting after
+    a run, an analysis and a traced run."""
+    def traced_run(program):
+        concrete.run_program(program, (4, 4, 4), trace=lambda node, out: None)
+
+    def run(program):
+        concrete.run_program(program, (4, 4, 4))
+
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for use in (run, abstract.analyze_program, traced_run):
+            program = load_program(name)
+            root = weakref.ref(program.root)
+            use(program)
+            del program
+            assert root() is None, use
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_a_traced_run_after_an_untraced_one_reports_every_statement():
+    """The shared meaning reads the run's trace hook at run time: a traced
+    run of a program already run untraced prints the lines a traced run of
+    a fresh parse does."""
+    def trace_lines(program):
+        lines = []
+
+        def trace(node, outcome):
+            lines.extend(concrete.trace_line(node, state) for state, _ in outcome)
+
+        concrete.run_program(program, (4, 4, 4), trace=trace)
+        return lines
+
+    program = load_program("showcase.sdtl")
+    concrete.run_program(program, (4, 4, 4))
+    lines = trace_lines(program)
+    assert lines and lines == trace_lines(load_program("showcase.sdtl"))
 
 
 def _package_and_dataclasses_calls(run) -> tuple:
