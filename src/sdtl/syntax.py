@@ -1,8 +1,12 @@
 """SDTL syntax: lexer, recursive-descent parser and id-annotated AST.
 
+A token is a ``(kind, value, offset)`` tuple; the line and column of an
+offset are worked out only when a :class:`ParseError` is raised.
+
 Every statement and expression node carries a unique positive id (``sid``
-for statements, ``eid`` for expressions and left-expressions).  Ids are
-assigned in a single left-to-right pre-order traversal starting at 1, so
+for statements, ``eid`` for expressions and left-expressions).  The parser
+builds each node once, with id 0; the ids are then written into the nodes
+in place, in a single left-to-right pre-order traversal starting at 1, so
 parsing the same text twice yields identical trees.
 """
 
@@ -13,15 +17,21 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 
 class ParseError(Exception):
-    def __init__(self, message, line, col):
-        super().__init__(f"{line}:{col}: {message}")
+    def __init__(self, message, source, offset):
+        """`message` about the character at `offset` of `source`, which the
+        text of the error places by line and column."""
+        self.line, self.col = position(source, offset)
+        super().__init__(f"{self.line}:{self.col}: {message}")
         self.message = message
-        self.line = line
-        self.col = col
+
+
+def position(source: str, offset: int) -> tuple[int, int]:
+    """(line, column), both from 1, of the character at `offset`."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 # --- AST nodes -------------------------------------------------------------
@@ -198,14 +208,22 @@ _LAYOUT = {
 }
 
 
+# per node class, (name, whether it holds a tuple of nodes) of each field
+# that holds nodes
+_CHILDREN = {
+    cls: tuple((name, role == "children") for name, role in layout if role != "scalar")
+    for cls, layout in _LAYOUT.items()
+}
+
+
 def child_nodes(node: Node) -> list[Node]:
     """Children in source order (the order used for pre-order numbering)."""
     children = []
-    for name, role in _LAYOUT[type(node)]:
-        if role == "child":
-            children.append(getattr(node, name))
-        elif role == "children":
+    for name, many in _CHILDREN[type(node)]:
+        if many:
             children.extend(getattr(node, name))
+        else:
+            children.append(getattr(node, name))
     return children
 
 
@@ -242,81 +260,78 @@ KEYWORDS = frozenset(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # 'id', 'num', a keyword, a symbol, or 'eof'
-    value: object
-    line: int
-    col: int
-
-
 # one alternative per token, '==' before '='; in `re`, \d is a character for
 # which str.isdecimal holds and [^\W_] one for which str.isalnum does
 _TOKEN = re.compile(
-    r"(?P<blank>[ \t\r]+)|(?P<num>\d+)|(?P<word>[^\W_]+)"
-    r"|(?P<symbol>==|[;,(){}.=+\-*/<>])|(?P<newline>\n)|(?P<comment>#.*)|(?P<other>.)"
+    r"(?P<blank>[ \t\r\n]+)|(?P<num>\d+)|(?P<word>[^\W_]+)"
+    r"|(?P<symbol>==|[;,(){}.=+\-*/<>])|(?P<comment>#.*)|(?P<other>.)"
 )
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> list[tuple]:
+    """``(kind, value, offset)`` of each token: kind is 'id', 'num', a
+    keyword, a symbol, or 'eof' for the end of input."""
     tokens = []
-    line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        if kind == "blank" or kind == "comment":
-            continue
-        text, col = match[0], match.start() - line_start + 1
-        if kind == "word" and text[0].isalpha():  # a word starts with a letter
-            tokens.append(Token(text if text in KEYWORDS else "id", text, line, col))
-        elif kind == "symbol":
-            tokens.append(Token(text, text, line, col))
+        kind, text = match.lastgroup, match[0]
+        if kind == "symbol":
+            tokens.append((text, text, match.start()))
+        elif kind == "word" and text[0].isalpha():  # a word starts with a letter
+            tokens.append((text if text in KEYWORDS else "id", text, match.start()))
         elif kind == "num":
             try:
                 value = int(text)
             except ValueError:  # over the host's digit limit for int()
-                raise ParseError(
-                    f"integer literal too long ({len(text):,} digits)", line, col
-                ) from None
-            tokens.append(Token("num", value, line, col))
-        elif kind == "newline":
-            line, line_start = line + 1, match.end()
-        else:
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+                message = f"integer literal too long ({len(text):,} digits)"
+                raise ParseError(message, source, match.start()) from None
+            tokens.append(("num", value, match.start()))
+        elif kind != "blank" and kind != "comment":
+            raise ParseError(f"unexpected character {text[0]!r}", source, match.start())
     # a comment on the last line puts the end of input at its '#'
-    before_comment = source[line_start:].partition("#")[0]
-    tokens.append(Token("eof", None, line, len(before_comment) + 1))
+    end = source.find("#", source.rfind("\n") + 1)
+    tokens.append(("eof", None, len(source) if end < 0 else end))
     return tokens
 
 
 # --- Parser ----------------------------------------------------------------
 
+_STATEMENT_KEYWORDS = frozenset(
+    ["nil", "output", "return", "throw", "if", "while", "function", "try"]
+)
+_ATOMS = {"input": Input, "global": Global, "this": This}
+
 
 class _Parser:
-    def __init__(self, tokens):
+    """Recursive descent over the tokens, reading the kind at ``pos``.  Only
+    a token whose kind was read is consumed, so the parser reads past 'eof'
+    only through the final expect("eof").
+
+    A variable or member is read as a bare left-expression, and becomes a
+    LexpRef only where it is used as an expression: so the target of an
+    assignment, a call or a `new` is built without a wrapper to discard."""
+
+    def __init__(self, source, tokens):
+        self.source = source
         self.tokens = tokens
+        self.kinds = [token[0] for token in tokens]
         self.pos = 0
 
-    # only a token that was peeked is consumed, so the parser reads past
-    # 'eof' only through the final expect("eof")
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def expect(self, kind):
+        """Consume a token of `kind` and return its value."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.fail(f"expected {kind!r}, found {self.describe()}")
+        self.pos = pos + 1
+        return self.tokens[pos][1]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def describe(self) -> str:
+        kind, value, _ = self.tokens[self.pos]
+        return "end of input" if kind == "eof" else repr(str(value))
 
-    def expect(self, kind) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {self.describe(tok)}")
-        return self.next()
-
-    def describe(self, tok: Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(str(tok.value))
-
-    def fail(self, message):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message, pos=None):
+        """Raise `message` at the token at `pos`, by default the next one."""
+        offset = self.tokens[self.pos if pos is None else pos][2]
+        raise ParseError(message, self.source, offset)
 
     # statements
 
@@ -326,15 +341,18 @@ class _Parser:
         return root
 
     def parse_stm_list(self, terminators) -> Stm:
+        kinds = self.kinds
         stms = []
-        while self.peek().kind not in terminators:
+        while kinds[self.pos] not in terminators:
             stm = self.parse_stm()
             stms.append(stm)
-            if self.peek().kind == ";":
-                self.next()
-            elif not isinstance(stm, (If, IfElse, While, FunDecl, TryCatch)):
-                if self.peek().kind not in terminators:
-                    self.fail(f"expected ';', found {self.describe(self.peek())}")
+            kind = kinds[self.pos]
+            if kind == ";":
+                self.pos += 1
+            elif kind not in terminators and not isinstance(
+                stm, (If, IfElse, While, FunDecl, TryCatch)
+            ):
+                self.fail(f"expected ';', found {self.describe()}")
         return seq_normalize(stms)
 
     def parse_block(self) -> Stm:
@@ -343,176 +361,160 @@ class _Parser:
         self.expect("}")
         return body
 
-    def parse_stm(self) -> Stm:
-        kind = self.peek().kind
-        if kind == "nil":
-            self.next()
-            return Nil(0)
-        if kind == "output":
-            self.next()
-            return Output(0, self.parse_exp())
-        if kind == "return":
-            self.next()
-            return Return(0, self.parse_exp())
-        if kind == "throw":
-            self.next()
-            return Throw(0, self.parse_exp())
-        if kind == "if":
-            return self.parse_if()
-        if kind == "while":
-            self.next()
-            self.expect("(")
-            guard = self.parse_exp()
-            self.expect(")")
-            return While(0, guard, self.parse_block())
-        if kind == "function":
-            return self.parse_fundecl()
-        if kind == "try":
-            self.next()
-            body = self.parse_block()
-            self.expect("catch")
-            self.expect("(")
-            exc_name = self.expect("id").value
-            self.expect(")")
-            return TryCatch(0, body, exc_name, self.parse_block())
-        return self.parse_assign_or_exp()
-
-    def parse_if(self) -> Stm:
-        self.next()
+    def parse_guard(self) -> Exp:
         self.expect("(")
         guard = self.parse_exp()
         self.expect(")")
-        then_body = self.parse_block()
-        if self.peek().kind == "else":
-            self.next()
+        return guard
+
+    def parse_stm(self) -> Stm:
+        kind = self.kinds[self.pos]
+        if kind not in _STATEMENT_KEYWORDS:
+            return self.parse_assign_or_exp()
+        self.pos += 1
+        if kind == "nil":
+            return Nil(0)
+        if kind == "output":
+            return Output(0, self.parse_exp())
+        if kind == "return":
+            return Return(0, self.parse_exp())
+        if kind == "throw":
+            return Throw(0, self.parse_exp())
+        if kind == "if":
+            guard, then_body = self.parse_guard(), self.parse_block()
+            if self.kinds[self.pos] != "else":
+                return If(0, guard, then_body)
+            self.pos += 1
             return IfElse(0, guard, then_body, self.parse_block())
-        return If(0, guard, then_body)
+        if kind == "while":
+            return While(0, self.parse_guard(), self.parse_block())
+        if kind == "function":
+            return self.parse_fundecl()
+        body = self.parse_block()  # try
+        self.expect("catch")
+        self.expect("(")
+        exc_name = self.expect("id")
+        self.expect(")")
+        return TryCatch(0, body, exc_name, self.parse_block())
 
     def parse_fundecl(self) -> Stm:
-        tok = self.next()
-        name = self.expect("id").value
+        keyword = self.pos - 1
+        name = self.expect("id")
         self.expect("(")
         params = []
-        if self.peek().kind != ")":
-            params.append(self.expect("id").value)
-            while self.peek().kind == ",":
-                self.next()
-                params.append(self.expect("id").value)
+        if self.kinds[self.pos] != ")":
+            params.append(self.expect("id"))
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
+                params.append(self.expect("id"))
         self.expect(")")
         if len(set(params)) != len(params):
-            raise ParseError(
-                f"duplicate parameter name in function {name!r}", tok.line, tok.col
-            )
+            self.fail(f"duplicate parameter name in function {name!r}", keyword)
         return FunDecl(0, name, tuple(params), self.parse_block())
 
     def parse_assign_or_exp(self) -> Stm:
-        exp = self.parse_exp()
-        if self.peek().kind == "=":
-            if not isinstance(exp, LexpRef):
-                self.fail("left side of '=' must be a variable or member")
-            self.next()
-            return Assign(0, exp.lexp, self.parse_exp())
+        operand = self.parse_unary()
+        if self.kinds[self.pos] == "=" and isinstance(operand, Lexp):
+            self.pos += 1
+            return Assign(0, operand, self.parse_exp())
+        exp = self.parse_exp(0, operand)
+        if self.kinds[self.pos] == "=":
+            self.fail("left side of '=' must be a variable or member")
         return ExpStm(0, exp)
 
     # expressions
 
     _PRECEDENCE = {">": 0, "<": 0, "==": 0, "+": 1, "-": 1, "*": 2, "/": 2}
 
-    def parse_exp(self, min_level=0) -> Exp:
+    def parse_exp(self, min_level=0, operand=None) -> Exp:
         """Precedence climbing: operators of `min_level` or tighter, each
-        level left-associative."""
-        exp = self.parse_unary()
-        while (level := self._PRECEDENCE.get(self.peek().kind, -1)) >= min_level:
-            op = self.next().kind
+        level left-associative, from the first `operand` when it was read."""
+        exp = self.parse_unary() if operand is None else operand
+        if isinstance(exp, Lexp):  # _as_exp, inlined on the hottest path
+            exp = LexpRef(0, exp)
+        kinds = self.kinds
+        while (level := self._PRECEDENCE.get(op := kinds[self.pos], -1)) >= min_level:
+            self.pos += 1
             exp = BinOp(0, op, exp, self.parse_exp(level + 1))
         return exp
 
-    def parse_unary(self) -> Exp:
-        if self.peek().kind == "-":
-            self.next()
+    def parse_unary(self) -> Exp | Lexp:
+        if self.kinds[self.pos] == "-":
+            self.pos += 1
             # unary minus is sugar for 0 - E
-            return BinOp(0, "-", Con(0, 0), self.parse_unary())
+            return BinOp(0, "-", Con(0, 0), _as_exp(self.parse_unary()))
         return self.parse_postfix()
 
-    def parse_postfix(self) -> Exp:
+    def parse_postfix(self) -> Exp | Lexp:
         exp = self.parse_primary()
+        kinds = self.kinds
         while True:
-            kind = self.peek().kind
+            kind = kinds[self.pos]
             if kind == ".":
-                self.next()
-                member = self.expect("id").value
-                if self.peek().kind == "(":
-                    exp = MethodCall(0, exp, member, self.parse_args())
+                self.pos += 1
+                member = self.expect("id")
+                if kinds[self.pos] == "(":
+                    exp = MethodCall(0, _as_exp(exp), member, self.parse_args())
                 else:
-                    exp = LexpRef(0, Member(0, exp, member))
+                    exp = Member(0, _as_exp(exp), member)
             elif kind == "(":
-                if not (isinstance(exp, LexpRef) and isinstance(exp.lexp, Var)):
+                if not isinstance(exp, Var):
                     self.fail("callee must be a variable or member")
-                exp = Call(0, exp.lexp, self.parse_args())
+                exp = Call(0, exp, self.parse_args())
             else:
                 return exp
 
     def parse_args(self) -> tuple[Exp, ...]:
         self.expect("(")
         args = []
-        if self.peek().kind != ")":
+        if self.kinds[self.pos] != ")":
             args.append(self.parse_exp())
-            while self.peek().kind == ",":
-                self.next()
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 args.append(self.parse_exp())
         self.expect(")")
         return tuple(args)
 
-    def parse_primary(self) -> Exp:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            return Con(0, tok.value)
-        if tok.kind in ("true", "false"):
-            self.next()
-            return Con(0, tok.kind == "true")
-        if tok.kind == "input":
-            self.next()
-            return Input(0)
-        if tok.kind == "global":
-            self.next()
-            return Global(0)
-        if tok.kind == "this":
-            self.next()
-            return This(0)
-        if tok.kind == "new":
-            self.next()
-            return self.parse_new()
-        if tok.kind == "id":
-            self.next()
-            return LexpRef(0, Var(0, tok.value))
-        if tok.kind == "(":
-            self.next()
+    def parse_primary(self) -> Exp | Lexp:
+        kind, value, _ = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "id":
+            return Var(0, value)
+        if kind == "num":
+            return Con(0, value)
+        if kind == "(":
             inner = self.parse_exp()
             self.expect(")")
             return Paren(0, inner)
-        self.fail(f"expected an expression, found {self.describe(tok)}")
+        if kind == "true" or kind == "false":
+            return Con(0, kind == "true")
+        if kind == "new":
+            return self.parse_new()
+        if kind in _ATOMS:
+            return _ATOMS[kind](0)
+        self.pos -= 1  # not the start of an expression: report it unconsumed
+        self.fail(f"expected an expression, found {self.describe()}")
 
     def parse_new(self) -> Exp:
         # callee of `new` is a left-expression: ID followed by member chain
-        if self.peek().kind == "id":
-            tok = self.next()
-            exp: Exp = LexpRef(0, Var(0, tok.value))
-        elif self.peek().kind == "global":
-            self.next()
-            exp = Global(0)
-        elif self.peek().kind == "this":
-            self.next()
-            exp = This(0)
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "id":
+            exp = Var(0, value)
+        elif kind == "global" or kind == "this":
+            exp = _ATOMS[kind](0)
         else:
             self.fail("expected a constructor name after 'new'")
-        while self.peek().kind == ".":
-            self.next()
-            member = self.expect("id").value
-            exp = LexpRef(0, Member(0, exp, member))
-        if not isinstance(exp, LexpRef):
+        self.pos += 1
+        while self.kinds[self.pos] == ".":
+            self.pos += 1
+            exp = Member(0, _as_exp(exp), self.expect("id"))
+        if not isinstance(exp, Lexp):
             self.fail("constructor of 'new' must be a variable or member")
-        return New(0, exp.lexp, self.parse_args())
+        return New(0, exp, self.parse_args())
+
+
+def _as_exp(node: Exp | Lexp) -> Exp:
+    return LexpRef(0, node) if isinstance(node, Lexp) else node
 
 
 def seq_normalize(stms: list[Stm]) -> Stm:
@@ -537,32 +539,28 @@ def statements(stm: Stm) -> list[Stm]:
     return stms
 
 
-def _renumber(node: Node, next_id, fun_table: dict) -> Node:
-    """Rebuild `node` with pre-order ids drawn from `next_id`, entering each
-    declaration into `fun_table` in ascending sid order."""
+def _renumber(node: Node, next_id, fun_table: dict) -> None:
+    """Write pre-order ids drawn from `next_id` into `node` and its subtree,
+    in place, entering each declaration into `fun_table` as it is reached,
+    so in ascending sid order."""
     cls = type(node)
     nid = next_id()
-    if cls is FunDecl:
-        fun_table[nid] = None  # holds the slot of an outer declaration
-    args = [nid]
-    for name, role in _LAYOUT[cls]:
-        value = getattr(node, name)
-        if role == "child":
-            value = _renumber(value, next_id, fun_table)
-        elif role == "children":
-            value = tuple([_renumber(item, next_id, fun_table) for item in value])
-        args.append(value)
-    node = cls(*args)
+    object.__setattr__(node, "sid" if isinstance(node, Stm) else "eid", nid)
     if cls is FunDecl:
         fun_table[nid] = node
-    return node
+    for name, many in _CHILDREN[cls]:
+        if many:
+            for item in getattr(node, name):
+                _renumber(item, next_id, fun_table)
+        else:
+            _renumber(getattr(node, name), next_id, fun_table)
 
 
 def parse(source: str) -> Program:
     """Parse SDTL source text into an id-annotated Program."""
-    root = _Parser(tokenize(source)).parse_program()
+    root = _Parser(source, tokenize(source)).parse_program()
     fun_table = {}
-    root = _renumber(root, itertools.count(1).__next__, fun_table)
+    _renumber(root, itertools.count(1).__next__, fun_table)
     return Program(root, fun_table)
 
 

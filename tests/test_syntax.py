@@ -324,10 +324,27 @@ def test_parse_work_per_token():
     """Calls into the syntax module per token of a 300-statement program:
     9.9 when each operand descended through every precedence level and each
     token read was clamped to the end of input, 7.1 with one precedence
-    table and direct reads."""
+    table and direct reads, 3.3 with token kinds read by index and each node
+    built once."""
     source = straight_line(300)
     calls = calls_by_file(lambda: parse(source))[syntax.__file__]
-    assert calls / len(syntax.tokenize(source)) < 8
+    assert calls / len(syntax.tokenize(source)) < 3.5
+
+
+@pytest.mark.parametrize("source", [load("fact.sdtl"), straight_line(300)], ids=["fact", "n300"])
+def test_parse_builds_each_node_once(source, monkeypatch):
+    """Every node constructed is a node of the tree, and each is constructed
+    once: the ids are written into the nodes the parser built, not into
+    copies."""
+    built = []
+    for cls in syntax._LAYOUT:
+        def init(self, *args, _init=cls.__init__):
+            built.append(self)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    tree = list(iter_nodes(parse(source).root))
+    assert sorted(map(id, built)) == sorted(map(id, tree))
 
 
 def test_dump_ast_work_grows_linearly():
