@@ -130,11 +130,17 @@ class AbstractInterpretation(kernel.Interpretation):
             )
         return (True, False)
 
-    def val(self, state, name):
-        try:
-            return state.env[name]
-        except KeyError:
-            self._dead(f"possibly undefined variable {name!r}")
+    def obj_key(self, ref):
+        if ref is VOID_VAL:
+            self._dead("possible use of void function result")
+        if not isinstance(ref, AObjRef):
+            self._dead(f"possible type error: member access on a {_category(ref)}")
+        # every site a reference names is allocated: site 0 from the start,
+        # the others by `newobj`, and no step removes one
+        return ref.site
+
+    def undefined(self, kind, name):
+        self._dead(f"possibly undefined {kind} {name!r}")
 
     def conval(self, constant):
         return BOOL if type(constant) is bool else NUM
@@ -171,7 +177,7 @@ class AbstractInterpretation(kernel.Interpretation):
                 f"possible type error: calling a {_category(fun_value)}"
             )
         sid, count, anchor = fun_value.sid, fun_value.count, fun_value.anchor
-        arity = self.program.arity(sid)
+        arity = len(self.program.fun_table[sid].params)
         args = (state.curried[sid, count, anchor] if count else ()) + tuple(args)
         if len(args) == arity:
             return kernel.call(self, state, sid, args, this_value)
@@ -190,28 +196,6 @@ class AbstractInterpretation(kernel.Interpretation):
             f"possible type error: too many arguments "
             f"({len(args)} for arity {arity})"
         )
-
-    def _members(self, state, ref):
-        if ref is VOID_VAL:
-            self._dead("possible use of void function result")
-        if not isinstance(ref, AObjRef):
-            self._dead(
-                f"possible type error: member access on a {_category(ref)}"
-            )
-        # every site a reference names is allocated: site 0 from the start,
-        # the others by `newobj`, and no step removes one
-        return state.obj_mem[ref.site]
-
-    def get(self, state, ref, member):
-        members = self._members(state, ref)
-        if member not in members:
-            self._dead(f"possibly undefined member {member!r}")
-        return members[member]
-
-    def set(self, state, ref, member, value):
-        members = self._members(state, ref)
-        obj_mem = state.obj_mem.set(ref.site, members.set(member, value))
-        return kernel.replace(state, obj_mem=obj_mem)
 
     def newobj(self, state, eid):
         # allocation-site abstraction: the site's previous abstract object,

@@ -26,8 +26,8 @@ class ObjRef:
         return f"obj({self.ref})"
 
 
-@dataclass(frozen=True, eq=False)
-class FunPtr(kernel.Record):
+@dataclass(frozen=True)
+class FunPtr:
     sid: int
     curried: tuple = ()
 
@@ -41,18 +41,13 @@ CValue = Union[int, bool, ObjRef, FunPtr]  # or VOID_VAL
 
 
 @dataclass(frozen=True, eq=False)
-class IOState(kernel.Record):
-    inputs: tuple = ()
-    outputs: tuple = ()
-
-
-@dataclass(frozen=True, eq=False)
 class CState(kernel.State):  # obj_mem is keyed by allocation order
-    io: IOState = IOState()
+    inputs: tuple = ()  # the input queue, read from the front
+    outputs: tuple = ()  # the output log
 
 
 def initial_state(inputs=()) -> CState:
-    return CState(io=IOState(tuple(inputs)))
+    return CState(inputs=tuple(inputs))
 
 
 def _category(value) -> str:
@@ -94,21 +89,22 @@ class ConcreteInterpretation(kernel.Interpretation):
         _check_not_void(value)
         raise EvalError(f"condition not boolean (got {_category(value)})")
 
-    def val(self, state, name):
-        try:
-            return state.env[name]
-        except KeyError:
-            raise EvalError(f"undefined variable {name!r}") from None
+    def obj_key(self, ref):
+        _check_not_void(ref)
+        if not isinstance(ref, ObjRef):
+            raise EvalError(f"member access on a non-object ({_category(ref)})")
+        return ref.ref
+
+    def undefined(self, kind, name):
+        raise EvalError(f"undefined {kind} {name!r}") from None
 
     def conval(self, constant):
         return constant
 
     def getinput(self, state):
-        io = state.io
-        if not io.inputs:
+        if not state.inputs:
             raise EvalError("input exhausted")
-        rest = IOState(io.inputs[1:], io.outputs)
-        return kernel.replace(state, io=rest), io.inputs[0]
+        return kernel.replace(state, inputs=state.inputs[1:]), state.inputs[0]
 
     def dooutput(self, state, value):
         _check_not_void(value)
@@ -118,8 +114,7 @@ class ConcreteInterpretation(kernel.Interpretation):
             emitted = value
         else:
             raise EvalError(f"unprintable value ({_category(value)})")
-        io = state.io
-        return kernel.replace(state, io=IOState(io.inputs, io.outputs + (emitted,)))
+        return kernel.replace(state, outputs=state.outputs + (emitted,))
 
     def bin(self, op, left, right):
         if left is VOID_VAL or right is VOID_VAL:
@@ -161,7 +156,7 @@ class ConcreteInterpretation(kernel.Interpretation):
                 f"calling a non-function ({_category(fun_value)})"
             )
         combined = fun_value.curried + tuple(args)
-        arity = self.program.arity(fun_value.sid)
+        arity = len(self.program.fun_table[fun_value.sid].params)
         if len(combined) == arity:
             return kernel.call(self, state, fun_value.sid, combined, this_value)
         if len(combined) < arity:
@@ -169,24 +164,6 @@ class ConcreteInterpretation(kernel.Interpretation):
         raise EvalError(
             f"too many arguments ({len(combined)} for arity {arity})"
         )
-
-    def _members(self, state, ref):
-        _check_not_void(ref)
-        if not isinstance(ref, ObjRef):
-            raise EvalError(f"member access on a non-object ({_category(ref)})")
-        return state.obj_mem[ref.ref]
-
-    def get(self, state, ref, member):
-        members = self._members(state, ref)
-        try:
-            return members[member]
-        except KeyError:
-            raise EvalError(f"undefined member {member!r}") from None
-
-    def set(self, state, ref, member, value):
-        members = self._members(state, ref)
-        obj_mem = state.obj_mem.set(ref.ref, members.set(member, value))
-        return kernel.replace(state, obj_mem=obj_mem)
 
     def newobj(self, state, eid):
         ref = len(state.obj_mem)
@@ -246,7 +223,7 @@ def run_program(program: Program, inputs=(), trace=None) -> RunResult:
             raise
     finals = tuple(state for state, _ in outcome)
     assert len(finals) == 1, "internal error: concrete run must be deterministic"
-    return RunResult(finals, finals[0].io.outputs, interp.sites)
+    return RunResult(finals, finals[0].outputs, interp.sites)
 
 
 # --- Rendering ---------------------------------------------------------------
@@ -265,7 +242,7 @@ def value_to_json(value):
 
 
 def state_to_json(state: CState) -> dict:
-    return kernel.state_to_json(state, value_to_json, outputs=list(state.io.outputs))
+    return kernel.state_to_json(state, value_to_json, outputs=list(state.outputs))
 
 
 def trace_line(node, state: CState) -> str:

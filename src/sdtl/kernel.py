@@ -9,9 +9,10 @@ FPCA 1985), each once: a transformer that gathers several drops repeats,
 keeping first-seen order, and returns one as is, so a concrete run, which
 has one outcome per step, hashes no state.  The semantic equations here are
 written once against the interpretation contract, as are the primitives
-that only touch the fields of the :class:`State` record.  The concrete
-interpreter and the abstract type analysis plug in their own state fields,
-values and value-level primitives without touching either.
+that only touch the fields of the :class:`State` record, variable and
+member access among them.  The concrete interpreter and the abstract type
+analysis plug in their own state fields, values, value-level primitives
+and two hooks, a pointer check and an error policy.
 
 Every transformer is built once per parsed node, and shared by the
 analysis, every run and every call: evaluating a node loops over its
@@ -141,10 +142,10 @@ def replace(record, **changes):
 
 @dataclass(frozen=True, eq=False)
 class State(Record):
-    """The fields every domain's state has, at their start values: the
-    record-state primitives read ``env``, ``this``, ``ret`` and ``ex``, and
-    the domain's heap primitives ``obj_mem``.  A domain's state subclasses
-    it and adds its own fields."""
+    """The fields every domain's state has, at their start values, which
+    the record-state primitives read: ``env``, ``obj_mem``, ``this``,
+    ``ret`` and ``ex``.  A domain's state subclasses it and adds its own
+    fields."""
 
     env: FrozenMap = field(default_factory=FrozenMap)
     # key -> FrozenMap of members; key 0 is the global object
@@ -282,12 +283,13 @@ class Interpretation:
     plus the primitive operations the equations below defer to, the program
     and the run's trace hook.
 
-    States are :class:`State` records.  The record-state primitives are
-    written here once against its fields, and any field a domain adds is
-    carried through calls untouched.  A domain declares its object-pointer
-    class (one field: the heap key, 0 for the global object) and its
-    function-pointer class (built from a sid), and writes the value-level
-    primitives.
+    States are :class:`State` records.  The record-state primitives, ``val``,
+    ``get`` and ``set`` among them, are written here once against its
+    fields, and any field a domain adds is carried through calls untouched.
+    A domain declares its object-pointer class (built from the heap key, 0
+    for the global object) and its function-pointer class (built from a
+    sid), writes the value-level primitives, and two hooks: ``obj_key``, its
+    pointer check, and ``undefined``, its error policy.
 
     Every primitive returns one result: a value, the successor state, or one
     (state, value) pair (``getinput``, ``newobj``).  Only three can branch:
@@ -331,15 +333,20 @@ class Interpretation:
     def fun_body(self, sid) -> Transformer:
         """Meaning of the body of function `sid`: its node's, indexed per run."""
         if sid not in self._fun_bodies:
-            self._fun_bodies[sid] = stm_meaning(self.program.stm(sid))
+            self._fun_bodies[sid] = stm_meaning(self.program.fun_table[sid].body)
         return self._fun_bodies[sid]
+
+    # a domain's hooks: its pointer check and its error policy
+
+    def obj_key(self, ref):  # -> heap key of the object `ref` names
+        raise NotImplementedError
+
+    def undefined(self, kind, name):  # raises: no `kind` called `name`
+        raise NotImplementedError
 
     # value-level primitives: written by each domain
 
     def cond(self, value):  # -> tuple of branches (True: then, False: else)
-        raise NotImplementedError
-
-    def val(self, state, name):  # -> Value
         raise NotImplementedError
 
     def conval(self, constant):  # -> Value
@@ -357,16 +364,28 @@ class Interpretation:
     def apply(self, state, fun_value, args, this_value, eid):  # -> outcomes
         raise NotImplementedError
 
-    def get(self, state, ref, member):  # -> Value
-        raise NotImplementedError
-
-    def set(self, state, ref, member, value):  # -> State
-        raise NotImplementedError
-
     def newobj(self, state, eid):  # -> (State, Value)
         raise NotImplementedError
 
     # record-state primitives: shared by every domain
+
+    def val(self, state, name):  # -> Value
+        try:
+            return state.env[name]
+        except KeyError:
+            self.undefined("variable", name)
+
+    def get(self, state, ref, member):  # -> Value
+        members = state.obj_mem[self.obj_key(ref)]
+        try:
+            return members[member]
+        except KeyError:
+            self.undefined("member", member)
+
+    def set(self, state, ref, member, value):  # -> State
+        key = self.obj_key(ref)
+        members = state.obj_mem[key].set(member, value)
+        return replace(state, obj_mem=state.obj_mem.set(key, members))
 
     def asg(self, state, name, value):  # -> State
         return replace(state, env=state.env.set(name, value))
@@ -392,10 +411,9 @@ class Interpretation:
     def enter(self, caller, args, this_value, params):  # -> State
         """Callee entry state: parameters bound, receiver from `this_value`,
         empty slots, and every other field carried in from the caller."""
-        assert isinstance(this_value, self.obj_ref_class), this_value
-        (key,) = vars(this_value).values()
         env = FrozenMap(zip(params, args))
-        return replace(caller, env=env, ret=VOID, ex=VOID, this=key)
+        return replace(caller, env=env, ret=VOID, ex=VOID,
+                       this=self.obj_key(this_value))
 
     def leave(self, caller, callee):  # -> (State, return slot)
         """Caller state after the call: the caller's env and receiver, the
@@ -458,7 +476,7 @@ def call(interp, s, sid, args, this_value):  # -> outcomes
     through ``leave``.  A pending exception makes the payload ``NULL``, and
     a Void return slot the unusable ``VOID_VAL``.
     """
-    entry = interp.enter(s, args, this_value, interp.program.param(sid))
+    entry = interp.enter(s, args, this_value, interp.program.fun_table[sid].params)
     out = []
     for exit_state, _ in interp.fixpoint("call", sid, interp.fun_body(sid), entry):
         after, ret = interp.leave(s, exit_state)

@@ -30,8 +30,10 @@ class ParseError(Exception):
 
 
 def position(source: str, offset: int) -> tuple[int, int]:
-    """(line, column), both from 1, of the character at `offset`."""
-    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+    """(line, column), both from 1, of the character at `offset`: CR LF, CR
+    and LF each end a line, as when a file is read with universal newlines."""
+    lines = re.split(r"\r\n?|\n", source[:offset])
+    return len(lines), len(lines[-1]) + 1
 
 
 # --- AST nodes -------------------------------------------------------------
@@ -232,22 +234,6 @@ class Program:
     root: Stm
     fun_table: dict  # Sid -> FunDecl node
 
-    def stm(self, sid: int) -> Stm:
-        """Body statement of the function declared at `sid`."""
-        return self._decl(sid).body
-
-    def param(self, sid: int) -> tuple[str, ...]:
-        return self._decl(sid).params
-
-    def arity(self, sid: int) -> int:
-        return len(self._decl(sid).params)
-
-    def _decl(self, sid: int) -> FunDecl:
-        try:
-            return self.fun_table[sid]
-        except KeyError:
-            raise KeyError(f"internal error: no function declared at sid {sid}") from None
-
 
 # --- Lexer -----------------------------------------------------------------
 
@@ -264,7 +250,7 @@ KEYWORDS = frozenset(
 # which str.isdecimal holds and [^\W_] one for which str.isalnum does
 _TOKEN = re.compile(
     r"(?P<blank>[ \t\r\n]+)|(?P<num>\d+)|(?P<word>[^\W_]+)"
-    r"|(?P<symbol>==|[;,(){}.=+\-*/<>])|(?P<comment>#.*)|(?P<other>.)"
+    r"|(?P<symbol>==|[;,(){}.=+\-*/<>])|(?P<comment>#[^\r\n]*)|(?P<other>.)"
 )
 
 
@@ -288,7 +274,7 @@ def tokenize(source: str) -> list[tuple]:
         elif kind != "blank" and kind != "comment":
             raise ParseError(f"unexpected character {text[0]!r}", source, match.start())
     # a comment on the last line puts the end of input at its '#'
-    end = source.find("#", source.rfind("\n") + 1)
+    end = source.find("#", max(source.rfind("\n"), source.rfind("\r")) + 1)
     tokens.append(("eof", None, len(source) if end < 0 else end))
     return tokens
 

@@ -235,7 +235,7 @@ def test_reset_curried_keys(source, fun, call, resets):
 def test_every_state_holds_what_its_values_point_to():
     """In every outcome state of every statement, each curried pointer's
     anchor holds a tuple of its length, and each reference's site is
-    allocated: `apply` indexes `curried` and `_members` indexes `obj_mem`
+    allocated: `apply` indexes `curried` and `get` and `set` index `obj_mem`
     without a fallback."""
     checked = {AFunPtr: 0, AObjRef: 0}
 

@@ -98,6 +98,28 @@ def test_parse_error_reports_location(tmp_path, capsys):
     assert code == 1 and "parse error: 1:5" in err
 
 
+@pytest.mark.parametrize("source, code, out, err", [
+    ("x = 1; # c\noutput x;", 0, "1\n", ""),
+    ("x = 1;\n y = @;", 1, "", "parse error: 2:6: unexpected character '@'\n"),
+], ids=["comment", "error"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_line_endings_read_the_same_in_the_cli_and_the_library(
+        tmp_path, capsys, source, code, out, err, newline):
+    """The CLI reads a file with universal newlines, and the library takes
+    CR LF, CR and LF each as one line break too: a comment ends at any of
+    them, and an error is placed on the same line."""
+    text = source.replace("\n", newline)
+    prog = tmp_path / "p.sdtl"
+    prog.write_bytes(text.encode())
+    assert run_cli(capsys, "run", str(prog)) == (code, out, err)
+    try:
+        outputs = sdtl.run_program(sdtl.parse(text)).outputs
+    except sdtl.ParseError as error:
+        assert f"parse error: {error}\n" == err
+    else:
+        assert code == 0 and "".join(f"{value}\n" for value in outputs) == out
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "run", "no-such-file.sdtl")
     assert code == 1 and "cannot read" in err

@@ -4,9 +4,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from helpers import find_fundecl, load, load_program
+from helpers import find_fundecl, iter_nodes, load, load_program
 from sdtl import abstract, concrete, kernel
-from sdtl.concrete import FunPtr, IOState, ObjRef, run_program
+from sdtl.concrete import FunPtr, ObjRef, run_program
 from sdtl.kernel import VOID, VOID_VAL, EvalError, FrozenMap
 from sdtl.syntax import parse
 
@@ -43,9 +43,9 @@ def test_esc_cases():
 
 def test_top_level_escape_skips_rest():
     state = final("throw 0; output 1;")
-    assert state.ex == 0 and state.io.outputs == ()
+    assert state.ex == 0 and state.outputs == ()
     state = final("return 5; output 1;")
-    assert state.ret == 5 and state.io.outputs == ()
+    assert state.ret == 5 and state.outputs == ()
 
 
 # --- primitive operations -------------------------------------------------------
@@ -64,7 +64,7 @@ def test_assignment_and_lookup():
 
 def test_getinput_pops_queue():
     state = final("x = input;", inputs=(5, 9))
-    assert state.env["x"] == 5 and state.io == IOState((9,), ())
+    assert state.env["x"] == 5 and state.inputs == (9,) and state.outputs == ()
     with pytest.raises(EvalError, match="input exhausted"):
         run("x = input;")
 
@@ -139,7 +139,7 @@ def test_throwing_constructor_escapes_new():
     )
     # the exception preempts binding x, but the allocation happened
     assert "x" not in state.env and state.env["e"] == 8
-    assert state.io.outputs == (8,)
+    assert state.outputs == (8,)
     assert dict(state.obj_mem[1]) == {"m": 1}
 
 
@@ -174,6 +174,23 @@ def test_undefined_member_and_non_object():
         run("function F(v){this.value=v;} a = new F(1); output a.nope;")
     with pytest.raises(EvalError, match="non-object"):
         run("x = 5; x.m = 1;")
+
+
+@pytest.mark.parametrize("source, message, at", [
+    ("x = 1; output q;", "undefined variable 'q'",
+     lambda n: getattr(n, "name", "") == "q"),
+    ("a = global; output a.nope;", "undefined member 'nope'",
+     lambda n: getattr(n, "member", "") == "nope"),
+], ids=["variable", "member"])
+def test_undefined_name_errors_carry_their_node_and_hide_the_key_error(
+        source, message, at):
+    program = parse(source)
+    with pytest.raises(EvalError, match=message) as caught:
+        run_program(program)
+    error = caught.value
+    (node,) = [n for n in iter_nodes(program.root) if at(n)]
+    assert error.node_id == node.eid
+    assert error.__suppress_context__ and isinstance(error.__context__, KeyError)
 
 
 def test_objects_example_juice():
@@ -213,6 +230,9 @@ class LoggedInterpretation(kernel.Interpretation):
     obj_ref_class = ObjRef
     fun_ptr_class = FunPtr
 
+    def obj_key(self, ref):
+        return ref.ref
+
 
 HEAP = FrozenMap({0: FrozenMap(), 1: FrozenMap()})
 ABSTRACT_CURRIED = FrozenMap({(7, 1, 9): (abstract.NUM,)})
@@ -224,7 +244,11 @@ CALL_DOMAINS = (
         INTERP,
         dataclasses.replace(concrete.initial_state((9,)), obj_mem=HEAP),
         ObjRef(1),
-        {"obj_mem": FrozenMap({0: FrozenMap({"seen": 41})}), "io": IOState((), (3,))},
+        {
+            "obj_mem": FrozenMap({0: FrozenMap({"seen": 41})}),
+            "inputs": (),
+            "outputs": (3,),
+        },
     ),
     (
         abstract.AbstractInterpretation(None),
@@ -277,7 +301,7 @@ def test_leave_restores_caller_env_and_keeps_effects():
 
 def test_callee_exception_propagates_to_caller():
     state = final("function boom(){ throw 9; } boom(); output 1;")
-    assert state.ex == 9 and state.io.outputs == ()
+    assert state.ex == 9 and state.outputs == ()
 
 
 def test_void_result_is_poisonous_but_storable():
@@ -294,13 +318,13 @@ def test_void_result_is_poisonous_but_storable():
 
 def test_throw_catch_binds_exception_variable():
     state = final("try { throw 1; } catch(e) { output e; }")
-    assert state.io.outputs == (1,)
+    assert state.outputs == (1,)
     assert state.env["e"] == 1 and state.ex is VOID
 
 
 def test_handler_skipped_without_throw():
     state = final("try { x = 1; } catch(e) { output 9; }")
-    assert "e" not in state.env and state.io.outputs == ()
+    assert "e" not in state.env and state.outputs == ()
 
 
 def test_exception_example_flows():

@@ -41,15 +41,31 @@ def test_replace_copies_with_changed_fields():
 
 def test_record_hash_is_the_field_tuple_hash_and_not_copied():
     state = concrete.initial_state((4,))
-    fields = (state.env, state.obj_mem, state.this, state.ret, state.ex, state.io)
+    fields = (state.env, state.obj_mem, state.this, state.ret, state.ex,
+              state.inputs, state.outputs)
     assert hash(state) == hash(fields)
     moved = kernel.replace(state, this=3)
     assert hash(moved) == hash(fields[:2] + (3,) + fields[3:]) != hash(state)
     assert moved != state and kernel.replace(moved, this=0) == state
-    assert hash(state.io) == hash((state.io.inputs, state.io.outputs))
     astate = abstract.AState()
     afields = (astate.env, astate.obj_mem, astate.this, astate.ret, astate.ex)
     assert hash(astate) == hash(afields + (astate.curried,))
+
+
+RECORD_STATE_PRIMITIVES = (
+    "val", "get", "set", "asg", "ret", "throw", "exs", "fundecl",
+    "getglobal", "getthis", "enter", "leave",
+)
+
+
+def test_domains_write_no_record_state_primitive():
+    """The primitives that only read or write the state record's fields are
+    written once, in the kernel; a domain supplies its pointer check,
+    `obj_key`, and its error policy, `undefined`, instead."""
+    assert set(RECORD_STATE_PRIMITIVES) <= vars(kernel.Interpretation).keys()
+    for domain in (concrete.ConcreteInterpretation, abstract.AbstractInterpretation):
+        assert not set(RECORD_STATE_PRIMITIVES) & vars(domain).keys(), domain
+        assert {"obj_key", "undefined"} <= vars(domain).keys(), domain
 
 
 def test_frozen_map_behaves_like_mapping():
@@ -244,7 +260,7 @@ def test_while_unfolds_until_guard_fails():
 def test_output_appends_to_log():
     _, _, outcome = outcome_of("output 3; output 4;")
     ((state, _),) = outcome
-    assert state.io.outputs == (3, 4)
+    assert state.outputs == (3, 4)
 
 
 def test_fundecl_binds_pointer_without_running_body():
@@ -252,7 +268,7 @@ def test_fundecl_binds_pointer_without_running_body():
     ((state, _),) = outcome
     decl = program.root
     assert state.env["f"] == concrete.FunPtr(decl.sid, ())
-    assert state.io.outputs == ()
+    assert state.outputs == ()
 
 
 def test_con_input_and_binop():
@@ -281,7 +297,7 @@ def test_eval_params_threads_input_stream():
     collect = kernel._collect(1, first_input, (syntax.Input(0),))
     ((after, values),) = collect(interp, state)
     assert values == (1, 2)
-    assert after.io.inputs == ()
+    assert after.inputs == ()
 
 
 def test_eval_params_short_circuits_on_escape():
@@ -291,7 +307,7 @@ def test_eval_params_short_circuits_on_escape():
     outcome = kernel.stm_meaning(program.root)(interp, concrete.initial_state((9,)))
     ((state, payload),) = outcome
     assert payload is kernel.NULL and state.ex == 5
-    assert state.io.inputs == (9,)  # the escape preempted the input read
+    assert state.inputs == (9,)  # the escape preempted the input read
 
 
 def test_call_runs_body_and_restores_caller():

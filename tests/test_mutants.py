@@ -62,7 +62,7 @@ def partial_application_stores_num(self, state, fun_value, args, this_value, eid
 
 
 def set_checks_only(self, state, ref, member, value):
-    self._members(state, ref)
+    self.obj_key(ref)
     return state
 
 

@@ -60,7 +60,7 @@ def test_objects_relate_by_allocation_site():
     cstate = cstate.__class__(
         env=FrozenMap({"o": ObjRef(1)}),
         obj_mem=cstate.obj_mem.set(1, FrozenMap({"value": 15})),
-        this=0, ret=VOID, ex=VOID, io=cstate.io,
+        this=0, ret=VOID, ex=VOID, inputs=cstate.inputs, outputs=cstate.outputs,
     )
     members = FrozenMap({"value": NUM})
 
@@ -121,7 +121,7 @@ def test_missing_binding_fails_with_explanation():
     cstate = concrete.initial_state()
     cstate = cstate.__class__(
         env=FrozenMap({"z": 2}), obj_mem=cstate.obj_mem,
-        this=0, ret=VOID, ex=VOID, io=cstate.io,
+        this=0, ret=VOID, ex=VOID, inputs=cstate.inputs, outputs=cstate.outputs,
     )
     mismatch = state_mismatch(ASTATE0, cstate, SITES0)
     assert mismatch == "env['z'] is unbound in the abstract state"
@@ -250,7 +250,7 @@ def test_witnesses_explain_every_candidate():
     analysis = analyze_program(program)
     bogus = CSTATE0.__class__(
         env=FrozenMap({"sum": ObjRef(0)}), obj_mem=CSTATE0.obj_mem,
-        this=0, ret=VOID, ex=VOID, io=CSTATE0.io,
+        this=0, ret=VOID, ex=VOID, inputs=CSTATE0.inputs, outputs=CSTATE0.outputs,
     )
     judgment = abstracts_outcome(analysis.final_states, {bogus}, SITES0)
     assert not judgment.holds

@@ -33,15 +33,13 @@ def test_factorial_declaration():
     program = load_program("fact.sdtl")
     decl = find_fundecl(program, "fact")
     assert decl.params == ("f", "n")
-    assert program.arity(decl.sid) == 2
-    assert program.param(decl.sid) == ("f", "n")
-    assert program.stm(decl.sid) is decl.body
+    assert program.fun_table[decl.sid] is decl
 
 
 def test_empty_parameter_list():
     program = parse("function g(){}")
     decl = find_fundecl(program, "g")
-    assert program.arity(decl.sid) == 0
+    assert program.fun_table[decl.sid].params == ()
     assert isinstance(decl.body, Nil)
 
 
@@ -53,12 +51,6 @@ def test_showcase_juiceme_params():
 def test_duplicate_parameter_rejected():
     with pytest.raises(ParseError, match="duplicate parameter"):
         parse("function f(a,a){}")
-
-
-def test_unknown_function_sid_is_internal_error():
-    program = parse("x = 1;")
-    with pytest.raises(KeyError, match="internal error"):
-        program.stm(99)
 
 
 @pytest.mark.parametrize("name", GOLDEN)
