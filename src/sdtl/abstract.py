@@ -149,6 +149,10 @@ class AbstractInterpretation(kernel.Interpretation):
         return state, NUM
 
     def dooutput(self, state, value):
+        if value is VOID_VAL:
+            self._dead("possible use of void function result")
+        if isinstance(value, (AObjRef, AFunPtr)):
+            self._dead(f"possible type error: output of a {_category(value)}")
         return state
 
     def bin(self, op, left, right):

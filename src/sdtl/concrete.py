@@ -174,15 +174,11 @@ class ConcreteInterpretation(kernel.Interpretation):
 
 @dataclass(frozen=True)
 class RunResult:
-    final_states: tuple
+    final_state: CState
     outputs: tuple
     # object key -> allocation site: 0 for the global object, else the eid of
     # the `new` that made it; keys are never reused within a run
     sites: dict
-
-    @property
-    def final_state(self) -> CState:
-        return self.final_states[0]
 
 
 @contextlib.contextmanager
@@ -221,9 +217,9 @@ def run_program(program: Program, inputs=(), trace=None) -> RunResult:
             if err.node_id is None:
                 err.node_id = interp.current_node
             raise
-    finals = tuple(state for state, _ in outcome)
-    assert len(finals) == 1, "internal error: concrete run must be deterministic"
-    return RunResult(finals, finals[0].outputs, interp.sites)
+    assert len(outcome) == 1, "internal error: concrete run must be deterministic"
+    ((final, _),) = outcome
+    return RunResult(final, final.outputs, interp.sites)
 
 
 # --- Rendering ---------------------------------------------------------------

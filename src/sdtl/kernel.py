@@ -251,18 +251,23 @@ def _bind(nid, t: Transformer, body) -> Transformer:
     return run
 
 
-def _choose(then_t: Transformer, else_t: Transformer):
-    """Step body of a selection: `then_t` and/or `else_t` from the state, as
-    ``cond`` of the guard value allows; where both run, their paths meet and
-    the step drops repeats, then-branch first."""
+def _branch(nid, guard_t, then_t, else_t) -> Transformer:
+    """Selection of node `nid`: each non-escaping outcome of `guard_t` runs
+    `then_t` and/or `else_t`, then-branch first, as ``cond`` of its value
+    allows, from this loop's own frame; repeats are dropped at the end."""
 
-    def body(interp, s, v):
-        branches = interp.cond(v)
-        if len(branches) == 1:
-            return (then_t if branches[0] else else_t)(interp, s)
-        return [*then_t(interp, s), *else_t(interp, s)]
+    def run(interp, s):
+        out = []
+        for s1, v in guard_t(interp, s):
+            if v is NULL:
+                out.append((s1, v))
+                continue
+            interp.current_node = nid
+            for taken in interp.cond(v):
+                out += (then_t if taken else else_t)(interp, s1)
+        return dict.fromkeys(out) if len(out) > 1 else out
 
-    return body
+    return run
 
 
 def _collect(nid, first: Transformer, exps) -> Transformer:
@@ -532,7 +537,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
         case syntax.If() | syntax.IfElse():
             then_t = stm_meaning(node.then_body)
             else_t = _SKIP if type(node) is syntax.If else stm_meaning(node.else_body)
-            run = _bind(sid, exp_meaning(node.guard), _choose(then_t, else_t))
+            run = _branch(sid, exp_meaning(node.guard), then_t, else_t)
         case syntax.While(guard=guard, body=body):
             # one self-referential transformer: `unfold` runs the loop once
             # and re-enters it through the fixed-point hook
@@ -540,7 +545,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                 return interp.fixpoint("loop", sid, unfold, s)
 
             loop_t = _bind(sid, stm_meaning(body), lambda i, s, _: run(i, s))
-            unfold = _bind(sid, exp_meaning(guard), _choose(loop_t, _SKIP))
+            unfold = _branch(sid, exp_meaning(guard), loop_t, _SKIP)
         case syntax.FunDecl(name=name):
             run = _bind(sid, _SKIP, lambda i, s, _: ((i.fundecl(s, name, sid), UNIT),))
         case syntax.Return(exp=exp):

@@ -1,6 +1,6 @@
 """Soundness harness: the abstraction relation and a differential tester.
 
-A type analysis result is sound for a run when every concrete final state
+A type analysis result is sound for a run when the run's one final state
 is abstracted by some abstract final state.  The relation reads the run's
 allocation-site map, so each concrete object is checked once, against the
 abstract object of its own site, and cyclic object graphs need no special
@@ -16,7 +16,6 @@ order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import abstract, concrete, kernel, syntax
 from .kernel import VOID, VOID_VAL, EvalError
@@ -29,9 +28,10 @@ def abstracts_value(astate, sites, aval, cval) -> bool:
     """Does abstract value `aval` safely describe concrete value `cval`?
 
     A reference is abstracted exactly by the reference to its allocation
-    site, `sites[ref]`; objects are checked by :func:`state_mismatch`."""
-    if aval is VOID_VAL or cval is VOID_VAL:
-        return aval is VOID_VAL and cval is VOID_VAL
+    site, `sites[ref]`; objects are checked by :func:`state_mismatch`.  The
+    markers ``VOID`` (an empty slot) and ``VOID_VAL`` match only themselves."""
+    if aval is VOID or cval is VOID or aval is VOID_VAL or cval is VOID_VAL:
+        return aval is cval
     if type(cval) is bool:
         return aval is abstract.BOOL
     if isinstance(cval, int):
@@ -51,12 +51,6 @@ def abstracts_value(astate, sites, aval, cval) -> bool:
             for a, c in zip(values, cval.curried)
         )
     raise AssertionError(f"not a concrete value: {cval!r}")
-
-
-def _slot_abstracts(astate, sites, aslot, cslot) -> bool:
-    if cslot is VOID or aslot is VOID:
-        return cslot is VOID and aslot is VOID
-    return abstracts_value(astate, sites, aslot, cslot)
 
 
 def state_mismatch(astate, cstate, sites):
@@ -87,38 +81,26 @@ def state_mismatch(astate, cstate, sites):
                 )
     if astate.this != sites[cstate.this]:
         return f"this: site {astate.this} does not abstract object {cstate.this}"
-    if not _slot_abstracts(astate, sites, astate.ret, cstate.ret):
+    if not abstracts_value(astate, sites, astate.ret, cstate.ret):
         return f"ret: {astate.ret!r} does not abstract {cstate.ret!r}"
-    if not _slot_abstracts(astate, sites, astate.ex, cstate.ex):
+    if not abstracts_value(astate, sites, astate.ex, cstate.ex):
         return f"ex: {astate.ex!r} does not abstract {cstate.ex!r}"
     return None
 
 
-@dataclass(frozen=True)
-class Judgment:
-    holds: bool
-    # per unmatched concrete state: (state, tuple of per-candidate explanations),
-    # the tuple empty when there was no candidate
-    witnesses: tuple = ()
-
-
-def abstracts_outcome(astates, cstates, sites) -> Judgment:
-    """Powerset abstraction: every concrete state needs an abstract cover.
-
-    Candidates are tried, and explained, in the order given: the analysis's
-    own.  A run has one final state, and each stage one.  `sites` is the
-    run's allocation-site map (:attr:`concrete.RunResult.sites`)."""
-    witnesses = []
-    for cstate in cstates:
-        explanations = []
-        for astate in astates:
-            mismatch = state_mismatch(astate, cstate, sites)
-            if mismatch is None:
-                break
-            explanations.append(mismatch)
-        else:
-            witnesses.append((cstate, tuple(explanations)))
-    return Judgment(holds=not witnesses, witnesses=tuple(witnesses))
+def abstracts_outcome(astates, cstate, sites):
+    """None if a candidate of `astates` abstracts the concrete state `cstate`
+    (a run's one final state, or its one state at a stage), else the tuple of
+    each candidate's explanation, ``()`` if there is none.  Candidates are
+    tried, and explained, in the order given: the analysis's own.  `sites` is
+    the run's allocation-site map (:attr:`concrete.RunResult.sites`)."""
+    explanations = []
+    for astate in astates:
+        mismatch = state_mismatch(astate, cstate, sites)
+        if mismatch is None:
+            return None
+        explanations.append(mismatch)
+    return tuple(explanations)
 
 
 # --- Differential testing --------------------------------------------------------
@@ -173,43 +155,40 @@ def differential_test(
             errors.append({"inputs": list(vector), "error": str(err)})
             continue
         checked += 1
-        judgment = abstracts_outcome(
-            analysis.final_states, result.final_states, result.sites
-        )
-        _collect_violations(violations, vector, judgment, stage=None)
+        # (stage, abstract candidates, the run's one state there): the end first
+        checks = [(None, analysis.final_states, result.final_state)]
         if per_statement:
-            for index, (astage, cstage) in enumerate(zip(abstract_stages, stages())):
-                judgment = abstracts_outcome(astage, cstage, result.sites)
-                _collect_violations(violations, vector, judgment, stage=index)
+            staged = zip(abstract_stages, stages())
+            checks += [(i, astage, c) for i, (astage, (c,)) in enumerate(staged)]
+        for stage, astates, cstate in checks:
+            explanations = abstracts_outcome(astates, cstate, result.sites)
+            if explanations is not None:
+                violations.append(_violation(vector, stage, cstate, explanations))
     return {
         "program": label,
         "checked": checked,
         "violations": violations,
         "errors": errors,
         "analysisStats": {
-            "reusedAllocationSites": sorted(
-                analysis.stats["reused_allocation_sites"]
-            ),
+            "reusedAllocationSites": sorted(analysis.stats["reused_allocation_sites"]),
             "resetCurriedKeys": sorted(analysis.stats["reset_curried_keys"]),
         },
     }
 
 
-def _collect_violations(violations, vector, judgment, stage):
-    for cstate, explanations in judgment.witnesses:
-        if not explanations:
-            explanations = (
-                "no abstract final states at all" if stage is None
-                else f"no abstract states after statement {stage} at all",
-            )
-        entry = {
-            "inputs": list(vector),
-            "concreteState": concrete.state_to_json(cstate),
-            "explanations": list(explanations),
-        }
-        if stage is not None:
-            entry["afterStatement"] = stage
-        violations.append(entry)
+def _violation(vector, stage, cstate, explanations) -> dict:
+    """The report entry of a check failed after statement `stage` (None: the end)."""
+    if not explanations:
+        at = "final states" if stage is None else f"states after statement {stage}"
+        explanations = (f"no abstract {at} at all",)
+    entry = {
+        "inputs": list(vector),
+        "concreteState": concrete.state_to_json(cstate),
+        "explanations": list(explanations),
+    }
+    if stage is not None:
+        entry["afterStatement"] = stage
+    return entry
 
 
 def classify_caveat(report) -> str | None:

@@ -367,7 +367,7 @@ def test_runs_are_deterministic():
     first = run(source, (3, 4, 100))
     second = run(source, (3, 4, 100))
     assert first == second
-    assert len(first.final_states) == 1
+    assert isinstance(first.final_state, concrete.CState)
 
 
 def test_every_step_is_deterministic():
@@ -405,7 +405,8 @@ def test_heap_closure(name, inputs):
 def test_run_result_shape():
     result = run("output 1;")
     assert isinstance(result, concrete.RunResult)
-    assert result.final_states == (result.final_state,)
+    assert [f.name for f in dataclasses.fields(result)] == ["final_state", "outputs", "sites"]
+    assert result.outputs == result.final_state.outputs == (1,)
 
 
 def test_nonterminating_loop_raises(monkeypatch):

@@ -550,16 +550,16 @@ def test_no_transformer_is_built_per_loop_iteration():
 
 def test_host_stack_budget_of_loops_and_calls():
     """Concrete calls recurse in the host under `recursion_headroom`'s
-    10,000 frames: `fact(fact, 690)` fits (the limit is about 908 since a
-    selection's step body calls the branch that `cond` selected, 998 when
-    the selection's own loop called it, and 713 when every evaluation built
-    its continuations).  One more host frame per call lowers the limit.
-    Loops take no host stack per iteration (they took four frames each, for
-    a limit of about 2,494 iterations), so the 1,800-iteration counter loop
-    fits with room to spare."""
+    10,000 frames: `fact(fact, 950)` fits (the limit is about 998, as the
+    selection's own loop calls the branch that `cond` selected; it was 908
+    while a step body called it, and 713 when every evaluation built its
+    continuations).  One more host frame per call lowers the limit below
+    950.  Loops take no host stack per iteration (they took four frames
+    each, for a limit of about 2,494 iterations), so the 1,800-iteration
+    counter loop fits with room to spare."""
     for case in (
         programs.counter_loop(random.Random(1), 1800),
-        programs.self_passing_fact(random.Random(1), 690),
+        programs.self_passing_fact(random.Random(1), 950),
     ):
         result = concrete.run_program(parse(case.source), case.inputs)
         assert result.outputs == case.outputs
