@@ -80,6 +80,10 @@ def _category(value) -> str:
     raise AssertionError(f"not an abstract value: {value!r}")
 
 
+def _a(value) -> str:  # its category after the indefinite article: "an object"
+    return ("an " if isinstance(value, AObjRef) else "a ") + _category(value)
+
+
 class AbstractInterpretation(kernel.Interpretation):
     """Primitive operations of the type analysis.
 
@@ -134,7 +138,7 @@ class AbstractInterpretation(kernel.Interpretation):
         if ref is VOID_VAL:
             self._dead("possible use of void function result")
         if not isinstance(ref, AObjRef):
-            self._dead(f"possible type error: member access on a {_category(ref)}")
+            self._dead(f"possible type error: member access on {_a(ref)}")
         # every site a reference names is allocated: site 0 from the start,
         # the others by `newobj`, and no step removes one
         return ref.site
@@ -152,7 +156,7 @@ class AbstractInterpretation(kernel.Interpretation):
         if value is VOID_VAL:
             self._dead("possible use of void function result")
         if isinstance(value, (AObjRef, AFunPtr)):
-            self._dead(f"possible type error: output of a {_category(value)}")
+            self._dead(f"possible type error: output of {_a(value)}")
         return state
 
     def bin(self, op, left, right):
@@ -177,9 +181,7 @@ class AbstractInterpretation(kernel.Interpretation):
         if fun_value is VOID_VAL:
             self._dead("possible use of void function result")
         if not isinstance(fun_value, AFunPtr):
-            self._dead(
-                f"possible type error: calling a {_category(fun_value)}"
-            )
+            self._dead(f"possible type error: calling {_a(fun_value)}")
         sid, count, anchor = fun_value.sid, fun_value.count, fun_value.anchor
         arity = len(self.program.fun_table[sid].params)
         args = (state.curried[sid, count, anchor] if count else ()) + tuple(args)

@@ -103,9 +103,9 @@ def _cmd_run(args) -> int:
     program = syntax.parse(_load(args.file))
     trace = None
     if args.trace:
-        def trace(node, outcome):
+        def trace(sid, outcome):
             for state, _ in outcome:  # one outcome: a concrete run is deterministic
-                print(concrete.trace_line(node, state), file=sys.stderr)
+                print(concrete.trace_line(sid, state), file=sys.stderr)
 
     result = concrete.run_program(program, args.input, trace=trace)
     if args.format == "json":
@@ -125,8 +125,8 @@ def _cmd_analyze(args) -> int:
     program = syntax.parse(_load(args.file))
     trace = None
     if args.trace:
-        def trace(node, outcome):
-            print(f"sid={node.sid} states={len(outcome)}", file=sys.stderr)
+        def trace(sid, outcome):
+            print(f"sid={sid} states={len(outcome)}", file=sys.stderr)
 
     result = abstract.analyze_program(program, trace=trace)
     rendered = abstract.result_to_json(result)

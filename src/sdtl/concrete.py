@@ -241,8 +241,8 @@ def state_to_json(state: CState) -> dict:
     return kernel.state_to_json(state, value_to_json, outputs=list(state.outputs))
 
 
-def trace_line(node, state: CState) -> str:
+def trace_line(sid, state: CState) -> str:
     env = ", ".join(f"{name}: {value!r}" for name, value in sorted(state.env.items()))
     ex = kernel.slot_to_json(state.ex, value_to_json)
     ret = kernel.slot_to_json(state.ret, value_to_json)
-    return f"sid={node.sid} env={{{env}}} ex={ex} ret={ret}"
+    return f"sid={sid} env={{{env}}} ex={ex} ret={ret}"

@@ -18,14 +18,15 @@ Every transformer is built once per parsed node, and shared by the
 analysis, every run and every call: evaluating a node loops over its
 parts' outcomes and calls primitives, and builds no closure.  Each
 primitive step first makes its node the interpretation's ``current_node``;
-``concrete.run_program`` tags a run-time error with it.  A statement list
-is one block, reported to the trace hook once, by its outer ``Seq``.
+``concrete.run_program`` tags a run-time error with it.  A statement's own
+step reports its outcomes to the trace hook (a statement list: its ``Seq``).
 Environments and heaps are :class:`FrozenMap`, an immutable ``dict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Collection, Tuple
 
 from . import syntax
@@ -191,16 +192,16 @@ def pure(value) -> Transformer:
 _SKIP = pure(UNIT)  # the meaning of ``nil``, shared by every equation that skips
 
 
-def _block(node) -> Transformer:
-    """The statement list of `node` (see :func:`syntax.statements`) as one
-    block: its statements run in turn, each once from every distinct state
-    the one before left, in first-seen order, and escaping outcomes pass
-    straight through.
+def _block(sid, stms) -> Transformer:
+    """The statement list `stms` of the outer ``Seq`` `sid` (see
+    :func:`syntax.statements`) as one block: its statements run in turn,
+    each once from every distinct state the one before left, in first-seen
+    order, and escaping outcomes pass straight through.
 
-    The block is reported to the trace hook once, by the equation of its
-    outer ``Seq``, with its outcomes; inner ``Seq`` nodes are not reported.
+    The block reports its outcomes to the trace hook once, as `sid`'s; inner
+    ``Seq`` nodes are not reported.
     """
-    *parts, last = map(stm_meaning, syntax.statements(node))
+    *parts, last = map(stm_meaning, stms)
 
     # its own loop: it joins the states and does not grow the host stack
     def run(interp, s):
@@ -218,12 +219,15 @@ def _block(node) -> Transformer:
                 break
         for s0 in states:
             out += last(interp, s0)
-        return dict.fromkeys(out) if len(out) > 1 else out
+        out = dict.fromkeys(out) if len(out) > 1 else out
+        if interp.trace is not None:
+            interp.trace(sid, out)
+        return out
 
     return run
 
 
-def _bind(nid, t: Transformer, body) -> Transformer:
+def _bind(nid, t: Transformer, body, report=False) -> Transformer:
     """Primitive step of node `nid` after `t` (the monadic bind).
 
     Each escaping outcome of `t`, payload ``NULL``, passes through unchanged.
@@ -232,7 +236,7 @@ def _bind(nid, t: Transformer, body) -> Transformer:
     any iterable of outcomes, or nothing if the body raises
     :class:`DeadBranch`.  Only a primitive raises it, and only inside a step
     that catches it, so no transformer does.  The step returns each outcome
-    once, in first-seen order.
+    once, in first-seen order, reported to the trace hook if `report`.
     """
 
     def run(interp, s):
@@ -246,15 +250,18 @@ def _bind(nid, t: Transformer, body) -> Transformer:
                 out += body(interp, s1, a)
             except DeadBranch:
                 pass
-        return dict.fromkeys(out) if len(out) > 1 else out
+        out = dict.fromkeys(out) if len(out) > 1 else out
+        if report and interp.trace is not None:
+            interp.trace(nid, out)
+        return out
 
     return run
 
 
-def _branch(nid, guard_t, then_t, else_t) -> Transformer:
+def _branch(nid, guard_t, then_t, else_t, report=False) -> Transformer:
     """Selection of node `nid`: each non-escaping outcome of `guard_t` runs
     `then_t` and/or `else_t`, then-branch first, as ``cond`` of its value
-    allows, from this loop's own frame; repeats are dropped at the end."""
+    allows, from this loop's own frame; it returns and reports as `_bind`."""
 
     def run(interp, s):
         out = []
@@ -265,7 +272,10 @@ def _branch(nid, guard_t, then_t, else_t) -> Transformer:
             interp.current_node = nid
             for taken in interp.cond(v):
                 out += (then_t if taken else else_t)(interp, s1)
-        return dict.fromkeys(out) if len(out) > 1 else out
+        out = dict.fromkeys(out) if len(out) > 1 else out
+        if report and interp.trace is not None:
+            interp.trace(nid, out)
+        return out
 
     return run
 
@@ -320,8 +330,8 @@ class Interpretation:
     looked up on its first call in the run, and a call runs it through the
     fixed-point hook, so recursion in the interpreted program becomes
     recursion in the host (or, abstractly, a query against the summary
-    engine).  The optional trace hook ``trace(node, outcome)`` is invoked
-    per statement evaluation.
+    engine).  The optional trace hook ``trace(sid, outcome)`` is invoked
+    per statement evaluation, by the statement's own step.
     """
 
     obj_ref_class = None
@@ -494,62 +504,48 @@ def call(interp, s, sid, args, this_value):  # -> outcomes
 # --- Semantic equations ---------------------------------------------------------
 
 
-def _traced(node, run) -> Transformer:
-    """Report each outcome of statement `node` to the run's trace hook."""
-
-    def traced(interp, s):
-        out = run(interp, s)
-        if interp.trace is not None:
-            interp.trace(node, out)
-        return out
-
-    return traced
-
-
 def stm_meaning(node: syntax.Stm) -> Transformer:
     """Meaning of a statement (payloads are UNIT, or NULL once escaped): the
     equation's transformer, built once and kept on the node (it does not
-    capture the node, so no cycle), wrapped in the report to the trace hook."""
+    capture the node, so no cycle), whose own step reports to the trace hook."""
     memo = node.__dict__
     if "_run" in memo:
-        return _traced(node, memo["_run"])
+        return memo["_run"]
     sid = node.sid
+    bind = partial(_bind, sid, report=True)  # the statement's own step
     match node:
         case syntax.Nil():
-            run = _SKIP
+            run = bind(_SKIP, lambda i, s, _: ((s, UNIT),))
         case syntax.Seq():
-            run = _block(node)
+            run = _block(sid, syntax.statements(node))
         case syntax.ExpStm(exp=exp):
-            run = _bind(sid, exp_meaning(exp), lambda i, s, _: ((s, UNIT),))
+            run = bind(exp_meaning(exp), lambda i, s, _: ((s, UNIT),))
         case syntax.Output(exp=exp):
-            run = _bind(
-                sid, exp_meaning(exp), lambda i, s, v: ((i.dooutput(s, v), UNIT),)
-            )
+            run = bind(exp_meaning(exp), lambda i, s, v: ((i.dooutput(s, v), UNIT),))
         case syntax.Assign(target=syntax.Var(name=name), value=value):
-            run = _bind(
-                sid, exp_meaning(value), lambda i, s, v: ((i.asg(s, name, v), UNIT),)
-            )
+            run = bind(exp_meaning(value), lambda i, s, v: ((i.asg(s, name, v), UNIT),))
         case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
-            run = _bind(
-                sid, _collect(sid, exp_meaning(obj), (value,)),
+            run = bind(
+                _collect(sid, exp_meaning(obj), (value,)),
                 lambda i, s, rv: ((i.set(s, rv[0], member, rv[1]), UNIT),),
             )
         case syntax.If() | syntax.IfElse():
             then_t = stm_meaning(node.then_body)
             else_t = _SKIP if type(node) is syntax.If else stm_meaning(node.else_body)
-            run = _branch(sid, exp_meaning(node.guard), then_t, else_t)
+            run = _branch(sid, exp_meaning(node.guard), then_t, else_t, report=True)
         case syntax.While(guard=guard, body=body):
-            # one self-referential transformer: `unfold` runs the loop once
-            # and re-enters it through the fixed-point hook
-            def run(interp, s):
-                return interp.fixpoint("loop", sid, unfold, s)
+            # `unfold` runs the loop once and `again` re-enters it through the
+            # fixed-point hook; only the loop's entry reports, as its statement
+            def again(i, s, _):
+                return i.fixpoint("loop", sid, unfold, s)
 
-            loop_t = _bind(sid, stm_meaning(body), lambda i, s, _: run(i, s))
+            run = bind(_SKIP, again)
+            loop_t = _bind(sid, stm_meaning(body), again)
             unfold = _branch(sid, exp_meaning(guard), loop_t, _SKIP)
         case syntax.FunDecl(name=name):
-            run = _bind(sid, _SKIP, lambda i, s, _: ((i.fundecl(s, name, sid), UNIT),))
+            run = bind(_SKIP, lambda i, s, _: ((i.fundecl(s, name, sid), UNIT),))
         case syntax.Return(exp=exp):
-            run = _bind(sid, exp_meaning(exp), lambda i, s, v: ((i.ret(s, v), NULL),))
+            run = bind(exp_meaning(exp), lambda i, s, v: ((i.ret(s, v), NULL),))
         case syntax.TryCatch(body=body, exc_name=exc_name, handler=handler):
             # its own loop: it consumes escapes by exception, not passes them on
             body_t, handler_t = stm_meaning(body), stm_meaning(handler)
@@ -562,14 +558,17 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                     else:
                         interp.current_node = sid
                         out += handler_t(interp, interp.exs(s1, exc_name))
-                return dict.fromkeys(out) if len(out) > 1 else out
+                out = dict.fromkeys(out) if len(out) > 1 else out
+                if interp.trace is not None:
+                    interp.trace(sid, out)
+                return out
 
         case syntax.Throw(exp=exp):
-            run = _bind(sid, exp_meaning(exp), lambda i, s, v: ((i.throw(s, v), NULL),))
+            run = bind(exp_meaning(exp), lambda i, s, v: ((i.throw(s, v), NULL),))
         case _:
             raise TypeError(f"not a statement node: {node!r}")
     memo["_run"] = run
-    return _traced(node, run)
+    return run
 
 
 def exp_meaning(node: syntax.Exp) -> Transformer:

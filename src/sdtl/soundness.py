@@ -115,9 +115,9 @@ def _stage_recorder(program):
     sids = [stm.sid for stm in syntax.statements(program.root)][:-1]
     outcomes = {sid: [] for sid in sids}
 
-    def trace(node, outcome):
-        if node.sid in outcomes:
-            outcomes[node.sid] += outcome
+    def trace(sid, outcome):
+        if sid in outcomes:
+            outcomes[sid] += outcome
 
     def stages():
         escaped = []

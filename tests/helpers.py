@@ -7,6 +7,7 @@ hard-coding numbers.
 
 import collections
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -146,7 +147,11 @@ def calls_by_file(run, key=lambda code: code.co_filename) -> collections.Counter
 
 def max_depth(run) -> int:
     """Deepest Python call depth reached during `run()`, counted from its
-    caller as ``sys.setprofile`` sees calls and returns."""
+    caller as ``sys.setprofile`` sees calls and returns.
+
+    The cyclic collector is off meanwhile: a collection runs the
+    ``gc.callbacks`` (hypothesis registers one) in a frame of its own,
+    on top of whichever call started it."""
     depth = deepest = 0
 
     def profile(frame, event, arg):
@@ -157,9 +162,13 @@ def max_depth(run) -> int:
         elif event == "return":
             depth -= 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return deepest

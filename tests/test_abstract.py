@@ -239,7 +239,7 @@ def test_every_state_holds_what_its_values_point_to():
     without a fallback."""
     checked = {AFunPtr: 0, AObjRef: 0}
 
-    def trace(node, outcome):
+    def trace(sid, outcome):
         for state, _ in outcome:
             assert state.this in state.obj_mem
             values = [*state.env.values(), state.ret, state.ex]
@@ -352,7 +352,7 @@ def test_call_that_reads_no_summary_runs_its_body_once():
     )
     evaluations = []
     result = analyze_program(
-        parse(source), trace=lambda node, outcome: evaluations.append(node)
+        parse(source), trace=lambda sid, outcome: evaluations.append(sid)
     )
     assert {s.env["z"] for s in result.final_states} == {NUM, BOOL}
     assert len(evaluations) == 9
@@ -462,7 +462,7 @@ def test_nested_loops_are_solved_once_per_entry_state():
     source = "\n".join(lines + ["a = c0;"] + ["}"] * 6)
     evaluations = []
     result = analyze_program(
-        parse(source), trace=lambda node, outcome: evaluations.append(node)
+        parse(source), trace=lambda sid, outcome: evaluations.append(sid)
     )
     assert any("a" in s.env and "c5" in s.env for s in result.final_states)
     # an engine that re-solves inner loops on every outer iteration needs
@@ -542,7 +542,7 @@ def test_loop_evaluates_each_state_once():
     )
     evaluations = []
     result = analyze_program(
-        parse(source), trace=lambda node, outcome: evaluations.append(node)
+        parse(source), trace=lambda sid, outcome: evaluations.append(sid)
     )
     assert len(result.final_states) == k + 1
     assert len(evaluations) <= (k + 1) * (k + 4)

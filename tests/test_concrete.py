@@ -374,7 +374,7 @@ def test_every_step_is_deterministic():
     sizes = []
     run_program(
         load_program("showcase.sdtl"), (3, 4, 100),
-        trace=lambda node, out: sizes.append(len(out)),
+        trace=lambda sid, out: sizes.append(len(out)),
     )
     assert sizes and all(size <= 1 for size in sizes)
 

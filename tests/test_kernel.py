@@ -338,9 +338,10 @@ def test_errors_carry_node_id():
 
 
 def test_trace_hook_reports_statements():
+    """The hook is called with each statement's sid and outcomes."""
     program = parse("x = 1; y = 2;")
     seen = []
-    concrete.run_program(program, trace=lambda node, out: seen.append(node.sid))
+    concrete.run_program(program, trace=lambda sid, out: seen.append(sid))
     stm_sids = {
         n.sid for n in iter_nodes(program.root) if isinstance(n, syntax.Stm)
     }
@@ -359,12 +360,12 @@ def test_outcome_payload_is_null_exactly_when_its_state_escapes(monkeypatch):
     cases += [(source, vectors[0]) for source, vectors in GENERATED]
     wrong = []
 
-    def trace(node, outcome):
+    def trace(sid, outcome):
         for state, payload in outcome:
             if (payload is NULL) != (state.ret is not VOID or state.ex is not VOID):
-                wrong.append((node.sid, state, payload))
+                wrong.append((sid, state, payload))
         if len(outcome) != len({state for state, _ in outcome}):
-            wrong.append((node.sid, outcome))
+            wrong.append((sid, outcome))
 
     for source, inputs in cases:
         program = parse(source)
@@ -387,9 +388,9 @@ def test_trace_reports_a_block_once_after_its_statements(source, reached):
     program = parse(source)
     statements = syntax.statements(program.root)
     seen = []
-    concrete.run_program(program, trace=lambda node, out: seen.append((node, out)))
+    concrete.run_program(program, trace=lambda sid, out: seen.append((sid, out)))
     expected = statements[:reached] + [program.root]
-    assert [node.sid for node, _ in seen] == [node.sid for node in expected]
+    assert [sid for sid, _ in seen] == [node.sid for node in expected]
     # the block ends where its last statement that ran does
     assert seen[-1][1] == seen[reached - 1][1] and len(seen[-1][1]) == 1
 
@@ -447,7 +448,7 @@ def test_a_parsed_program_is_freed_without_the_cyclic_collector(name):
     parsed program and its meanings are freed by reference counting after
     a run, an analysis and a traced run."""
     def traced_run(program):
-        concrete.run_program(program, (4, 4, 4), trace=lambda node, out: None)
+        concrete.run_program(program, (4, 4, 4), trace=lambda sid, out: None)
 
     def run(program):
         concrete.run_program(program, (4, 4, 4))
@@ -473,8 +474,8 @@ def test_a_traced_run_after_an_untraced_one_reports_every_statement():
     def trace_lines(program):
         lines = []
 
-        def trace(node, outcome):
-            lines.extend(concrete.trace_line(node, state) for state, _ in outcome)
+        def trace(sid, outcome):
+            lines.extend(concrete.trace_line(sid, state) for state, _ in outcome)
 
         concrete.run_program(program, (4, 4, 4), trace=trace)
         return lines
@@ -483,6 +484,15 @@ def test_a_traced_run_after_an_untraced_one_reports_every_statement():
     concrete.run_program(program, (4, 4, 4))
     lines = trace_lines(program)
     assert lines and lines == trace_lines(load_program("showcase.sdtl"))
+
+
+def test_a_statement_meaning_is_the_transformer_kept_on_its_node():
+    """A statement's own step reports to the trace hook, so a request for
+    its meaning wraps nothing: two requests return one object."""
+    program = load_program("showcase.sdtl")
+    for node in iter_nodes(program.root):
+        if isinstance(node, syntax.Stm):
+            assert kernel.stm_meaning(node) is kernel.stm_meaning(node)
 
 
 def _package_and_dataclasses_calls(run) -> tuple:
@@ -494,8 +504,10 @@ def _package_and_dataclasses_calls(run) -> tuple:
 
 def test_concrete_loop_work_per_iteration():
     """One iteration of a counter loop costs a bounded number of calls into
-    the package (57.7 since outcomes are sequences, which hash no state, and
-    a variable read is a step; 66.8 when outcomes were sets and a statement
+    the package (52.6 since a statement's own step reports to the trace
+    hook; 56.7 while a wrapper built per request reported it, 57.7 since
+    outcomes are sequences, which hash no state, and a variable read is a
+    step; 66.8 when outcomes were sets and a statement
     list was reported once, by its outer `Seq`, 71.8 when every inner `Seq`
     was reported, 80.8 when every outcome loop asked the interpretation
     whether its state escaped, 82.8 when state primitives returned a set of
@@ -508,7 +520,7 @@ def test_concrete_loop_work_per_iteration():
     in_package, in_dataclasses = _package_and_dataclasses_calls(
         lambda: concrete.run_program(program, case.inputs)
     )
-    assert in_dataclasses == 0 and in_package <= 58 * 200
+    assert in_dataclasses == 0 and in_package <= 53 * 200
 
 
 def test_concrete_run_hashes_no_state():
@@ -550,16 +562,17 @@ def test_no_transformer_is_built_per_loop_iteration():
 
 def test_host_stack_budget_of_loops_and_calls():
     """Concrete calls recurse in the host under `recursion_headroom`'s
-    10,000 frames: `fact(fact, 950)` fits (the limit is about 998, as the
-    selection's own loop calls the branch that `cond` selected; it was 908
-    while a step body called it, and 713 when every evaluation built its
-    continuations).  One more host frame per call lowers the limit below
-    950.  Loops take no host stack per iteration (they took four frames
-    each, for a limit of about 2,494 iterations), so the 1,800-iteration
-    counter loop fits with room to spare."""
+    10,000 frames: `fact(fact, 1200)` fits (the limit is about 1,248, as a
+    statement's own step reports to the trace hook and a call level takes
+    8 frames; it was 998 while a wrapper per statement reported it, 908
+    while a step body called the selected branch, and 713 when every
+    evaluation built its continuations).  One more host frame per call
+    lowers the limit below 1,200.  Loops take no host stack per iteration
+    (they took four frames each, for a limit of about 2,494 iterations),
+    so the 1,800-iteration counter loop fits with room to spare."""
     for case in (
         programs.counter_loop(random.Random(1), 1800),
-        programs.self_passing_fact(random.Random(1), 950),
+        programs.self_passing_fact(random.Random(1), 1200),
     ):
         result = concrete.run_program(parse(case.source), case.inputs)
         assert result.outputs == case.outputs
@@ -592,7 +605,7 @@ def test_analysis_runs_a_statement_once_per_distinct_state():
     source = "if (input > 0) { x = 1; } else { x = true; } x = 1;\n" * 12 + "output x;\n"
     calls = []
     result = abstract.analyze_program(
-        parse(source), trace=lambda node, outcome: calls.append(node)
+        parse(source), trace=lambda sid, outcome: calls.append(sid)
     )
     assert len(calls) <= 200
     assert len(result.final_states) == 1 and result.diagnostics == ()
@@ -662,11 +675,13 @@ def test_analysis_builds_no_closure_per_evaluation():
 
 
 def test_analysis_work_on_straight_line():
-    """Analysing 300 straight-line statements makes at most 20,000 calls
-    into the package (about 24,000 before)."""
+    """Analysing 300 straight-line statements makes at most 7,000 calls
+    into the package (6,563 since a statement's own step reports to the
+    trace hook, 7,165 while a wrapper built per request reported it, and
+    about 24,000 before)."""
     program = parse(programs.straight_line(random.Random(1), 300).source)
     with concrete.recursion_headroom():
         in_package, in_dataclasses = _package_and_dataclasses_calls(
             lambda: abstract.analyze_program(program)
         )
-    assert in_dataclasses == 0 and in_package <= 20_000
+    assert in_dataclasses == 0 and in_package <= 7_000

@@ -502,7 +502,7 @@ def test_every_run_time_error_has_a_diagnostic_at_its_node():
         source = programs[int(report["program"].removeprefix("enumerated:"))]
         errors += ((source, error["error"]) for error in report["errors"])
     checked = [(s, e) for s, e in errors if not e.startswith(UNSEEN_ERRORS)]
-    assert len(errors) - len(checked) == 3 and len(checked) == 17 + 791
+    assert len(errors) - len(checked) == 3 and len(checked) == 18 + 791
 
     @functools.cache  # a program's runs share its analysis
     def diagnostic_nodes(source):
