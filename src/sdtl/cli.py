@@ -93,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     dump = sub.add_parser("dump-ast", help="dump the id-annotated AST as JSON")
     dump.add_argument("file")
-    for command in (run, analyze, check, dump):  # its usage line, not the top level's
-        command.set_defaults(usage_error=command.error)
+    handlers = {run: _cmd_run, analyze: _cmd_analyze, check: _cmd_check, dump: _cmd_dump}
+    for command, handler in handlers.items():  # errors under its usage line, not the top's
+        command.set_defaults(handler=handler, usage_error=command.error)
 
     return parser
 
@@ -179,14 +180,6 @@ def _cmd_dump(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "analyze": _cmd_analyze,
-    "check-soundness": _cmd_check,
-    "dump-ast": _cmd_dump,
-}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # SDTL integers are unbounded: lift the host's limit on the digits of an
@@ -199,7 +192,7 @@ def main(argv=None) -> int:
         args, unknown = build_parser().parse_known_args(_attach_vectors(argv))
         if unknown:
             args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # so that a closed stdout fails here
         return code
     except BrokenPipeError:

@@ -535,11 +535,16 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
             run = _branch(sid, exp_meaning(node.guard), then_t, else_t, report=True)
         case syntax.While(guard=guard, body=body):
             # `unfold` runs the loop once and `again` re-enters it through the
-            # fixed-point hook; only the loop's entry reports, as its statement
+            # fixed-point hook; only the loop's entry, `run`, reports
             def again(i, s, _):
                 return i.fixpoint("loop", sid, unfold, s)
 
-            run = bind(_SKIP, again)
+            def run(interp, s):
+                out = interp.fixpoint("loop", sid, unfold, s)
+                if interp.trace is not None:
+                    interp.trace(sid, out)
+                return out
+
             loop_t = _bind(sid, stm_meaning(body), again)
             unfold = _branch(sid, exp_meaning(guard), loop_t, _SKIP)
         case syntax.FunDecl(name=name):
@@ -571,21 +576,25 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
     return run
 
 
-def exp_meaning(node: syntax.Exp) -> Transformer:
-    """Meaning of an expression (payloads are values)."""
+def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
+    """Meaning of an expression or left-expression (payloads are values)."""
     eid = node.eid
     match node:
         case syntax.Con(value=value):
             def run(interp, s):
                 return ((s, interp.conval(value)),)
 
-        case syntax.LexpRef(lexp=lexp):
-            run = lexp_meaning(lexp)
+        case syntax.LexpRef(lexp=inner) | syntax.Paren(inner=inner):
+            run = exp_meaning(inner)
+        case syntax.Var(name=name):
+            run = _bind(eid, _SKIP, lambda i, s, _: ((s, i.val(s, name)),))
+        case syntax.Member(obj=obj, member=name):
+            run = _bind(eid, exp_meaning(obj), lambda i, s, v: ((s, i.get(s, v, name)),))
         case syntax.Input():
             run = _bind(eid, _SKIP, lambda i, s, _: (i.getinput(s),))
         case syntax.Call(callee=callee, args=args):
             run = _bind(
-                eid, _collect(eid, lexp_meaning(callee), args),
+                eid, _collect(eid, exp_meaning(callee), args),
                 lambda i, s, p: i.apply(s, p[0], p[1:], i.getthis(s), eid),
             )
         case syntax.MethodCall(receiver=obj, member=member, args=args):
@@ -618,8 +627,6 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
                             pass
                 return dict.fromkeys(out) if len(out) > 1 else out
 
-        case syntax.Paren(inner=inner):
-            run = exp_meaning(inner)
         case syntax.Global():
             run = _bind(eid, _SKIP, lambda i, s, _: ((s, i.getglobal(s)),))
         case syntax.This():
@@ -631,20 +638,8 @@ def exp_meaning(node: syntax.Exp) -> Transformer:
                 outcomes = i.apply(s1, p[0], p[1:], obj, eid)
                 return [(s2, a if a is NULL else obj) for s2, a in outcomes]
 
-            run = _bind(eid, _collect(eid, lexp_meaning(callee), args), construct)
+            run = _bind(eid, _collect(eid, exp_meaning(callee), args), construct)
         case _:
             raise TypeError(f"not an expression node: {node!r}")
     return run
 
-
-def lexp_meaning(node: syntax.Lexp) -> Transformer:
-    """Meaning of a left-expression (payloads are values)."""
-    eid = node.eid
-    match node:
-        case syntax.Var(name=name):
-            run = _bind(eid, _SKIP, lambda i, s, _: ((s, i.val(s, name)),))
-        case syntax.Member(obj=obj, member=name):
-            run = _bind(eid, exp_meaning(obj), lambda i, s, v: ((s, i.get(s, v, name)),))
-        case _:
-            raise TypeError(f"not a left-expression node: {node!r}")
-    return run

@@ -281,10 +281,9 @@ def tokenize(source: str) -> list[tuple]:
 
 # --- Parser ----------------------------------------------------------------
 
-_STATEMENT_KEYWORDS = frozenset(
-    ["nil", "output", "return", "throw", "if", "while", "function", "try"]
-)
 _ATOMS = {"input": Input, "global": Global, "this": This}
+_PREFIXED = {"output": Output, "return": Return, "throw": Throw}  # keyword, then an expression
+_STATEMENT_KEYWORDS = frozenset(["nil", "if", "while", "function", "try", *_PREFIXED])
 
 
 class _Parser:
@@ -360,12 +359,8 @@ class _Parser:
         self.pos += 1
         if kind == "nil":
             return Nil(0)
-        if kind == "output":
-            return Output(0, self.parse_exp())
-        if kind == "return":
-            return Return(0, self.parse_exp())
-        if kind == "throw":
-            return Throw(0, self.parse_exp())
+        if kind in _PREFIXED:
+            return _PREFIXED[kind](0, self.parse_exp())
         if kind == "if":
             guard, then_body = self.parse_guard(), self.parse_block()
             if self.kinds[self.pos] != "else":
@@ -386,17 +381,10 @@ class _Parser:
     def parse_fundecl(self) -> Stm:
         keyword = self.pos - 1
         name = self.expect("id")
-        self.expect("(")
-        params = []
-        if self.kinds[self.pos] != ")":
-            params.append(self.expect("id"))
-            while self.kinds[self.pos] == ",":
-                self.pos += 1
-                params.append(self.expect("id"))
-        self.expect(")")
+        params = self.parse_list(lambda: self.expect("id"))
         if len(set(params)) != len(params):
             self.fail(f"duplicate parameter name in function {name!r}", keyword)
-        return FunDecl(0, name, tuple(params), self.parse_block())
+        return FunDecl(0, name, params, self.parse_block())
 
     def parse_assign_or_exp(self) -> Stm:
         operand = self.parse_unary()
@@ -440,26 +428,28 @@ class _Parser:
                 self.pos += 1
                 member = self.expect("id")
                 if kinds[self.pos] == "(":
-                    exp = MethodCall(0, _as_exp(exp), member, self.parse_args())
+                    exp = MethodCall(0, _as_exp(exp), member, self.parse_list(self.parse_exp))
                 else:
                     exp = Member(0, _as_exp(exp), member)
             elif kind == "(":
                 if not isinstance(exp, Var):
                     self.fail("callee must be a variable or member")
-                exp = Call(0, exp, self.parse_args())
+                exp = Call(0, exp, self.parse_list(self.parse_exp))
             else:
                 return exp
 
-    def parse_args(self) -> tuple[Exp, ...]:
+    def parse_list(self, parse_item) -> tuple:
+        """'(', items read by `parse_item` separated by ',', then ')': the
+        parameters of a declaration and the arguments of a call or `new`."""
         self.expect("(")
-        args = []
+        items = []
         if self.kinds[self.pos] != ")":
-            args.append(self.parse_exp())
+            items.append(parse_item())
             while self.kinds[self.pos] == ",":
                 self.pos += 1
-                args.append(self.parse_exp())
+                items.append(parse_item())
         self.expect(")")
-        return tuple(args)
+        return tuple(items)
 
     def parse_primary(self) -> Exp | Lexp:
         kind, value, _ = self.tokens[self.pos]
@@ -496,7 +486,7 @@ class _Parser:
             exp = Member(0, _as_exp(exp), self.expect("id"))
         if not isinstance(exp, Lexp):
             self.fail("constructor of 'new' must be a variable or member")
-        return New(0, exp, self.parse_args())
+        return New(0, exp, self.parse_list(self.parse_exp))
 
 
 def _as_exp(node: Exp | Lexp) -> Exp:

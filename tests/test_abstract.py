@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 
 import sdtl
 from helpers import (
-    GENERATED, GOLDEN, PROGRAMS, find_call_eid, find_fundecl, find_new_eid,
-    iter_nodes, load, load_program,
+    GENERATED, GOLDEN, PROGRAMS, calls_by_file, find_call_eid, find_fundecl,
+    find_new_eid, iter_nodes, load, load_program,
 )
 from perfbench import programs
 from sdtl import abstract, kernel
@@ -497,6 +498,39 @@ def test_analysis_work_does_not_depend_on_the_hash_seed(seed):
         [sys.executable, "-c", _NESTS], capture_output=True, text=True, env=env, timeout=120
     )
     assert completed.stdout.split() == ["828", "48"], completed.stderr
+
+
+def test_loop_nests_hash_few_states():
+    """The 12 loop nests of `_NESTS` hash 2,536 states; 2,792 while a
+    loop's entry was a step after a no-op, which hashed again the outcomes
+    that the fixed-point hook returns without repeats."""
+    rng = random.Random(1)
+    nests = [
+        parse(programs.loop_nest(rng, depth).source)
+        for depth in (3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5)
+    ]
+    calls = calls_by_file(
+        lambda: [analyze_program(program) for program in nests], key=lambda code: code
+    )
+    assert calls[kernel.Record.__hash__.__code__] <= 2536
+
+
+def test_call_arguments_are_analyzed_depth_first():
+    """Each outcome of `f()` runs the later arguments `h(1)`, then `k(true)`,
+    before the next outcome does: bodies h, k, h, k, not h, h, k, k."""
+    program = parse(
+        "function f() { if (input > 0) { global.a = 1; return 1; } return true; }\n"
+        "function h(v) { output 1; return v; }\n"
+        "function k(v) { y = 2; return v; }\n"
+        "function g(a, b, c) { return 1; }\n"
+        "x = g(f(), h(1), k(true));\n"
+    )
+    # a body reports once per evaluation, by its outer Seq
+    body = {find_fundecl(program, name).body.sid: name for name in ("h", "k")}
+    evaluations = []
+    analyze_program(program, trace=lambda sid, outcome: evaluations.append(sid))
+    order = [body[sid] for sid in evaluations if sid in body]
+    assert order == ["h", "k", "h", "k"]
 
 
 def test_loop_states_join_the_worklist_without_host_recursion():
