@@ -301,7 +301,8 @@ def analyze_program(program: Program, trace=None) -> AnalysisResult:
     """Analyze a program, returning its distinct final abstract states, in
     first-seen order, plus the diagnostic log."""
     interp = AbstractInterpretation(program, trace)
-    outcome = kernel.stm_meaning(program.root)(interp, AState())
+    with kernel.recursion_headroom():
+        outcome = kernel.stm_meaning(program.root)(interp, AState())
     return AnalysisResult(
         final_states=tuple(dict.fromkeys(map(operator.itemgetter(0), outcome))),
         diagnostics=tuple(sorted(interp.diagnostics)),

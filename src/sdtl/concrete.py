@@ -8,13 +8,11 @@ a deterministic I/O model (finite input queue, append-only output log).
 
 from __future__ import annotations
 
-import contextlib
-import sys
 from dataclasses import dataclass
 from typing import Union
 
 from . import kernel
-from .kernel import VOID_VAL, EvalError, FrozenMap
+from .kernel import VOID_VAL, EvalError, FrozenMap, recursion_headroom
 from .syntax import Program
 
 
@@ -179,24 +177,6 @@ class RunResult:
     # object key -> allocation site: 0 for the global object, else the eid of
     # the `new` that made it; keys are never reused within a run
     sites: dict
-
-
-@contextlib.contextmanager
-def recursion_headroom():
-    """Interpreted calls, and hashing or comparing values that nest, consume
-    host stack; give them room, 10,000 frames, and surface exhaustion as a
-    run-time error."""
-    previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous, 10_000))
-    try:
-        yield
-    except RecursionError:
-        raise EvalError(
-            f"host recursion limit exceeded ({sys.getrecursionlimit():,} frames): "
-            "call or value nesting too deep"
-        ) from None
-    finally:
-        sys.setrecursionlimit(previous)
 
 
 def run_program(program: Program, inputs=(), trace=None) -> RunResult:

@@ -25,6 +25,8 @@ Environments and heaps are :class:`FrozenMap`, an immutable ``dict``.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Collection, Tuple
@@ -65,6 +67,25 @@ class EvalError(Exception):
         return f"{self.message} (node {self.node_id})"
 
 
+@contextlib.contextmanager
+def recursion_headroom():
+    """Interpreted calls, and hashing or comparing values that nest, consume
+    host stack; give them room, 10,000 frames, and surface exhaustion as a
+    run-time error.  ``concrete.run_program`` and ``abstract.analyze_program``
+    each evaluate under it."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(previous, 10_000))
+    try:
+        yield
+    except RecursionError:
+        raise EvalError(
+            f"host recursion limit exceeded ({sys.getrecursionlimit():,} frames): "
+            "call or value nesting too deep"
+        ) from None
+    finally:
+        sys.setrecursionlimit(previous)
+
+
 class DeadBranch(Exception):
     """Raised by abstract primitives when a branch cannot proceed.
 
@@ -74,18 +95,16 @@ class DeadBranch(Exception):
 
 
 class FrozenMap(dict):
-    """Immutable hashable ``dict``: mutating methods raise, ``set`` copies."""
+    """Immutable hashable ``dict``: mutating methods raise, ``set`` copies.
+    Its hash slot stays unset until the first hash: building one runs no Python code."""
 
     __slots__ = ("_hash",)
 
-    def __init__(self, data=()):
-        super().__init__(data)
-        self._hash = None
-
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.items()))
-        return self._hash
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = self._hash = hash(frozenset(self.items()))
+        return value
 
     def _immutable(self, *args, **kwargs):
         raise TypeError("FrozenMap is immutable")
@@ -107,15 +126,10 @@ class FrozenMap(dict):
 class Record:
     """Base of state records declared ``@dataclass(frozen=True, eq=False)``:
     equal when their fields are, hashed as their field tuple (the value a
-    frozen dataclass would generate) once, in a slot that :func:`replace`
-    does not copy."""
+    frozen dataclass would generate) once, in a slot that stays unset until
+    the first hash: :func:`replace` does not copy it and runs no constructor."""
 
     __slots__ = ("_hash", "__dict__")
-
-    def __new__(cls, *args, **kwargs):
-        record = object.__new__(cls)
-        object.__setattr__(record, "_hash", None)
-        return record
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -123,7 +137,7 @@ class Record:
         return self.__dict__ == other.__dict__
 
     def __hash__(self):
-        value = self._hash
+        value = getattr(self, "_hash", None)
         if value is None:
             value = hash(tuple(self.__dict__.values()))
             object.__setattr__(self, "_hash", value)
@@ -133,8 +147,7 @@ class Record:
 def replace(record, **changes):
     """Copy of the frozen record with `changes` applied; unlike
     ``dataclasses.replace`` it neither re-reads the fields nor runs __init__."""
-    cls = record.__class__
-    copy = cls.__new__(cls)
+    copy = object.__new__(record.__class__)
     fields = copy.__dict__
     fields.update(record.__dict__)
     fields.update(changes)

@@ -147,6 +147,86 @@ def test_deep_nesting_exits_1_without_traceback(tmp_path, capsys, command, sourc
     assert err == "input nests too deeply: recursion limit exceeded\n"
 
 
+def _call_chain(depth) -> str:
+    """Functions f0 to f`depth`, each but f0 calling the one before through
+    the global object, and one call of the last: no call recurses."""
+    return "function f0(x) { return x; } global.f0 = f0;\n" + "".join(
+        f"function f{i}(x) {{ return global.f{i - 1}(x); }} global.f{i} = f{i};\n"
+        for i in range(1, depth + 1)
+    ) + f"output f{depth}(7);\n"
+
+
+def test_the_analysis_gets_the_run_s_host_stack_headroom(tmp_path, capsys):
+    """Analysing a chain of 300 non-recursive calls needs more host stack
+    than the default 1,000 frames; the analysis evaluates under the kernel's
+    headroom, as a run does (at 141 levels both `analyze` and
+    `check-soundness` ended "input nests too deeply" while it did not)."""
+    prog = tmp_path / "chain.sdtl"
+    prog.write_text(_call_chain(300))
+    assert run_cli(capsys, "run", str(prog)) == (0, "7\n", "")
+    code, out, err = run_cli(capsys, "analyze", str(prog))
+    assert code == 0 and out.startswith("state 1:\n") and "diagnostic:" not in out
+    assert err == ""
+    code, out, err = run_cli(capsys, "check-soundness", str(prog))
+    report = json.loads(out)
+    assert code == 0 and report["checked"] == 1 and report["violations"] == []
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_host_stack_exhaustion_is_a_run_time_error_in_both_commands(
+    tmp_path, capsys, command
+):
+    """A call with 9,000 arguments exhausts the 10,000 frames of headroom in
+    the run and in the analysis alike, which say so in the same words."""
+    params = ", ".join(f"p{i}" for i in range(9_000))
+    prog = tmp_path / "wide.sdtl"
+    prog.write_text(f"function g({params}) {{ return p0; }}\n"
+                    f"output g({', '.join(['1'] * 9_000)});\n")
+    assert run_cli(capsys, command, str(prog)) == (1, "", (
+        "run-time error: host recursion limit exceeded (10,000 frames): "
+        "call or value nesting too deep\n"
+    ))
+
+
+THROWS_OUT_OF_EXPRESSIONS = """
+function boom(v) { throw v; }
+function F(a) { this.a = a; }
+function id(a) { return a; }
+o = new F(0);
+o.m = id;
+try { if (boom(1)) { output 0; } } catch (e) { output e; }
+try { while (boom(2)) { output 0; } } catch (e) { output e; }
+try { x = boom(3) + 1; } catch (e) { output e; }
+try { x = 1 + boom(4); } catch (e) { output e; }
+try { x = id(boom(5)); } catch (e) { output e; }
+try { x = new F(boom(6)); } catch (e) { output e; }
+try { x = o.m(boom(7)); } catch (e) { output e; }
+z = boom(8) + boom(9);
+"""
+
+
+def test_exceptions_thrown_out_of_expressions(tmp_path, capsys):
+    """An exception thrown out of an `if` or `while` guard, either operand
+    of an operator, or an argument of a call, a `new` or a method call
+    escapes the expression: each is caught and printed in turn, and the
+    left operand's exception ends the run before the right operand runs.
+    The analysis has one final state, with a pending `Num`, and no
+    diagnostic, and it abstracts the run after every statement."""
+    prog = tmp_path / "throws.sdtl"
+    prog.write_text(THROWS_OUT_OF_EXPRESSIONS)
+    assert run_cli(capsys, "run", str(prog)) == (
+        1, "".join(f"{i}\n" for i in range(1, 8)), "uncaught exception: 8\n"
+    )
+    code, out, err = run_cli(capsys, "analyze", str(prog), "--format", "json")
+    result = json.loads(out)
+    assert code == 0 and err == "" and result["diagnostics"] == []
+    assert [state["ex"] for state in result["states"]] == ["Num"]
+    code, out, err = run_cli(capsys, "check-soundness", str(prog), "--per-statement")
+    report = json.loads(out)
+    assert code == 0 and report["checked"] == 1 and report["violations"] == []
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
