@@ -143,6 +143,30 @@ class AbstractInterpretation(kernel.Interpretation):
         # the others by `newobj`, and no step removes one
         return ref.site
 
+    def fun_parts(self, state, fun):
+        if fun is VOID_VAL:
+            self._dead("possible use of void function result")
+        if not isinstance(fun, AFunPtr):
+            self._dead(f"possible type error: calling {_a(fun)}")
+        sid, count, anchor = fun.sid, fun.count, fun.anchor
+        return sid, state.curried[sid, count, anchor] if count else ()
+
+    def curry(self, state, fun, args, arity, eid):
+        if len(args) > arity:
+            self._dead(
+                f"possible type error: too many arguments ({len(args)} for arity {arity})"
+            )
+        if not args:
+            # zero arguments were supplied: the pointer is unchanged
+            # (uncurried pointers stay unanchored)
+            return ((state, fun),)
+        key = (fun.sid, len(args), eid)
+        old = state.curried.get(key)
+        if old is not None and old != args:
+            self.stats["reset_curried_keys"].add(key)
+        new_state = kernel.replace(state, curried=state.curried.set(key, args))
+        return ((new_state, AFunPtr(*key)),)
+
     def undefined(self, kind, name):
         self._dead(f"possibly undefined {kind} {name!r}")
 
@@ -176,32 +200,6 @@ class AbstractInterpretation(kernel.Interpretation):
                 f"and {_category(right)}"
             )
         return NUM if op in ("+", "-", "*", "/") else BOOL
-
-    def apply(self, state, fun_value, args, this_value, eid):
-        if fun_value is VOID_VAL:
-            self._dead("possible use of void function result")
-        if not isinstance(fun_value, AFunPtr):
-            self._dead(f"possible type error: calling {_a(fun_value)}")
-        sid, count, anchor = fun_value.sid, fun_value.count, fun_value.anchor
-        arity = len(self.program.fun_table[sid].params)
-        args = (state.curried[sid, count, anchor] if count else ()) + tuple(args)
-        if len(args) == arity:
-            return kernel.call(self, state, sid, args, this_value)
-        if len(args) < arity:
-            if not args:
-                # zero arguments were supplied: the pointer is unchanged
-                # (uncurried pointers stay unanchored)
-                return ((state, fun_value),)
-            key = (sid, len(args), eid)
-            old = state.curried.get(key)
-            if old is not None and old != args:
-                self.stats["reset_curried_keys"].add(key)
-            new_state = kernel.replace(state, curried=state.curried.set(key, args))
-            return ((new_state, AFunPtr(*key)),)
-        self._dead(
-            f"possible type error: too many arguments "
-            f"({len(args)} for arity {arity})"
-        )
 
     def newobj(self, state, eid):
         # allocation-site abstraction: the site's previous abstract object,

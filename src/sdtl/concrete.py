@@ -93,6 +93,17 @@ class ConcreteInterpretation(kernel.Interpretation):
             raise EvalError(f"member access on a non-object ({_category(ref)})")
         return ref.ref
 
+    def fun_parts(self, state, fun):
+        _check_not_void(fun)
+        if not isinstance(fun, FunPtr):
+            raise EvalError(f"calling a non-function ({_category(fun)})")
+        return fun.sid, fun.curried
+
+    def curry(self, state, fun, args, arity, eid):
+        if len(args) > arity:
+            raise EvalError(f"too many arguments ({len(args)} for arity {arity})")
+        return ((state, FunPtr(fun.sid, args)),)
+
     def undefined(self, kind, name):
         raise EvalError(f"undefined {kind} {name!r}") from None
 
@@ -146,22 +157,6 @@ class ConcreteInterpretation(kernel.Interpretation):
         if op == "<":
             return left < right
         raise AssertionError(f"unknown operator {op!r}")
-
-    def apply(self, state, fun_value, args, this_value, eid):
-        _check_not_void(fun_value)
-        if not isinstance(fun_value, FunPtr):
-            raise EvalError(
-                f"calling a non-function ({_category(fun_value)})"
-            )
-        combined = fun_value.curried + tuple(args)
-        arity = len(self.program.fun_table[fun_value.sid].params)
-        if len(combined) == arity:
-            return kernel.call(self, state, fun_value.sid, combined, this_value)
-        if len(combined) < arity:
-            return ((state, FunPtr(fun_value.sid, combined)),)
-        raise EvalError(
-            f"too many arguments ({len(combined)} for arity {arity})"
-        )
 
     def newobj(self, state, eid):
         ref = len(state.obj_mem)

@@ -10,9 +10,10 @@ keeping first-seen order, and returns one as is, so a concrete run, which
 has one outcome per step, hashes no state.  The semantic equations here are
 written once against the interpretation contract, as are the primitives
 that only touch the fields of the :class:`State` record, variable and
-member access among them.  The concrete interpreter and the abstract type
-analysis plug in their own state fields, values, value-level primitives
-and two hooks, a pointer check and an error policy.
+member access among them, and the call.  The concrete interpreter and the
+abstract type analysis plug in their own state fields, values, value-level
+primitives and four hooks: two pointer checks, a partial application and
+an error policy.
 
 Every transformer is built once per parsed node, and shared by the
 analysis, every run and every call: evaluating a node loops over its
@@ -312,17 +313,19 @@ class Interpretation:
     and the run's trace hook.
 
     States are :class:`State` records.  The record-state primitives, ``val``,
-    ``get`` and ``set`` among them, are written here once against its
-    fields, and any field a domain adds is carried through calls untouched.
-    A domain declares its object-pointer class (built from the heap key, 0
-    for the global object) and its function-pointer class (built from a
-    sid), writes the value-level primitives, and two hooks: ``obj_key``, its
-    pointer check, and ``undefined``, its error policy.
+    ``get`` and ``set`` among them, and the call, ``apply``, are written here
+    once against its fields, and any field a domain adds is carried through
+    calls untouched.  A domain declares its object-pointer class (built from
+    the heap key, 0 for the global object) and its function-pointer class
+    (built from a sid), writes the value-level primitives, and four hooks:
+    ``obj_key`` and ``fun_parts``, its pointer checks, ``curry``, its
+    partial application, and ``undefined``, its error policy.
 
     Every primitive returns one result: a value, the successor state, or one
     (state, value) pair (``getinput``, ``newobj``).  Only three can branch:
+    the domain's ``cond`` and ``fixpoint``, and the kernel's ``apply``.
     ``cond`` takes a guard value and returns the branches that may run,
-    ``(True,)``, ``(False,)`` or both; ``apply`` and ``fixpoint`` return
+    ``(True,)``, ``(False,)`` or both; ``fixpoint`` and ``apply`` return
     (state, payload) outcomes, and ``fixpoint`` alone takes a transformer,
     one unfolding.  State equality must be decidable.
 
@@ -334,9 +337,8 @@ class Interpretation:
     drops repeats with ``dict.fromkeys``, in first-seen order.
 
     An outcome's payload is ``NULL`` exactly when its state has a pending
-    return or exception; the equations read escapes off the payload alone.
-    A saturated ``apply`` builds its outcomes with :func:`call`, which keeps
-    that rule.
+    return or exception; the equations read escapes off the payload alone,
+    and ``apply`` keeps that rule for a call's exits.
 
     The function space, sid -> meaning of the function's body, is the least
     fixed point of its equations, realized lazily: each body's meaning is
@@ -364,9 +366,16 @@ class Interpretation:
             self._fun_bodies[sid] = stm_meaning(self.program.fun_table[sid].body)
         return self._fun_bodies[sid]
 
-    # a domain's hooks: its pointer check and its error policy
+    # a domain's hooks: its pointer checks, partial application, error policy
 
     def obj_key(self, ref):  # -> heap key of the object `ref` names
+        raise NotImplementedError
+
+    def fun_parts(self, state, fun):  # -> (sid, arguments `fun` has curried)
+        raise NotImplementedError
+
+    def curry(self, state, fun, args, arity, eid):  # -> outcomes, or raises
+        # `fun` at node `eid` with all its `args`, too few or too many for `arity`
         raise NotImplementedError
 
     def undefined(self, kind, name):  # raises: no `kind` called `name`
@@ -387,9 +396,6 @@ class Interpretation:
         raise NotImplementedError
 
     def bin(self, op, left, right):  # -> Value
-        raise NotImplementedError
-
-    def apply(self, state, fun_value, args, this_value, eid):  # -> outcomes
         raise NotImplementedError
 
     def newobj(self, state, eid):  # -> (State, Value)
@@ -449,6 +455,26 @@ class Interpretation:
         after = replace(callee, env=caller.env, ret=VOID, this=caller.this)
         return after, callee.ret
 
+    def apply(self, state, fun_value, args, this_value, eid):  # -> outcomes
+        """Call at node `eid` of `fun_value` on its curried arguments, then
+        `args`, with receiver `this_value`: at the arity, the body runs from
+        ``enter`` through the fixed-point hook, and each exit goes through
+        ``leave``, payload ``NULL`` on a pending exception and ``VOID_VAL``
+        on a Void return slot; any other count is the domain's ``curry``."""
+        sid, curried = self.fun_parts(state, fun_value)
+        args = curried + args
+        params = self.program.fun_table[sid].params
+        if len(args) != len(params):
+            return self.curry(state, fun_value, args, len(params), eid)
+        entry = self.enter(state, args, this_value, params)
+        out = []
+        for exit_state, _ in self.fixpoint("call", sid, self.fun_body(sid), entry):
+            after, ret = self.leave(state, exit_state)
+            if after.ex is not VOID:
+                ret = NULL
+            out.append((after, VOID_VAL if ret is VOID else ret))
+        return out
+
     # fixed-point hook with its default realization
 
     # the default's innermost activation, (node id, frontier of states to
@@ -491,27 +517,6 @@ class Interpretation:
         finally:
             self._active = active
         return dict.fromkeys(out) if len(out) > 1 else out
-
-
-# --- Auxiliary call machinery --------------------------------------------------
-
-
-def call(interp, s, sid, args, this_value):  # -> outcomes
-    """Run function `sid` on `args` with receiver `this_value` from state `s`.
-
-    Builds the callee entry state, runs the body through the
-    interpretation's fixed-point hook, and maps every exit state back
-    through ``leave``.  A pending exception makes the payload ``NULL``, and
-    a Void return slot the unusable ``VOID_VAL``.
-    """
-    entry = interp.enter(s, args, this_value, interp.program.fun_table[sid].params)
-    out = []
-    for exit_state, _ in interp.fixpoint("call", sid, interp.fun_body(sid), entry):
-        after, ret = interp.leave(s, exit_state)
-        if after.ex is not VOID:
-            ret = NULL
-        out.append((after, VOID_VAL if ret is VOID else ret))
-    return out
 
 
 # --- Semantic equations ---------------------------------------------------------

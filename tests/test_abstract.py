@@ -236,8 +236,8 @@ def test_reset_curried_keys(source, fun, call, resets):
 def test_every_state_holds_what_its_values_point_to():
     """In every outcome state of every statement, each curried pointer's
     anchor holds a tuple of its length, and each reference's site is
-    allocated: `apply` indexes `curried` and `get` and `set` index `obj_mem`
-    without a fallback."""
+    allocated: `fun_parts` indexes `curried` and `get` and `set` index
+    `obj_mem` without a fallback."""
     checked = {AFunPtr: 0, AObjRef: 0}
 
     def trace(sid, outcome):

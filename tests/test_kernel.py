@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    GENERATED, PROGRAMS, calls_by_file, iter_nodes, load, load_program, max_depth,
+    GENERATED, PROGRAMS, calls_by_file, find_call_eid, iter_nodes, load, load_program,
+    max_depth,
 )
 from perfbench import programs
 from sdtl import abstract, concrete, kernel, soundness, syntax
@@ -59,13 +60,64 @@ RECORD_STATE_PRIMITIVES = (
 
 
 def test_domains_write_no_record_state_primitive():
-    """The primitives that only read or write the state record's fields are
-    written once, in the kernel; a domain supplies its pointer check,
-    `obj_key`, and its error policy, `undefined`, instead."""
-    assert set(RECORD_STATE_PRIMITIVES) <= vars(kernel.Interpretation).keys()
+    """The primitives that only read or write the state record's fields, and
+    the call, `apply`, are written once, in the kernel; a domain supplies its
+    pointer checks, `obj_key` and `fun_parts`, its partial application,
+    `curry`, and its error policy, `undefined`, instead."""
+    shared = {*RECORD_STATE_PRIMITIVES, "apply"}
+    assert shared <= vars(kernel.Interpretation).keys()
+    assert not hasattr(kernel, "call")
     for domain in (concrete.ConcreteInterpretation, abstract.AbstractInterpretation):
-        assert not set(RECORD_STATE_PRIMITIVES) & vars(domain).keys(), domain
-        assert {"obj_key", "undefined"} <= vars(domain).keys(), domain
+        assert not shared & vars(domain).keys(), domain
+        assert {"obj_key", "fun_parts", "curry", "undefined"} <= vars(domain).keys()
+
+
+def _run_env(program):
+    """The final env of a run, or its error as (message, node)."""
+    try:
+        return concrete.run_program(program).final_state.env
+    except kernel.EvalError as err:
+        return err.message, err.node_id
+
+
+def _analysis_env(program):
+    """The one final abstract env, or the one diagnostic as (message, node)."""
+    result = abstract.analyze_program(program)
+    if not result.final_states:
+        ((node, message),) = map(dataclasses.astuple, result.diagnostics)
+        return message, node
+    (state,) = result.final_states
+    return state.env
+
+
+CALL_DOMAINS = {
+    "concrete": (_run_env, 123, ""),
+    "abstract": (_analysis_env, abstract.NUM, "possible type error: "),
+}
+
+
+@pytest.mark.parametrize("domain", CALL_DOMAINS)
+def test_kernel_apply_curries_saturates_and_rejects_extra_arguments(domain):
+    """`apply` is the kernel's, over each domain's `fun_parts` and `curry`:
+    an arity-3 function gives one result however its arguments are split
+    over applications, an uncurried pointer applied to no argument is
+    itself, and over-applying a curried pointer fails at that call."""
+    outcome, value, prefix = CALL_DOMAINS[domain]
+    add3 = "function add3(a,b,c){ return a*100 + b*10 + c; } "
+    for calls in (
+        "r = add3(1, 2, 3);",
+        "p = add3(1); r = p(2, 3);",
+        "p = add3(1, 2); r = p(3);",
+        "p = add3(1); q = p(2); r = q(3);",
+        "p = add3(); q = p(1, 2); r = q(3);",
+        "p = add3(); q = p(); r = q(1, 2, 3);",
+    ):
+        assert outcome(parse(add3 + calls))["r"] == value, calls
+    env = outcome(parse(add3 + "q = add3();"))
+    assert env["q"] == env["add3"]
+    program = parse("function add(x,y){return x+y;} p = add(1); q = p(2, 3);")
+    message = prefix + "too many arguments (3 for arity 2)"
+    assert outcome(program) == (message, find_call_eid(program, "p"))
 
 
 def test_frozen_map_behaves_like_mapping():
@@ -563,17 +615,18 @@ def test_no_transformer_is_built_per_loop_iteration():
 
 def test_host_stack_budget_of_loops_and_calls():
     """Concrete calls recurse in the host under `recursion_headroom`'s
-    10,000 frames: `fact(fact, 1200)` fits (the limit is about 1,248, as a
-    statement's own step reports to the trace hook and a call level takes
-    8 frames; it was 998 while a wrapper per statement reported it, 908
+    10,000 frames: `fact(fact, 1400)` fits (the limit is about 1,427, as
+    the kernel's `apply` runs a call itself and a call level takes 7
+    frames; it was 1,249 with 8 while `apply` forwarded to `kernel.call`,
+    998 while a wrapper per statement reported to the trace hook, 908
     while a step body called the selected branch, and 713 when every
     evaluation built its continuations).  One more host frame per call
-    lowers the limit below 1,200.  Loops take no host stack per iteration
+    lowers the limit below 1,400.  Loops take no host stack per iteration
     (they took four frames each, for a limit of about 2,494 iterations),
     so the 1,800-iteration counter loop fits with room to spare."""
     for case in (
         programs.counter_loop(random.Random(1), 1800),
-        programs.self_passing_fact(random.Random(1), 1200),
+        programs.self_passing_fact(random.Random(1), 1400),
     ):
         result = concrete.run_program(parse(case.source), case.inputs)
         assert result.outputs == case.outputs

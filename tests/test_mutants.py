@@ -11,8 +11,7 @@ import functools
 
 import pytest
 
-from sdtl import kernel
-from sdtl.abstract import BOOL, NUM, AbstractInterpretation, AFunPtr, AObjRef
+from sdtl.abstract import BOOL, NUM, AbstractInterpretation, AObjRef
 from sdtl.soundness import (
     CORPUS_INPUTS, CORPUS_PRELUDE, differential_test, enumerate_programs,
 )
@@ -20,7 +19,7 @@ from sdtl.soundness import (
 PROGRAMS = enumerate_programs()
 ORIGINAL = {
     name: getattr(AbstractInterpretation, name)
-    for name in ("bin", "apply", "fixpoint")
+    for name in ("bin", "curry", "fixpoint")
 }
 
 
@@ -49,16 +48,9 @@ def loop_reentry_dropped(self, kind, nid, step, state):
     return ORIGINAL["fixpoint"](self, kind, nid, step, state)
 
 
-def partial_application_stores_num(self, state, fun_value, args, this_value, eid):
-    """A pointer made at this call's own site stores Num per curried argument."""
-    outcome = ORIGINAL["apply"](self, state, fun_value, args, this_value, eid)
-    if type(outcome) is tuple and len(outcome) == 1:
-        ((new_state, value),) = outcome
-        if isinstance(value, AFunPtr) and value.anchor == eid:
-            key = (value.sid, value.count, value.anchor)
-            curried = new_state.curried.set(key, (NUM,) * value.count)
-            return ((kernel.replace(new_state, curried=curried), value),)
-    return outcome
+def partial_application_stores_num(self, state, fun, args, arity, eid):
+    """A partial application stores Num per curried argument."""
+    return ORIGINAL["curry"](self, state, fun, (NUM,) * len(args), arity, eid)
 
 
 def set_checks_only(self, state, ref, member, value):
@@ -95,7 +87,7 @@ MUTANTS = {
     "new-allocates-nothing": (
         "newobj", lambda self, state, eid: (state, AObjRef(0)), ["a=mk(F,1);"],
     ),
-    "partial-application-stores-num": ("apply", partial_application_stores_num, [
+    "partial-application-stores-num": ("curry", partial_application_stores_num, [
         "q=part(add,true);",
     ]),
 }
