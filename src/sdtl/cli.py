@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import abstract, concrete, soundness, syntax
-from .kernel import VOID, EvalError
+from .kernel import VOID, EvalError, recursion_headroom
 
 
 class CliError(Exception):
@@ -116,7 +116,8 @@ def _cmd_run(args) -> int:
             print(value)
     final = result.final_state
     if final.ex is not VOID:
-        thrown = json.dumps(concrete.value_to_json(final.ex))
+        with recursion_headroom():  # rendering recurses into the value
+            thrown = json.dumps(concrete.value_to_json(final.ex))
         print(f"uncaught exception: {thrown}", file=sys.stderr)
         return 1
     return 0
@@ -168,7 +169,8 @@ def _cmd_check(args) -> int:
         label=args.file,
         per_statement=args.per_statement,
     )
-    print(json.dumps(report, indent=2, sort_keys=True))
+    with recursion_headroom():  # its states hold values as deep as runs nest them
+        print(json.dumps(report, indent=2, sort_keys=True))
     if not report["checked"]:
         print("no run was checked: every input vector ended in a run-time error",
               file=sys.stderr)

@@ -70,10 +70,11 @@ class EvalError(Exception):
 
 @contextlib.contextmanager
 def recursion_headroom():
-    """Interpreted calls, and hashing or comparing values that nest, consume
-    host stack; give them room, 10,000 frames, and surface exhaustion as a
-    run-time error.  ``concrete.run_program`` and ``abstract.analyze_program``
-    each evaluate under it."""
+    """Interpreted calls, and hashing, comparing, relating or printing values
+    that nest, take host stack (statement and argument lists and loops take
+    none): give them 10,000 frames, and surface exhaustion as a run-time
+    error.  Runs and analyses evaluate under it, and ``differential_test``
+    checks, and the CLI prints, their values under it too."""
     previous = sys.getrecursionlimit()
     sys.setrecursionlimit(max(previous, 10_000))
     try:
@@ -294,14 +295,25 @@ def _branch(nid, guard_t, then_t, else_t, report=False) -> Transformer:
     return run
 
 
-def _collect(nid, first: Transformer, exps) -> Transformer:
+def _collect(first: Transformer, exps) -> Transformer:
     """`first`, then the expressions `exps` left to right, each run from
-    every non-escaping successor of the one before, as steps of node `nid`;
-    the payload is the tuple of their payloads."""
-    rest = _collect(nid, exp_meaning(exps[0]), exps[1:]) if exps else pure(())
-    return _bind(nid, first, lambda i, s, a: [
-        (s1, v if v is NULL else (a,) + v) for s1, v in rest(i, s)
-    ])
+    every non-escaping successor of the one before; the payload is the tuple
+    of their payloads.  One loop pops (payloads so far, state) pairs and pushes
+    a list of each part's outcomes last first: depth first, with no host stack."""
+    parts = (first, *map(exp_meaning, exps))
+
+    def run(interp, s):
+        out, todo = [], [((), s)]
+        while todo:
+            values, s = todo.pop()
+            if values is NULL or len(values) == len(parts):
+                out.append((s, values))
+                continue
+            for s1, v in reversed(list(parts[len(values)](interp, s))):
+                todo.append((v if v is NULL else values + (v,), s1))
+        return dict.fromkeys(out) if len(out) > 1 else out
+
+    return run
 
 
 # --- The interpretation contract ----------------------------------------------
@@ -544,7 +556,7 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
             run = bind(exp_meaning(value), lambda i, s, v: ((i.asg(s, name, v), UNIT),))
         case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
             run = bind(
-                _collect(sid, exp_meaning(obj), (value,)),
+                _collect(exp_meaning(obj), (value,)),
                 lambda i, s, rv: ((i.set(s, rv[0], member, rv[1]), UNIT),),
             )
         case syntax.If() | syntax.IfElse():
@@ -612,7 +624,7 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
             run = _bind(eid, _SKIP, lambda i, s, _: (i.getinput(s),))
         case syntax.Call(callee=callee, args=args):
             run = _bind(
-                eid, _collect(eid, exp_meaning(callee), args),
+                eid, _collect(exp_meaning(callee), args),
                 lambda i, s, p: i.apply(s, p[0], p[1:], i.getthis(s), eid),
             )
         case syntax.MethodCall(receiver=obj, member=member, args=args):
@@ -621,7 +633,7 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
                 eid, exp_meaning(obj), lambda i, s, r: ((s, (r, i.get(s, r, member))),)
             )
             run = _bind(
-                eid, _collect(eid, method_t, args),
+                eid, _collect(method_t, args),
                 lambda i, s, p: i.apply(s, p[0][1], p[1:], p[0][0], eid),
             )
         case syntax.BinOp(op=op, left=left, right=right):
@@ -656,7 +668,7 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
                 outcomes = i.apply(s1, p[0], p[1:], obj, eid)
                 return [(s2, a if a is NULL else obj) for s2, a in outcomes]
 
-            run = _bind(eid, _collect(eid, exp_meaning(callee), args), construct)
+            run = _bind(eid, _collect(exp_meaning(callee), args), construct)
         case _:
             raise TypeError(f"not an expression node: {node!r}")
     return run

@@ -141,29 +141,30 @@ def differential_test(
     trace hook on the analysis and on each run collects them.
     """
     program = syntax.parse(source)
-    trace, stages = _stage_recorder(program) if per_statement else (None, None)
-    analysis = abstract.analyze_program(program, trace=trace)
-    abstract_stages = list(stages()) if per_statement else None
-    violations, errors = [], []
-    checked = 0
-    for vector in input_vectors:
-        vector = tuple(vector)
+    with kernel.recursion_headroom():  # checks recurse into values as deep as runs nest
         trace, stages = _stage_recorder(program) if per_statement else (None, None)
-        try:
-            result = concrete.run_program(program, vector, trace=trace)
-        except EvalError as err:
-            errors.append({"inputs": list(vector), "error": str(err)})
-            continue
-        checked += 1
-        # (stage, abstract candidates, the run's one state there): the end first
-        checks = [(None, analysis.final_states, result.final_state)]
-        if per_statement:
-            staged = zip(abstract_stages, stages())
-            checks += [(i, astage, c) for i, (astage, (c,)) in enumerate(staged)]
-        for stage, astates, cstate in checks:
-            explanations = abstracts_outcome(astates, cstate, result.sites)
-            if explanations is not None:
-                violations.append(_violation(vector, stage, cstate, explanations))
+        analysis = abstract.analyze_program(program, trace=trace)
+        abstract_stages = list(stages()) if per_statement else None
+        violations, errors = [], []
+        checked = 0
+        for vector in input_vectors:
+            vector = tuple(vector)
+            trace, stages = _stage_recorder(program) if per_statement else (None, None)
+            try:
+                result = concrete.run_program(program, vector, trace=trace)
+            except EvalError as err:
+                errors.append({"inputs": list(vector), "error": str(err)})
+                continue
+            checked += 1
+            # (stage, abstract candidates, the run's one state there): the end first
+            checks = [(None, analysis.final_states, result.final_state)]
+            if per_statement:
+                staged = zip(abstract_stages, stages())
+                checks += [(i, astage, c) for i, (astage, (c,)) in enumerate(staged)]
+            for stage, astates, cstate in checks:
+                explanations = abstracts_outcome(astates, cstate, result.sites)
+                if explanations is not None:
+                    violations.append(_violation(vector, stage, cstate, explanations))
     return {
         "program": label,
         "checked": checked,

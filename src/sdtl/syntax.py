@@ -554,26 +554,16 @@ def _head_json(node: Node) -> dict:
 
 
 def dump_ast(program: Program) -> str:
-    """The id-annotated tree as ``indent=2`` JSON, each node an object
-    {"id", "kind", ...scalar fields, "children"}, written from an explicit
-    stack one node at a time, so that calls and host stack stay linear in
-    the number of nodes however deep the tree."""
-    chunks = []
-    todo = [(program.root, "")]  # (node, its indent) or text to emit
+    """The id-annotated tree as a JSON array of its nodes in pre-order (id
+    order), one a line: each {"id", "kind", ...scalar fields, "children"}
+    with its children's ids, written by one loop over an explicit stack, so
+    text, work and host stack grow with the number of nodes alone."""
+    lines, todo = [], [program.root]
     while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            chunks.append(item)
-            continue
-        node, pad = item
-        text = json.dumps(_head_json(node), indent=2).replace("\n", "\n" + pad)
+        node = todo.pop()
         children = child_nodes(node)
-        if not children:
-            chunks.append(text)
-            continue
-        chunks.append(text[: -len("[]\n}" + pad)])
-        todo.append("\n" + pad + "  ]\n" + pad + "}")
-        for index in reversed(range(len(children))):
-            todo.append((children[index], pad + "    "))
-            todo.append(("," if index else "[") + "\n" + pad + "    ")
-    return "".join(chunks)
+        head = _head_json(node)
+        head["children"] = [node_id(child) for child in children]
+        lines.append(json.dumps(head))
+        todo += reversed(children)
+    return "[\n" + ",\n".join(lines) + "\n]"

@@ -62,10 +62,25 @@ def iter_nodes(node: syntax.Node):
 
 def node_to_json(node: syntax.Node) -> dict:
     """Id-annotated AST node as {"id", "kind", ...scalar fields, "children"},
-    built recursively: the tree that ``syntax.dump_ast`` renders."""
+    built recursively: the tree that ``syntax.dump_ast`` lists node by node."""
     obj = syntax._head_json(node)
     obj["children"] = [node_to_json(child) for child in syntax.child_nodes(node)]
     return obj
+
+
+def dump_tree(text: str) -> dict:
+    """The tree that a ``dump-ast`` text lists, each node's children in
+    place of their ids, after checking its layout: "[", one node a line
+    with ids 1 to N in order, "]".  Equal to ``node_to_json`` of the root
+    that was dumped."""
+    lines = text.splitlines()
+    assert lines[0] == "[" and lines[-1] == "]"
+    nodes = [json.loads(line.removesuffix(",")) for line in lines[1:-1]]
+    assert json.loads(text) == nodes
+    assert [node["id"] for node in nodes] == list(range(1, len(nodes) + 1))
+    for node in nodes:
+        node["children"] = [nodes[child - 1] for child in node["children"]]
+    return nodes[0]
 
 
 def find_fundecl(program, name) -> syntax.FunDecl:
@@ -108,6 +123,14 @@ a=mk(F,1);
 b=mk(F,true);
 output a.m+1;
 """
+
+
+def wide_call(count: int) -> str:
+    """A function of `count` parameters that returns the first, and the
+    output of one call of it on `count` ones: the run prints 1."""
+    params = ", ".join(f"p{index}" for index in range(count))
+    return (f"function g({params}) {{ return p0; }}\n"
+            f"output g({', '.join(['1'] * count)});\n")
 
 
 def straight_line(count: int) -> str:

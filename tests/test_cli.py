@@ -12,9 +12,10 @@ import pytest
 import sdtl
 from helpers import (
     GENERATED, GOLDEN, MULTI_CANDIDATE, PROGRAMS, generated_reports, straight_line,
+    wide_call,
 )
 from perfbench import programs
-from sdtl import abstract, cli, kernel, soundness
+from sdtl import abstract, cli, concrete, kernel, soundness, syntax
 
 GOLDEN_OUTPUT = PROGRAMS.parent / "golden"
 
@@ -174,19 +175,72 @@ def test_the_analysis_gets_the_run_s_host_stack_headroom(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "analyze"])
-def test_host_stack_exhaustion_is_a_run_time_error_in_both_commands(
-    tmp_path, capsys, command
-):
-    """A call with 9,000 arguments exhausts the 10,000 frames of headroom in
-    the run and in the analysis alike, which say so in the same words."""
-    params = ", ".join(f"p{i}" for i in range(9_000))
+def test_host_stack_exhaustion_is_a_run_time_error_in_both_commands(command):
+    """A chain of 2,000 non-recursive calls exhausts the 10,000 frames of
+    headroom in the run and in the analysis alike, which say so in the same
+    words (1,500 calls do not).  The parser needs headroom of its own for
+    the chain's 4,003 statements.  A call with 9,000 arguments did this
+    until a call's arguments were collected in one loop."""
+    with kernel.recursion_headroom():
+        program = syntax.parse(_call_chain(2_000))
+    evaluate = {"run": lambda: concrete.run_program(program, ()),
+                "analyze": lambda: abstract.analyze_program(program)}[command]
+    with pytest.raises(kernel.EvalError) as caught:
+        evaluate()
+    assert str(caught.value) == (
+        "host recursion limit exceeded (10,000 frames): call or value nesting too deep"
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_a_call_of_10_000_arguments_runs_and_analyses(tmp_path, capsys, command):
+    """A call's arguments are collected by one loop and take no host stack
+    (9,000 arguments exhausted the 10,000 frames of headroom while each
+    argument took two frames)."""
     prog = tmp_path / "wide.sdtl"
-    prog.write_text(f"function g({params}) {{ return p0; }}\n"
-                    f"output g({', '.join(['1'] * 9_000)});\n")
-    assert run_cli(capsys, command, str(prog)) == (1, "", (
-        "run-time error: host recursion limit exceeded (10,000 frames): "
-        "call or value nesting too deep\n"
-    ))
+    prog.write_text(wide_call(10_000))
+    code, out, err = run_cli(capsys, command, str(prog))
+    assert (code, err) == (0, "")
+    if command == "run":
+        assert out == "1\n"
+    else:
+        assert out.startswith("state 1:\n") and "diagnostic:" not in out
+
+
+# each iteration wraps `x` in one more curried function pointer, so the
+# run's final value nests as deep as its input
+WRAPPING = """function wrap(f, g) { return f; }
+x = 0; n = input; i = 0;
+while (i < n) { x = wrap(x); i = i + 1; }
+{last}
+"""
+
+
+def test_check_soundness_relates_values_as_deep_as_a_run_nests_them(tmp_path, capsys):
+    """The relation and the report recurse into a value once per level, under
+    the run's own headroom: from 330 levels they ended "input nests too
+    deeply" under the host's default 1,000 frames.  The violation is the
+    documented curried-anchor caveat."""
+    prog = tmp_path / "wrapping.sdtl"
+    prog.write_text(WRAPPING.replace("{last}", "output i;"))
+    code, out, err = run_cli(capsys, "check-soundness", str(prog), "--input-sets", "2000")
+    assert (code, err) == (3, "")
+    with kernel.recursion_headroom():
+        report = json.loads(out)
+    assert report["checked"] == 1 and len(report["violations"]) == 1
+    assert report["analysisStats"]["resetCurriedKeys"] == [[2, 1, 28]]
+
+
+def test_an_uncaught_exception_is_printed_however_deep_its_value(tmp_path, capsys):
+    """Rendering a thrown value recurses once per level, under the run's own
+    headroom: 600 levels ended "input nests too deeply" under the host's
+    default 1,000 frames."""
+    prog = tmp_path / "wrapping.sdtl"
+    prog.write_text(WRAPPING.replace("{last}", "throw x;"))
+    code, out, err = run_cli(capsys, "run", str(prog), "--input", "2000")
+    assert (code, out) == (1, "")
+    assert err.startswith('uncaught exception: {"fun": [2, [{"fun": [2, [')
+    assert err.count('{"fun"') == 2_000
 
 
 THROWS_OUT_OF_EXPRESSIONS = """
@@ -618,16 +672,10 @@ def test_check_soundness_generated(capsys, monkeypatch):
 def test_dump_ast(capsys):
     code, out, _ = run_cli(capsys, "dump-ast", path("objects.sdtl"))
     assert code == 0
-    tree = json.loads(out)
-    assert tree["id"] == 1 and tree["kind"] == "Seq"
-
-    def ids(obj):
-        yield obj["id"]
-        for child in obj["children"]:
-            yield from ids(child)
-
-    collected = list(ids(tree))
-    assert len(collected) == len(set(collected))
+    nodes = json.loads(out)
+    assert nodes[0]["id"] == 1 and nodes[0]["kind"] == "Seq"
+    assert [node["id"] for node in nodes] == list(range(1, len(nodes) + 1))
+    assert out.count("\n") == len(nodes) + 2  # "[", a line per node, "]"
 
 
 def test_python_dash_m_sdtl_runs_the_cli():
@@ -643,15 +691,16 @@ def test_python_dash_m_sdtl_runs_the_cli():
 @pytest.mark.parametrize("module", ["sdtl", "sdtl.cli"])
 def test_closed_stdout_exits_1_without_traceback(tmp_path, module):
     """A reader that closes the pipe after one line, as `| head -n 1` does:
-    the tree of 300 statements is far larger than a pipe's buffer."""
+    the nodes of 800 statements, one a line, make about 470 KB, far more
+    than a pipe's buffer."""
     prog = tmp_path / "long.sdtl"
-    prog.write_text(straight_line(300))
+    prog.write_text(straight_line(800))
     env = dict(os.environ, PYTHONPATH=str(Path(sdtl.__file__).parent.parent))
     with subprocess.Popen(
         [sys.executable, "-m", module, "dump-ast", str(prog)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     ) as proc:
-        assert proc.stdout.readline() == "{\n"
+        assert proc.stdout.readline() == "[\n"
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=120)

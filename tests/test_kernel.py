@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     GENERATED, PROGRAMS, calls_by_file, find_call_eid, iter_nodes, load, load_program,
-    max_depth,
+    max_depth, wide_call,
 )
 from perfbench import programs
 from sdtl import abstract, concrete, kernel, soundness, syntax
@@ -201,7 +201,7 @@ def test_escape_short_circuit(table, kont, then_table, start):
     expected = escaping_only[start]
     assert set(step(t, k)(TOY, start)) == expected
     assert set(step(t, lambda i, s, _: then_t(i, s))(TOY, start)) == expected
-    assert set(kernel._collect(7, t, ())(TOY, start)) == expected
+    assert set(kernel._collect(t, ())(TOY, start)) == expected
 
 
 @settings(max_examples=300)
@@ -219,7 +219,7 @@ def test_bind_right_identity_on_non_escaping_flows(table, start):
     value in a tuple."""
     t = from_table(table)
     assert set(step(t, lambda i, s, a: ((s, a),))(TOY, start)) == set(t(TOY, start))
-    assert set(kernel._collect(7, t, ())(TOY, start)) == {
+    assert set(kernel._collect(t, ())(TOY, start)) == {
         (s1, p if p is NULL else (p,)) for s1, p in t(TOY, start)
     }
 
@@ -336,9 +336,9 @@ def test_eval_params_empty_and_constants():
     program = parse("x = 1;")
     interp = concrete.ConcreteInterpretation(program)
     state = concrete.initial_state()
-    assert set(kernel._collect(1, pure(3), ())(interp, state)) == {(state, (3,))}
+    assert set(kernel._collect(pure(3), ())(interp, state)) == {(state, (3,))}
     exps = (syntax.Con(0, 5), syntax.Con(0, 7))
-    assert set(kernel._collect(1, pure(3), exps)(interp, state)) == {(state, (3, 5, 7))}
+    assert set(kernel._collect(pure(3), exps)(interp, state)) == {(state, (3, 5, 7))}
 
 
 def test_eval_params_threads_input_stream():
@@ -346,7 +346,7 @@ def test_eval_params_threads_input_stream():
     interp = concrete.ConcreteInterpretation(program)
     state = concrete.initial_state((1, 2))
     first_input = kernel.exp_meaning(syntax.Input(0))
-    collect = kernel._collect(1, first_input, (syntax.Input(0),))
+    collect = kernel._collect(first_input, (syntax.Input(0),))
     ((after, values),) = collect(interp, state)
     assert values == (1, 2)
     assert after.inputs == ()
@@ -633,20 +633,25 @@ def test_host_stack_budget_of_loops_and_calls():
 
 
 def test_host_depth_of_a_run_does_not_grow_with_statements_or_iterations():
-    """A statement sequence runs as one block and a loop from its frontier,
-    so the deepest host call of a run is the same for 100 and 800
-    statements and for 100 and 5,000 iterations (it grew by 2 frames per
-    statement and 4 per iteration when both recursed in the host)."""
-    for make, sizes in (
-        (programs.straight_line, (100, 800)),
-        (programs.counter_loop, (100, 5_000)),
+    """A statement sequence runs as one block, a loop from its frontier and
+    a call's arguments from one loop's stack, so the deepest host call of a
+    run, and of an analysis, is the same for 100 and 800 statements, for 100
+    and 5,000 iterations and for a call of 10 and of 1,000 arguments (it
+    grew by 2 frames per statement, 4 per iteration and 2 per argument when
+    each recursed in the host)."""
+    for cases in (
+        [programs.straight_line(random.Random(1), size) for size in (100, 800)],
+        [programs.counter_loop(random.Random(1), size) for size in (100, 5_000)],
+        [programs.Case(wide_call(count)) for count in (10, 1_000)],
     ):
         depths = []
-        for size in sizes:
-            case = make(random.Random(1), size)
+        for case in cases:
             program = parse(case.source)
-            depths.append(max_depth(lambda: concrete.run_program(program, case.inputs)))
-        assert depths[0] == depths[1], (make.__name__, depths)
+            depths.append((
+                max_depth(lambda: concrete.run_program(program, case.inputs)),
+                max_depth(lambda: abstract.analyze_program(program)),
+            ))
+        assert depths[0] == depths[1], (cases[0].source[:40], depths)
 
 
 def test_analysis_runs_a_statement_once_per_distinct_state():

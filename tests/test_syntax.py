@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    GENERATED, GOLDEN, PROGRAMS, calls_by_file, find_fundecl, iter_nodes, load,
-    load_program, node_to_json, straight_line,
+    GENERATED, GOLDEN, PROGRAMS, calls_by_file, dump_tree, find_fundecl, iter_nodes,
+    load, load_program, node_to_json, straight_line,
 )
 from sdtl import concrete, syntax
 from sdtl.syntax import (
@@ -266,11 +266,11 @@ def test_dump_ast_schema():
 @pytest.mark.parametrize("name", GOLDEN)
 def test_dump_ast_matches_golden(name):
     r"""The fixtures under tests/golden/ast were recorded, from the
-    repository root and before parsing was made linear, with
+    repository root and once the dump listed one node a line, with
 
-        for f in tests/programs/*.sdtl; do
-            PYTHONPATH=src python -m sdtl.cli dump-ast $f \
-                > tests/golden/ast/$(basename $f .sdtl).json
+        for f in tests/golden/ast/*.json; do
+            PYTHONPATH=src python -m sdtl.cli dump-ast \
+                tests/programs/$(basename $f .json).sdtl > $f
         done
     """
     expected = (AST_GOLDEN / name).with_suffix(".json").read_text(encoding="utf-8")
@@ -341,26 +341,32 @@ def test_parse_builds_each_node_once(source, monkeypatch):
 
 def test_dump_ast_work_grows_linearly():
     """Writing the indented text of a right-nested statement spine through
-    the json encoder's nested generators costs calls growing with nodes
+    the json encoder's nested generators cost calls growing with nodes
     times depth: 0.54, 2.1 and 8.0 million for 50, 100 and 200 statements.
-    One encoding per node makes about 93,000 for 200."""
+    One encoding per node made about 93,000 calls for 200, and indenting
+    each node by its depth made 5.3 MB of text for 200 statements and 82.5
+    MB for 800.  One line per node makes about 16,000 calls and 0.11 MB
+    for 200, and 0.47 MB for 800."""
+    programs = [parse(straight_line(count)) for count in (200, 800)]
     small, large = (
         sum(calls_by_file(lambda: syntax.dump_ast(program)).values())
-        for program in (parse(straight_line(count)) for count in (200, 800))
+        for program in programs
     )
     assert large / small < 5
+    small, large = (len(syntax.dump_ast(program)) for program in programs)
+    assert large < 1_000_000 and large / small <= 4.5
 
 
-def test_dump_ast_is_indented_json_of_the_tree():
+def test_dump_ast_lists_the_nodes_one_a_line_in_id_order():
     sources = [
-        *(source for source, _ in GENERATED[:40]),
+        *(source for source, _ in GENERATED),
+        *(path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.sdtl"))),
         *(straight_line(count) for count in (1, 2, 100)),
     ]
     with concrete.recursion_headroom():
         for source in sources:
             program = parse(source)
-            expected = json.dumps(node_to_json(program.root), indent=2)
-            assert syntax.dump_ast(program) == expected
+            assert dump_tree(syntax.dump_ast(program)) == node_to_json(program.root)
 
 
 def test_dump_ast_of_800_statements_at_the_default_recursion_limit(tmp_path):
@@ -374,7 +380,7 @@ def test_dump_ast_of_800_statements_at_the_default_recursion_limit(tmp_path):
         )
     assert completed.returncode == 0 and completed.stderr == ""
     with concrete.recursion_headroom():
-        tree = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+        tree = dump_tree((tmp_path / "out.json").read_text(encoding="utf-8"))
         assert tree == node_to_json(parse(source.read_text()).root)
 
 
