@@ -1,7 +1,9 @@
 """Soundness harness: the abstraction relation and a differential tester.
 
 A type analysis result is sound for a run when the run's one final state
-is abstracted by some abstract final state.  The relation reads the run's
+is abstracted by some abstract final state, and, checked per node, when
+each state the run reports at a node, in any context, is abstracted by
+some abstract state reported there.  The relation reads the run's
 allocation-site map, so each concrete object is checked once, against the
 abstract object of its own site, and cyclic object graphs need no special
 case.  This module makes the relation executable and checks it over
@@ -15,6 +17,7 @@ order.
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 from . import abstract, concrete, kernel, syntax
@@ -90,10 +93,11 @@ def state_mismatch(astate, cstate, sites):
 
 def abstracts_outcome(astates, cstate, sites):
     """None if a candidate of `astates` abstracts the concrete state `cstate`
-    (a run's one final state, or its one state at a stage), else the tuple of
-    each candidate's explanation, ``()`` if there is none.  Candidates are
-    tried, and explained, in the order given: the analysis's own.  `sites` is
-    the run's allocation-site map (:attr:`concrete.RunResult.sites`)."""
+    (a run's one final state, or a state it reported at a node), else the
+    tuple of each candidate's explanation, ``()`` if there is none.
+    Candidates are tried, and explained, in the order given: the analysis's
+    own.  `sites` is the run's allocation-site map
+    (:attr:`concrete.RunResult.sites`)."""
     explanations = []
     for astate in astates:
         mismatch = state_mismatch(astate, cstate, sites)
@@ -106,27 +110,24 @@ def abstracts_outcome(astates, cstate, sites):
 # --- Differential testing --------------------------------------------------------
 
 
-def _stage_recorder(program):
-    """A trace hook that collects the outcomes of each top-level statement
-    but the last (its stage would be the final states) by sid, and a
-    generator of the state sequences after each in order: escaped states
-    (payload ``NULL``) so far first, then the statement's others, repeats
-    dropped only where several meet, so a concrete stage hashes none."""
-    sids = [stm.sid for stm in syntax.statements(program.root)][:-1]
-    outcomes = {sid: [] for sid in sids}
+def _node_recorder():
+    """A trace hook that appends each reported outcome's states to a list
+    per sid, and the dict of those lists."""
+    reported = collections.defaultdict(list)
+    return lambda sid, outcome: reported[sid].extend(s for s, _ in outcome), reported
 
-    def trace(sid, outcome):
-        if sid in outcomes:
-            outcomes[sid] += outcome
 
-    def stages():
-        escaped = []
-        for sid in sids:
-            escaped += (s for s, a in outcomes[sid] if a is kernel.NULL)
-            states = escaped + [s for s, a in outcomes[sid] if a is not kernel.NULL]
-            yield dict.fromkeys(states) if len(states) > 1 else states
-
-    return trace, stages
+def _unchecked_nodes(program) -> set:
+    """The sids that add no check of their own: each ``Seq`` block's states
+    are its statements', and the last top-level statement's are the final
+    states."""
+    sids, todo = {syntax.statements(program.root)[-1].sid}, [program.root]
+    while todo:
+        node = todo.pop()
+        if type(node) is syntax.Seq:
+            sids.add(node.sid)
+        todo += syntax.child_nodes(node)
+    return sids
 
 
 def differential_test(
@@ -136,35 +137,47 @@ def differential_test(
 
     The program is analyzed once and run concretely per input vector;
     vectors that hit run-time errors are skipped and reported separately.
-    With `per_statement`, the relation is also required after every
-    top-level statement but the last, whose states are the final ones: a
-    trace hook on the analysis and on each run collects them.
+    With `per_statement`, each state that a run reports at a node, in any
+    context, is also related to the states that the analysis reported
+    there, repeats dropped in first-seen order, at all but the
+    :func:`_unchecked_nodes`.
     """
     program = syntax.parse(source)
+    record = _node_recorder if per_statement else lambda: (None, {})
     with kernel.recursion_headroom():  # checks recurse into values as deep as runs nest
-        trace, stages = _stage_recorder(program) if per_statement else (None, None)
+        trace, reported = record()
         analysis = abstract.analyze_program(program, trace=trace)
-        abstract_stages = list(stages()) if per_statement else None
+        candidates = {sid: tuple(dict.fromkeys(s)) for sid, s in reported.items()}
+        unchecked = _unchecked_nodes(program) if per_statement else ()
         violations, errors = [], []
         checked = 0
         for vector in input_vectors:
             vector = tuple(vector)
-            trace, stages = _stage_recorder(program) if per_statement else (None, None)
+            trace, reported = record()
             try:
                 result = concrete.run_program(program, vector, trace=trace)
             except EvalError as err:
                 errors.append({"inputs": list(vector), "error": str(err)})
                 continue
             checked += 1
-            # (stage, abstract candidates, the run's one state there): the end first
+            # (node, abstract candidates, a state of the run there): the end first
             checks = [(None, analysis.final_states, result.final_state)]
-            if per_statement:
-                staged = zip(abstract_stages, stages())
-                checks += [(i, astage, c) for i, (astage, (c,)) in enumerate(staged)]
-            for stage, astates, cstate in checks:
+            checks += [
+                (sid, candidates.get(sid, ()), cstate)
+                for sid, cstates in sorted(reported.items()) if sid not in unchecked
+                for cstate in cstates
+            ]
+            for node, astates, cstate in checks:
                 explanations = abstracts_outcome(astates, cstate, result.sites)
-                if explanations is not None:
-                    violations.append(_violation(vector, stage, cstate, explanations))
+                if explanations is None:
+                    continue
+                at = "final states" if node is None else f"states at node {node}"
+                entry = {
+                    "inputs": list(vector),
+                    "concreteState": concrete.state_to_json(cstate),
+                    "explanations": list(explanations) or [f"no abstract {at} at all"],
+                }
+                violations.append(entry if node is None else {**entry, "atNode": node})
     return {
         "program": label,
         "checked": checked,
@@ -175,21 +188,6 @@ def differential_test(
             "resetCurriedKeys": sorted(analysis.stats["reset_curried_keys"]),
         },
     }
-
-
-def _violation(vector, stage, cstate, explanations) -> dict:
-    """The report entry of a check failed after statement `stage` (None: the end)."""
-    if not explanations:
-        at = "final states" if stage is None else f"states after statement {stage}"
-        explanations = (f"no abstract {at} at all",)
-    entry = {
-        "inputs": list(vector),
-        "concreteState": concrete.state_to_json(cstate),
-        "explanations": list(explanations),
-    }
-    if stage is not None:
-        entry["afterStatement"] = stage
-    return entry
 
 
 def classify_caveat(report) -> str | None:

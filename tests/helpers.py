@@ -60,6 +60,14 @@ def iter_nodes(node: syntax.Node):
         stack.extend(reversed(syntax.child_nodes(node)))
 
 
+def seq_and_last_sids(program) -> set:
+    """The sids of every ``Seq`` node and of the last top-level statement:
+    the nodes that a per-node check leaves to their statements and to the
+    final check."""
+    sids = {n.sid for n in iter_nodes(program.root) if type(n) is syntax.Seq}
+    return sids | {syntax.statements(program.root)[-1].sid}
+
+
 def node_to_json(node: syntax.Node) -> dict:
     """Id-annotated AST node as {"id", "kind", ...scalar fields, "children"},
     built recursively: the tree that ``syntax.dump_ast`` lists node by node."""
@@ -114,7 +122,7 @@ def generated_reports() -> list:
 
 
 # the allocation-site caveat (caveat_site_reset.sdtl) after a selection that
-# leaves `z` a number or a boolean: after statement 4 both abstract states
+# leaves `z` a number or a boolean: at `b=mk(F,true);` both abstract states
 # are candidates for each run, so a violation there has two explanations
 MULTI_CANDIDATE = """if (input > 0) { z = 1; } else { z = true; }
 function F(v){this.m=v;}

@@ -11,8 +11,8 @@ import pytest
 
 import sdtl
 from helpers import (
-    GENERATED, GOLDEN, MULTI_CANDIDATE, PROGRAMS, generated_reports, straight_line,
-    wide_call,
+    GENERATED, GOLDEN, MULTI_CANDIDATE, PROGRAMS, generated_reports, load,
+    seq_and_last_sids, straight_line, wide_call,
 )
 from perfbench import programs
 from sdtl import abstract, cli, concrete, kernel, soundness, syntax
@@ -534,6 +534,36 @@ def test_analyze_generated_matches_golden_digest(tmp_path, capsys):
     assert digest.hexdigest() == GENERATED_GOLDEN_DIGEST
 
 
+CHECK_DEFAULT_DIGEST = (
+    "1d6607c7ca842b7e18205f072280f80eeb838165bd5cfd14b2dbe0d474a786c2"
+)
+
+
+def test_check_soundness_default_mode_matches_golden_digest(
+    tmp_path, capsys, monkeypatch
+):
+    """sha256 over the exit code and output of `check-soundness` without
+    ``--per-statement``: on each program under tests/programs with the
+    vectors "0;1;5,2,100,7", then on each recorded program of
+    ``helpers.GENERATED`` with its own four vectors.  The default mode
+    checks final states only, so the per-node check leaves it alone.  The
+    loop budget is 20,000 iterations, so currying_loop.sdtl's endless runs
+    end in a fraction of a second, not ten seconds each."""
+    monkeypatch.setattr(kernel.Interpretation, "max_loop_iterations", 20_000)
+    monkeypatch.chdir(tmp_path)  # a report names its file: name it the same each run
+    cases = [(name, load(name), "0;1;5,2,100,7") for name in sorted(os.listdir(PROGRAMS))]
+    cases += [
+        (f"p{index}.sdtl", source, ";".join(",".join(map(str, v)) for v in vectors))
+        for index, (source, vectors) in enumerate(GENERATED)
+    ]
+    digest = hashlib.sha256()
+    for file, source, sets in cases:
+        Path(file).write_text(source)
+        code, out, _ = run_cli(capsys, "check-soundness", file, "--input-sets", sets)
+        digest.update(f"{code}\n{out}".encode())
+    assert len(cases) == 211 and digest.hexdigest() == CHECK_DEFAULT_DIGEST
+
+
 ERROR_GOLDEN = json.loads((GOLDEN_OUTPUT / "errors.json").read_text(encoding="utf-8"))
 
 
@@ -604,13 +634,48 @@ def test_check_soundness_per_statement(capsys):
     assert code == 0 and report["checked"] == 2 and report["violations"] == []
 
 
+CTOR_IN_LOOP = """function F(v) { this.value = v; }
+k = 2;
+while (k > 0) {
+  o = new F(k);
+  o.extra = k;
+  k = k - 1;
+}
+output o.value;
+"""
+
+
+def test_per_statement_checks_inside_a_function_body(tmp_path, capsys):
+    """On the loop's second iteration `new` resets the site's abstract
+    object, while the first iteration's object keeps `extra`: the relation
+    fails in `F`'s `this.value = v` (node 3) and at `o = new F(k)` (node
+    19).  By the end of the loop both objects have both members again, so
+    the final check, all that the default mode makes, passes."""
+    prog = tmp_path / "ctor_in_loop.sdtl"
+    prog.write_text(CTOR_IN_LOOP)
+    code, out, _ = run_cli(capsys, "check-soundness", str(prog), "--input-sets", "0")
+    assert code == 0 and json.loads(out)["violations"] == []
+    code, out, _ = run_cli(
+        capsys, "check-soundness", str(prog), "--per-statement", "--input-sets", "0"
+    )
+    report = json.loads(out)
+    assert code == 3 and soundness.classify_caveat(report) == "allocation-site-reset"
+    assert [v["atNode"] for v in report["violations"]] == [3, 19]
+    unchecked = seq_and_last_sids(syntax.parse(CTOR_IN_LOOP))
+    assert unchecked == {1, 8, 12, 18, 25, 38}  # the Seq blocks and `output o.value;`
+    assert not unchecked & {v["atNode"] for v in report["violations"]}
+
+
 @pytest.mark.parametrize("name", ["caveat_site_reset", "caveat_curried_reset"])
 def test_per_statement_report_matches_golden(capsys, monkeypatch, name):
-    r"""The two documented caveat programs violate after statements 3 and 4,
-    so their reports pin the staged states and the explanations.  Statement
-    4 is the last, so its violation is reported once, as the final one.  The
-    fixtures under tests/golden_per_statement were recorded, from the
-    repository root, with
+    r"""The two documented caveat programs violate the relation at nodes
+    inside the functions and at the fourth statement, so their reports pin
+    the states there and the explanations.  The site reset shows in `F`'s
+    `this.m = v` (node 3) and `mk`'s return (node 10) on the second call;
+    the curried reset leaves the analysis no state in `add`'s return (node
+    3).  The fifth statement is the last, so its violation is reported
+    once, as the final one.  The fixtures under tests/golden_per_statement
+    were recorded, from the repository root, with
 
         sdtl check-soundness tests/programs/$name.sdtl --per-statement \
             --input-sets "0;1" > tests/golden_per_statement/$name.json
@@ -622,8 +687,8 @@ def test_per_statement_report_matches_golden(capsys, monkeypatch, name):
     )
     expected = PROGRAMS.parent / "golden_per_statement" / f"{name}.json"
     assert code == 3 and out == expected.read_text(encoding="utf-8")
-    stages = {v.get("afterStatement") for v in json.loads(out)["violations"]}
-    assert stages == {None, 3}
+    nodes = {"caveat_site_reset": {3, 10, 24}, "caveat_curried_reset": {3, 25}}[name]
+    assert {v.get("atNode") for v in json.loads(out)["violations"]} == {None} | nodes
 
 
 def test_multi_candidate_report_is_the_same_in_every_process(tmp_path):
@@ -654,7 +719,8 @@ def test_multi_candidate_report_is_the_same_in_every_process(tmp_path):
 
 def test_check_soundness_generated(capsys, monkeypatch):
     """The enumerated corpus finds both documented caveats and classifies
-    every violating program; the runs of clean programs are counted too.
+    every violating program; the runs of clean programs are counted too,
+    and a sha256 pins the whole report, 1,434 violations at their nodes.
     The corpus is checked once per test run, shared with test_soundness."""
     monkeypatch.setattr(soundness, "check_generated_corpus", generated_reports)
     code, out, _ = run_cli(capsys, "check-soundness", "--generate")
@@ -667,6 +733,10 @@ def test_check_soundness_generated(capsys, monkeypatch):
     assert collections.Counter(r["caveat"] for r in summary["reports"]) == {
         "allocation-site-reset": 152, "curried-anchor-reset": 80,
     }
+    assert sum(len(r["violations"]) for r in summary["reports"]) == 1434
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "41e6ff1055cec931e00cc086ff03f61a435a19ca3445ba65bfb77e5bc0368ead"
+    )
 
 
 def test_dump_ast(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import (
     GENERATED, GOLDEN_RUNNABLE, MULTI_CANDIDATE, PROGRAMS, generated_reports, iter_nodes,
-    load, load_program,
+    load, load_program, seq_and_last_sids,
 )
 from sdtl import abstract, concrete, kernel, soundness, syntax
 from sdtl.abstract import BOOL, NUM, AFunPtr, AObjRef, analyze_program
@@ -202,19 +202,26 @@ def test_no_abstract_candidates_fails():
 
 
 def test_no_abstract_candidates_are_explained_at_their_stage():
-    """The site-reset caveat leaves the analysis no state after `x=a.m+1`,
-    statement 4, while the run goes on: the explanation names that
-    statement, and only the final check speaks of final states."""
+    """The site-reset caveat leaves the analysis no state at `x=a.m+1`,
+    node 32, while the run goes on: the explanation names that node, and
+    only the final check speaks of final states.  The reset shows first in
+    the second call, at `F`'s `this.m=v` (node 3) and `mk`'s return (node
+    10), then at `b=mk(F,true)` (node 24)."""
     source = (
         "function F(v){this.m=v;} function mk(c,v){return new c(v);} "
         "a=mk(F,1); b=mk(F,true); x=a.m+1; output x;"
     )
     report = differential_test(source, [(0,)], per_statement=True)
-    assert {v.get("afterStatement"): v["explanations"] for v in report["violations"]} == {
+    reset = "object 1 (site 11): member 'm': Bool does not abstract 1"
+    in_call = ["env['v']: Num does not abstract True", reset]
+    assert {v.get("atNode"): v["explanations"] for v in report["violations"]} == {
         None: ["no abstract final states at all"],
-        3: ["object 1 (site 11): member 'm': Bool does not abstract 1"],
-        4: ["no abstract states after statement 4 at all"],
+        3: in_call,
+        10: in_call,
+        24: [reset],
+        32: ["no abstract states at node 32 at all"],
     }
+    assert len(report["violations"]) == 5
 
 
 def test_while_example_outcome():
@@ -327,8 +334,9 @@ def test_wrong_site_mutant_is_caught(monkeypatch, name, inputs):
 
 
 def test_harness_hashes_no_concrete_state(monkeypatch):
-    """A per-statement check relates each concrete state as it is: every
-    concrete stage holds the run's one state, and no step hashes it."""
+    """A per-node check relates each concrete state as it is: neither a
+    run's steps nor the harness, which keeps a run's states per node in
+    plain lists, hashes one."""
 
     def unhashable(state):
         raise AssertionError("a concrete state was hashed")
@@ -340,46 +348,52 @@ def test_harness_hashes_no_concrete_state(monkeypatch):
     for source, vectors in cases:
         report = differential_test(source, vectors, per_statement=True)
         assert report["checked"] + len(report["errors"]) == len(vectors)
-        program = parse(source)
-        statements = len(list(syntax.statements(program.root)))
-        for vector in vectors:
-            trace, stages = soundness._stage_recorder(program)
-            try:
-                run_program(program, vector, trace=trace)
-            except soundness.EvalError:
-                continue
-            assert [len(stage) for stage in stages()] == [1] * (statements - 1)
 
 
 def test_explanations_follow_the_analysis_order():
     """A violation's explanations name its candidates in the analysis's
-    order: the stage recorder's for a stage, `final_states`' for the final
-    check.  After statement 4 the then-branch's state, `z` a number, comes
-    first, though its repr sorts after the boolean one's."""
+    order: the order in which it first reported them at the node, and
+    `final_states`' for the final check.  At `b=mk(F,true)` the
+    then-branch's state, `z` a number, comes first, though its repr sorts
+    after the boolean one's.  A run's states are checked node by node in
+    sid order, skipping each ``Seq`` and the last top-level statement."""
     program = parse(MULTI_CANDIDATE)
-    trace, stages = soundness._stage_recorder(program)
-    analysis = analyze_program(program, trace=trace)
-    astages = list(stages())
-    assert [s.env["z"] for s in astages[4]] == [NUM, BOOL]
+    b_sid = syntax.statements(program.root)[4].sid
+    unchecked = seq_and_last_sids(program)
+    candidates = collections.defaultdict(list)
+
+    def record(sid, outcome):
+        for state, _ in outcome:
+            if state not in candidates[sid]:
+                candidates[sid].append(state)
+
+    analysis = analyze_program(program, trace=record)
+    assert [s.env["z"] for s in candidates[b_sid]] == [NUM, BOOL]
     report = differential_test(MULTI_CANDIDATE, [(0,), (1,)], per_statement=True)
     for vector in [(0,), (1,)]:
-        trace, stages = soundness._stage_recorder(program)
-        result = run_program(program, vector, trace=trace)
+        reported = collections.defaultdict(list)
+        result = run_program(
+            program, vector, trace=lambda sid, out: reported[sid].extend(s for s, _ in out)
+        )
         checks = [(None, analysis.final_states, result.final_state)]
-        checks += [(i, a, c) for i, (a, (c,)) in enumerate(zip(astages, stages()))]
-        expected = {}
-        for stage, astates, cstate in checks:
+        checks += [
+            (sid, candidates[sid], cstate)
+            for sid in sorted(reported) if sid not in unchecked
+            for cstate in reported[sid]
+        ]
+        expected = []
+        for node, astates, cstate in checks:
             mismatches = [state_mismatch(a, cstate, result.sites) for a in astates]
             if None not in mismatches:
-                expected[stage] = mismatches or [
-                    f"no abstract states after statement {stage} at all"
-                    if stage is not None else "no abstract final states at all"
-                ]
-        assert len(expected[4]) == 2
-        assert {
-            v.get("afterStatement"): v["explanations"]
+                expected.append((node, mismatches or [
+                    f"no abstract states at node {node} at all"
+                    if node is not None else "no abstract final states at all"
+                ]))
+        assert len(dict(expected)[b_sid]) == 2
+        assert [
+            (v.get("atNode"), v["explanations"])
             for v in report["violations"] if v["inputs"] == list(vector)
-        } == expected
+        ] == expected
 
 
 def test_errors_reported_separately():
@@ -535,6 +549,22 @@ def test_generated_corpus_is_clean_or_classified():
         report["caveat"] for report in reports if report["violations"]
     )
     assert caveats == {"allocation-site-reset": 152, "curried-anchor-reset": 80}
+
+
+def test_generated_violations_are_each_reported_once():
+    """A ``Seq`` block's states are its statements', and the last top-level
+    statement's are the final ones: no violation names either kind of
+    node, and no entry of a report appears twice."""
+    entries = 0
+    for report in generated_reports():
+        if not report["violations"]:
+            continue
+        skipped = seq_and_last_sids(parse(report["source"]))
+        assert not skipped & {v.get("atNode") for v in report["violations"]}
+        texts = [json.dumps(v, sort_keys=True) for v in report["violations"]]
+        assert len(set(texts)) == len(texts)
+        entries += len(texts)
+    assert entries == 1434
 
 
 def test_generated_corpus_honours_the_iteration_cap(monkeypatch):
