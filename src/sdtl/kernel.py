@@ -354,11 +354,12 @@ class Interpretation:
 
     The function space, sid -> meaning of the function's body, is the least
     fixed point of its equations, realized lazily: each body's meaning is
-    looked up on its first call in the run, and a call runs it through the
-    fixed-point hook, so recursion in the interpreted program becomes
-    recursion in the host (or, abstractly, a query against the summary
-    engine).  The optional trace hook ``trace(sid, outcome)`` is invoked
-    per statement evaluation, by the statement's own step.
+    the one kept on its node, built on the function's first call, and a
+    call runs it through the fixed-point hook, so recursion in the
+    interpreted program becomes recursion in the host (or, abstractly, a
+    query against the summary engine).  The optional trace hook
+    ``trace(sid, outcome)`` is invoked per statement evaluation, by the
+    statement's own step.
     """
 
     obj_ref_class = None
@@ -370,13 +371,6 @@ class Interpretation:
     def __init__(self, program: syntax.Program, trace=None):
         self.program = program
         self.trace = trace
-        self._fun_bodies = {}
-
-    def fun_body(self, sid) -> Transformer:
-        """Meaning of the body of function `sid`: its node's, indexed per run."""
-        if sid not in self._fun_bodies:
-            self._fun_bodies[sid] = stm_meaning(self.program.fun_table[sid].body)
-        return self._fun_bodies[sid]
 
     # a domain's hooks: its pointer checks, partial application, error policy
 
@@ -461,31 +455,31 @@ class Interpretation:
         return replace(caller, env=env, ret=VOID, ex=VOID,
                        this=self.obj_key(this_value))
 
-    def leave(self, caller, callee):  # -> (State, return slot)
-        """Caller state after the call: the caller's env and receiver, the
-        callee's pending exception and every other field of the callee."""
+    def leave(self, caller, callee):  # -> (State, payload)
+        """The caller's outcome after the call: the caller's env and receiver,
+        the callee's pending exception and every other field of the callee;
+        payload ``NULL`` on a pending exception, else the returned value, or
+        ``VOID_VAL`` for a Void return slot."""
         after = replace(callee, env=caller.env, ret=VOID, this=caller.this)
-        return after, callee.ret
+        if callee.ex is not VOID:
+            return after, NULL
+        return after, VOID_VAL if callee.ret is VOID else callee.ret
 
-    def apply(self, state, fun_value, args, this_value, eid):  # -> outcomes
-        """Call at node `eid` of `fun_value` on its curried arguments, then
-        `args`, with receiver `this_value`: at the arity, the body runs from
-        ``enter`` through the fixed-point hook, and each exit goes through
-        ``leave``, payload ``NULL`` on a pending exception and ``VOID_VAL``
-        on a Void return slot; any other count is the domain's ``curry``."""
-        sid, curried = self.fun_parts(state, fun_value)
-        args = curried + args
-        params = self.program.fun_table[sid].params
-        if len(args) != len(params):
-            return self.curry(state, fun_value, args, len(params), eid)
-        entry = self.enter(state, args, this_value, params)
-        out = []
-        for exit_state, _ in self.fixpoint("call", sid, self.fun_body(sid), entry):
-            after, ret = self.leave(state, exit_state)
-            if after.ex is not VOID:
-                ret = NULL
-            out.append((after, VOID_VAL if ret is VOID else ret))
-        return out
+    def apply(self, state, call):  # -> outcomes
+        """The call step's body: `call` is the (receiver, function) pair,
+        then the arguments, which follow the function's curried ones.  At
+        the arity, the body's meaning runs from ``enter`` through the
+        fixed-point hook, and each exit goes through ``leave``; any other
+        count is the domain's ``curry`` at the current node."""
+        this_value, fun = call[0]
+        sid, curried = self.fun_parts(state, fun)
+        args = curried + call[1:]
+        decl = self.program.fun_table[sid]
+        if len(args) != len(decl.params):
+            return self.curry(state, fun, args, len(decl.params), self.current_node)
+        entry = self.enter(state, args, this_value, decl.params)
+        exits = self.fixpoint("call", sid, stm_meaning(decl.body), entry)
+        return [self.leave(state, exit_state) for exit_state, _ in exits]
 
     # fixed-point hook with its default realization
 
@@ -623,19 +617,17 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
         case syntax.Input():
             run = _bind(eid, _SKIP, lambda i, s, _: (i.getinput(s),))
         case syntax.Call(callee=callee, args=args):
-            run = _bind(
-                eid, _collect(exp_meaning(callee), args),
-                lambda i, s, p: i.apply(s, p[0], p[1:], i.getthis(s), eid),
+            # `callee_t` yields (receiver, function), read before the arguments run
+            callee_t = _bind(
+                eid, exp_meaning(callee), lambda i, s, f: ((s, (i.getthis(s), f)),)
             )
+            run = _bind(eid, _collect(callee_t, args), Interpretation.apply)
         case syntax.MethodCall(receiver=obj, member=member, args=args):
             # `method_t` yields (receiver, method), read before the arguments run
             method_t = _bind(
                 eid, exp_meaning(obj), lambda i, s, r: ((s, (r, i.get(s, r, member))),)
             )
-            run = _bind(
-                eid, _collect(method_t, args),
-                lambda i, s, p: i.apply(s, p[0][1], p[1:], p[0][0], eid),
-            )
+            run = _bind(eid, _collect(method_t, args), Interpretation.apply)
         case syntax.BinOp(op=op, left=left, right=right):
             left_t, right_t = exp_meaning(left), exp_meaning(right)
 
@@ -665,7 +657,7 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
             # a fresh object, on which the constructor runs, is the value
             def construct(i, s, p):
                 s1, obj = i.newobj(s, eid)
-                outcomes = i.apply(s1, p[0], p[1:], obj, eid)
+                outcomes = i.apply(s1, ((obj, p[0]),) + p[1:])
                 return [(s2, a if a is NULL else obj) for s2, a in outcomes]
 
             run = _bind(eid, _collect(exp_meaning(callee), args), construct)

@@ -141,6 +141,15 @@ def wide_call(count: int) -> str:
             f"output g({', '.join(['1'] * count)});\n")
 
 
+def call_chain(depth: int) -> str:
+    """Functions f0 to f`depth`, each but f0 calling the one before through
+    the global object, and one call of the last: no call recurses."""
+    return "function f0(x) { return x; } global.f0 = f0;\n" + "".join(
+        f"function f{i}(x) {{ return global.f{i - 1}(x); }} global.f{i} = f{i};\n"
+        for i in range(1, depth + 1)
+    ) + f"output f{depth}(7);\n"
+
+
 def straight_line(count: int) -> str:
     """`count` top-level statements over eight variables and no control flow:
     every tenth prints a variable, the rest assign nested arithmetic.

@@ -11,7 +11,7 @@ import pytest
 
 import sdtl
 from helpers import (
-    GENERATED, GOLDEN, MULTI_CANDIDATE, PROGRAMS, generated_reports, load,
+    GENERATED, GOLDEN, MULTI_CANDIDATE, PROGRAMS, call_chain, generated_reports, load,
     seq_and_last_sids, straight_line, wide_call,
 )
 from perfbench import programs
@@ -148,22 +148,13 @@ def test_deep_nesting_exits_1_without_traceback(tmp_path, capsys, command, sourc
     assert err == "input nests too deeply: recursion limit exceeded\n"
 
 
-def _call_chain(depth) -> str:
-    """Functions f0 to f`depth`, each but f0 calling the one before through
-    the global object, and one call of the last: no call recurses."""
-    return "function f0(x) { return x; } global.f0 = f0;\n" + "".join(
-        f"function f{i}(x) {{ return global.f{i - 1}(x); }} global.f{i} = f{i};\n"
-        for i in range(1, depth + 1)
-    ) + f"output f{depth}(7);\n"
-
-
 def test_the_analysis_gets_the_run_s_host_stack_headroom(tmp_path, capsys):
     """Analysing a chain of 300 non-recursive calls needs more host stack
     than the default 1,000 frames; the analysis evaluates under the kernel's
     headroom, as a run does (at 141 levels both `analyze` and
     `check-soundness` ended "input nests too deeply" while it did not)."""
     prog = tmp_path / "chain.sdtl"
-    prog.write_text(_call_chain(300))
+    prog.write_text(call_chain(300))
     assert run_cli(capsys, "run", str(prog)) == (0, "7\n", "")
     code, out, err = run_cli(capsys, "analyze", str(prog))
     assert code == 0 and out.startswith("state 1:\n") and "diagnostic:" not in out
@@ -176,13 +167,16 @@ def test_the_analysis_gets_the_run_s_host_stack_headroom(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "analyze"])
 def test_host_stack_exhaustion_is_a_run_time_error_in_both_commands(command):
-    """A chain of 2,000 non-recursive calls exhausts the 10,000 frames of
+    """A chain of 3,000 non-recursive calls exhausts the 10,000 frames of
     headroom in the run and in the analysis alike, which say so in the same
-    words (1,500 calls do not).  The parser needs headroom of its own for
-    the chain's 4,003 statements.  A call with 9,000 arguments did this
-    until a call's arguments were collected in one loop."""
+    words (a run reaches about 2,496 calls and an analysis 1,997, at 4 and
+    5 frames a call; 1,997 and 1,664 at 5 and 6 while a lambda per call
+    step called `apply`, when 2,000 calls exhausted both and 1,500 did
+    not).  The parser needs headroom of its own for the chain's 6,003
+    statements.  A call with 9,000 arguments did this until a call's
+    arguments were collected in one loop."""
     with kernel.recursion_headroom():
-        program = syntax.parse(_call_chain(2_000))
+        program = syntax.parse(call_chain(3_000))
     evaluate = {"run": lambda: concrete.run_program(program, ()),
                 "analyze": lambda: abstract.analyze_program(program)}[command]
     with pytest.raises(kernel.EvalError) as caught:

@@ -7,7 +7,7 @@ import pytest
 from helpers import find_fundecl, iter_nodes, load, load_program
 from sdtl import abstract, concrete, kernel
 from sdtl.concrete import FunPtr, ObjRef, run_program
-from sdtl.kernel import VOID, VOID_VAL, EvalError, FrozenMap
+from sdtl.kernel import NULL, VOID, VOID_VAL, EvalError, FrozenMap
 from sdtl.syntax import parse
 
 
@@ -291,12 +291,17 @@ def test_leave_restores_caller_env_and_keeps_effects():
     for interp, caller, receiver, carried in CALL_DOMAINS:
         entry = interp.enter(caller, (receiver,), receiver, ("p",))
         callee = dataclasses.replace(entry, ret=receiver, ex=receiver, **carried)
-        after, slot = interp.leave(caller, callee)
+        after, payload = interp.leave(caller, callee)
         assert after.env == caller.env
         assert interp.getthis(after) == interp.getthis(caller)
-        assert after.ret is VOID and after.ex == receiver and slot == receiver
+        assert after.ret is VOID and after.ex == receiver and payload is NULL
         for name, value in carried.items():
             assert getattr(after, name) == value
+        # with no pending exception: the returned value, or VOID_VAL for none
+        for ret, expected in ((receiver, receiver), (VOID, VOID_VAL)):
+            returned = dataclasses.replace(callee, ret=ret, ex=VOID)
+            after, payload = interp.leave(caller, returned)
+            assert after.ret is VOID and after.ex is VOID and payload == expected
 
 
 def test_callee_exception_propagates_to_caller():

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    GENERATED, PROGRAMS, calls_by_file, find_call_eid, iter_nodes, load, load_program,
-    max_depth, wide_call,
+    GENERATED, PROGRAMS, call_chain, calls_by_file, find_call_eid, find_fundecl,
+    iter_nodes, load, load_program, max_depth, wide_call,
 )
 from perfbench import programs
 from sdtl import abstract, concrete, kernel, soundness, syntax
@@ -118,6 +118,58 @@ def test_kernel_apply_curries_saturates_and_rejects_extra_arguments(domain):
     program = parse("function add(x,y){return x+y;} p = add(1); q = p(2, 3);")
     message = prefix + "too many arguments (3 for arity 2)"
     assert outcome(program) == (message, find_call_eid(program, "p"))
+
+
+# `m`'s plain calls of `mark` take an argument that is a method call on
+# another object and one that is a `new`
+RECEIVERS = """function getid() { return this.id; }
+function mark(x) { this.mark = x; return this.id; }
+function m(other, mark, Box) {
+  a = mark(other.getid());
+  b = mark(new Box(3, other.getid, this.m));
+  return a * 10 + b;
+}
+function Box(v, getid, m) { this.id = v; this.getid = getid; this.m = m; }
+p = new Box(1, getid, m);
+q = new Box(2, getid, m);
+output p.m(q, mark, Box);
+output p.mark.id;
+output q.getid();
+"""
+
+
+def test_each_call_form_runs_on_its_receiver():
+    """A method call runs on its object, a `new` on the fresh one and a
+    plain call on its caller's receiver, whatever calls its arguments make:
+    both `mark` calls in `p.m` mark `p`, in the run and in the analysis,
+    and the method call and the constructor in their arguments leave `q`
+    and the new object unmarked.  Recorded while the call step's body was
+    a lambda that read the receiver after the arguments had run."""
+    program = parse(RECEIVERS)
+    mark_sid = syntax.statements(find_fundecl(program, "mark").body)[0].sid
+    receivers = {"run": [], "analysis": []}
+
+    def recorder(domain):
+        def trace(sid, outcome):
+            if sid == mark_sid:
+                receivers[domain] += [state.this for state, _ in outcome]
+        return trace
+
+    result = concrete.run_program(program, trace=recorder("run"))
+    assert result.outputs == (11, 3, 2)
+    (state,) = abstract.analyze_program(program, trace=recorder("analysis")).final_states
+    # the sites in pre-order: the `new` in `m`, then those of `p` and `q`
+    inner, p, q = (n.eid for n in iter_nodes(program.root) if type(n) is syntax.New)
+    box = {
+        "getid": {"fun": [find_fundecl(program, "getid").sid, 0, 0]},
+        "id": "Num",
+        "m": {"fun": [find_fundecl(program, "m").sid, 0, 0]},
+    }
+    rendered = abstract.state_to_json(state)
+    assert rendered["this"] == 0 and rendered["objmem"] == {
+        "0": {}, str(inner): box, str(p): {**box, "mark": {"obj": inner}}, str(q): box,
+    }
+    assert receivers == {"run": [1, 1], "analysis": [p, p]}
 
 
 def test_frozen_map_behaves_like_mapping():
@@ -615,21 +667,39 @@ def test_no_transformer_is_built_per_loop_iteration():
 
 def test_host_stack_budget_of_loops_and_calls():
     """Concrete calls recurse in the host under `recursion_headroom`'s
-    10,000 frames: `fact(fact, 1400)` fits (the limit is about 1,427, as
-    the kernel's `apply` runs a call itself and a call level takes 7
-    frames; it was 1,249 with 8 while `apply` forwarded to `kernel.call`,
-    998 while a wrapper per statement reported to the trace hook, 908
-    while a step body called the selected branch, and 713 when every
-    evaluation built its continuations).  One more host frame per call
-    lowers the limit below 1,400.  Loops take no host stack per iteration
-    (they took four frames each, for a limit of about 2,494 iterations),
-    so the 1,800-iteration counter loop fits with room to spare."""
+    10,000 frames: `fact(fact, 1600)` fits (the limit is about 1,665 with
+    6 frames, as `apply` is the call step's body; it was 1,427 with 7 while
+    a lambda per call step called `apply`, 1,249 with 8 while `apply`
+    forwarded to `kernel.call`, 998 while a wrapper per statement reported
+    to the trace hook, 908 while a step body called the selected branch,
+    and 713 when every evaluation built its continuations).  One more host
+    frame per call lowers the limit below 1,600.  Loops take no host stack
+    per iteration (they took four frames each, for a limit of about 2,494
+    iterations), so the 1,800-iteration counter loop fits with room to
+    spare."""
     for case in (
         programs.counter_loop(random.Random(1), 1800),
-        programs.self_passing_fact(random.Random(1), 1400),
+        programs.self_passing_fact(random.Random(1), 1600),
     ):
         result = concrete.run_program(parse(case.source), case.inputs)
         assert result.outputs == case.outputs
+
+
+def test_a_call_level_takes_six_host_frames():
+    """Each interpreted call level adds the same host frames: 200 levels go
+    600 frames deeper than 100 in a run of the self-passing factorial (the
+    call step's `_bind` run, `apply`, `fixpoint`, the `if`'s `_branch` run,
+    the `return`'s `_bind` run and the `*`'s run), 400 in a run of a chain
+    of calls through `global` and 500 in its analysis (700, 500 and 600
+    while a lambda per call step called `apply`)."""
+    facts = [programs.self_passing_fact(random.Random(1), n) for n in (100, 200)]
+    depths = [
+        (max_depth(lambda: concrete.run_program(parse(fact.source), fact.inputs)),
+         max_depth(lambda: concrete.run_program(chain)),
+         max_depth(lambda: abstract.analyze_program(chain)))
+        for fact, chain in zip(facts, [parse(call_chain(n)) for n in (100, 200)])
+    ]
+    assert [deep - shallow for shallow, deep in zip(*depths)] == [600, 400, 500]
 
 
 def test_host_depth_of_a_run_does_not_grow_with_statements_or_iterations():
@@ -700,8 +770,9 @@ def test_analysis_of_calls_in_one_expression_grows_linearly(monkeypatch):
 def test_analysis_of_comparisons_in_one_call_grows_linearly(monkeypatch):
     """`f(a, b) == f(a, b)` compares four pairs of functions and gives the
     same outcome each time; the comparison returns it once, so ten such
-    arguments take 3 applications each and `g` one (2,097,151 when the
-    outcomes of a step could repeat one)."""
+    arguments take 3 applications each and `g` one, each checking its
+    function pointer once (2,097,151 applications when the outcomes of a
+    step could repeat one)."""
     params = ", ".join(f"p{i}" for i in range(10))
     source = (
         "function a() { return 1; }\nfunction b() { return 2; }\n"
@@ -709,7 +780,7 @@ def test_analysis_of_comparisons_in_one_call_grows_linearly(monkeypatch):
         f"function g({params}) {{ return 1; }}\n"
         "x = g(" + ", ".join(["f(a, b) == f(a, b)"] * 10) + ");\n"
     )
-    calls = _counting(monkeypatch, "apply")
+    calls = _counting(monkeypatch, "fun_parts")
     result = abstract.analyze_program(parse(source))
     assert len(calls) == 31 and len(result.final_states) == 1
 
