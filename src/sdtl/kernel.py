@@ -470,7 +470,9 @@ class Interpretation:
         then the arguments, which follow the function's curried ones.  At
         the arity, the body's meaning runs from ``enter`` through the
         fixed-point hook, and each exit goes through ``leave``; any other
-        count is the domain's ``curry`` at the current node."""
+        count is the domain's ``curry`` at the current node.  The call
+        equations bind this method when they are built, so a domain must not
+        override it."""
         this_value, fun = call[0]
         sid, curried = self.fun_parts(state, fun)
         args = curried + call[1:]
@@ -657,7 +659,7 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
             # a fresh object, on which the constructor runs, is the value
             def construct(i, s, p):
                 s1, obj = i.newobj(s, eid)
-                outcomes = i.apply(s1, ((obj, p[0]),) + p[1:])
+                outcomes = Interpretation.apply(i, s1, ((obj, p[0]),) + p[1:])
                 return [(s2, a if a is NULL else obj) for s2, a in outcomes]
 
             run = _bind(eid, _collect(exp_meaning(callee), args), construct)

@@ -170,11 +170,8 @@ def test_host_stack_exhaustion_is_a_run_time_error_in_both_commands(command):
     """A chain of 3,000 non-recursive calls exhausts the 10,000 frames of
     headroom in the run and in the analysis alike, which say so in the same
     words (a run reaches about 2,496 calls and an analysis 1,997, at 4 and
-    5 frames a call; 1,997 and 1,664 at 5 and 6 while a lambda per call
-    step called `apply`, when 2,000 calls exhausted both and 1,500 did
-    not).  The parser needs headroom of its own for the chain's 6,003
-    statements.  A call with 9,000 arguments did this until a call's
-    arguments were collected in one loop."""
+    5 frames a call).  The parser needs headroom of its own for the chain's
+    6,003 statements."""
     with kernel.recursion_headroom():
         program = syntax.parse(call_chain(3_000))
     evaluate = {"run": lambda: concrete.run_program(program, ()),

@@ -143,8 +143,7 @@ def test_each_call_form_runs_on_its_receiver():
     plain call on its caller's receiver, whatever calls its arguments make:
     both `mark` calls in `p.m` mark `p`, in the run and in the analysis,
     and the method call and the constructor in their arguments leave `q`
-    and the new object unmarked.  Recorded while the call step's body was
-    a lambda that read the receiver after the arguments had run."""
+    and the new object unmarked."""
     program = parse(RECEIVERS)
     mark_sid = syntax.statements(find_fundecl(program, "mark").body)[0].sid
     receivers = {"run": [], "analysis": []}
@@ -667,16 +666,10 @@ def test_no_transformer_is_built_per_loop_iteration():
 
 def test_host_stack_budget_of_loops_and_calls():
     """Concrete calls recurse in the host under `recursion_headroom`'s
-    10,000 frames: `fact(fact, 1600)` fits (the limit is about 1,665 with
-    6 frames, as `apply` is the call step's body; it was 1,427 with 7 while
-    a lambda per call step called `apply`, 1,249 with 8 while `apply`
-    forwarded to `kernel.call`, 998 while a wrapper per statement reported
-    to the trace hook, 908 while a step body called the selected branch,
-    and 713 when every evaluation built its continuations).  One more host
-    frame per call lowers the limit below 1,600.  Loops take no host stack
-    per iteration (they took four frames each, for a limit of about 2,494
-    iterations), so the 1,800-iteration counter loop fits with room to
-    spare."""
+    10,000 frames: at 6 frames a call level, `fact(fact, 1600)` fits (the
+    limit is about 1,665), and one more host frame per call lowers the limit
+    below 1,600.  Loops take no host stack per iteration, so the
+    1,800-iteration counter loop fits with room to spare."""
     for case in (
         programs.counter_loop(random.Random(1), 1800),
         programs.self_passing_fact(random.Random(1), 1600),
@@ -690,8 +683,7 @@ def test_a_call_level_takes_six_host_frames():
     600 frames deeper than 100 in a run of the self-passing factorial (the
     call step's `_bind` run, `apply`, `fixpoint`, the `if`'s `_branch` run,
     the `return`'s `_bind` run and the `*`'s run), 400 in a run of a chain
-    of calls through `global` and 500 in its analysis (700, 500 and 600
-    while a lambda per call step called `apply`)."""
+    of calls through `global` and 500 in its analysis."""
     facts = [programs.self_passing_fact(random.Random(1), n) for n in (100, 200)]
     depths = [
         (max_depth(lambda: concrete.run_program(parse(fact.source), fact.inputs)),
