@@ -15,9 +15,10 @@ abstract type analysis plug in their own state fields, values, value-level
 primitives and four hooks: two pointer checks, a partial application and
 an error policy.
 
-Every transformer is built once per parsed node, and shared by the
-analysis, every run and every call: evaluating a node loops over its
-parts' outcomes and calls primitives, and builds no closure.  Each
+Each node's equation is picked by its class, and its transformer is built
+once per parsed node and shared by the analysis, every run and every call:
+evaluating a node loops over its parts' outcomes and calls primitives, and
+builds no closure; a leaf is one step that calls its primitive.  Each
 primitive step first makes its node the interpretation's ``current_node``;
 ``concrete.run_program`` tags a run-time error with it.  A statement's own
 step reports its outcomes to the trace hook (a statement list: its ``Seq``).
@@ -29,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Collection, Tuple
 
 from . import syntax
@@ -531,35 +531,35 @@ class Interpretation:
 
 
 def stm_meaning(node: syntax.Stm) -> Transformer:
-    """Meaning of a statement (payloads are UNIT, or NULL once escaped): the
-    equation's transformer, built once and kept on the node (it does not
-    capture the node, so no cycle), whose own step reports to the trace hook."""
+    """Meaning of a statement (payloads are UNIT, or NULL once escaped): its
+    class's equation, built once and kept on the node (it does not capture
+    the node, so no cycle), whose own step reports to the trace hook."""
     memo = node.__dict__
     if "_run" in memo:
         return memo["_run"]
     sid = node.sid
-    bind = partial(_bind, sid, report=True)  # the statement's own step
-    match node:
-        case syntax.Nil():
-            run = bind(_SKIP, lambda i, s, _: ((s, UNIT),))
-        case syntax.Seq():
+    match type(node):
+        case syntax.Nil:
+            run = _bind(sid, _SKIP, lambda i, s, _: ((s, UNIT),), True)
+        case syntax.Seq:
             run = _block(sid, syntax.statements(node))
-        case syntax.ExpStm(exp=exp):
-            run = bind(exp_meaning(exp), lambda i, s, _: ((s, UNIT),))
-        case syntax.Output(exp=exp):
-            run = bind(exp_meaning(exp), lambda i, s, v: ((i.dooutput(s, v), UNIT),))
-        case syntax.Assign(target=syntax.Var(name=name), value=value):
-            run = bind(exp_meaning(value), lambda i, s, v: ((i.asg(s, name, v), UNIT),))
-        case syntax.Assign(target=syntax.Member(obj=obj, member=member), value=value):
-            run = bind(
-                _collect(exp_meaning(obj), (value,)),
-                lambda i, s, rv: ((i.set(s, rv[0], member, rv[1]), UNIT),),
-            )
-        case syntax.If() | syntax.IfElse():
+        case syntax.ExpStm:
+            run = _bind(sid, exp_meaning(node.exp), lambda i, s, _: ((s, UNIT),), True)
+        case syntax.Output:
+            run = _bind(sid, exp_meaning(node.exp),
+                        lambda i, s, v: ((i.dooutput(s, v), UNIT),), True)
+        case syntax.Assign if type(node.target) is syntax.Var:
+            name, value_t = node.target.name, exp_meaning(node.value)
+            run = _bind(sid, value_t, lambda i, s, v: ((i.asg(s, name, v), UNIT),), True)
+        case syntax.Assign:
+            member = node.target.member
+            run = _bind(sid, _collect(exp_meaning(node.target.obj), (node.value,)),
+                        lambda i, s, rv: ((i.set(s, rv[0], member, rv[1]), UNIT),), True)
+        case syntax.If | syntax.IfElse:
             then_t = stm_meaning(node.then_body)
             else_t = _SKIP if type(node) is syntax.If else stm_meaning(node.else_body)
             run = _branch(sid, exp_meaning(node.guard), then_t, else_t, report=True)
-        case syntax.While(guard=guard, body=body):
+        case syntax.While:
             # `unfold` runs the loop once and `again` re-enters it through the
             # fixed-point hook; only the loop's entry, `run`, reports
             def again(i, s, _):
@@ -571,15 +571,18 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                     interp.trace(sid, out)
                 return out
 
-            loop_t = _bind(sid, stm_meaning(body), again)
-            unfold = _branch(sid, exp_meaning(guard), loop_t, _SKIP)
-        case syntax.FunDecl(name=name):
-            run = bind(_SKIP, lambda i, s, _: ((i.fundecl(s, name, sid), UNIT),))
-        case syntax.Return(exp=exp):
-            run = bind(exp_meaning(exp), lambda i, s, v: ((i.ret(s, v), NULL),))
-        case syntax.TryCatch(body=body, exc_name=exc_name, handler=handler):
+            loop_t = _bind(sid, stm_meaning(node.body), again)
+            unfold = _branch(sid, exp_meaning(node.guard), loop_t, _SKIP)
+        case syntax.FunDecl:
+            name = node.name
+            run = _bind(sid, _SKIP, lambda i, s, _: ((i.fundecl(s, name, sid), UNIT),), True)
+        case syntax.Return:
+            run = _bind(sid, exp_meaning(node.exp),
+                        lambda i, s, v: ((i.ret(s, v), NULL),), True)
+        case syntax.TryCatch:
             # its own loop: it consumes escapes by exception, not passes them on
-            body_t, handler_t = stm_meaning(body), stm_meaning(handler)
+            body_t, handler_t = stm_meaning(node.body), stm_meaning(node.handler)
+            exc_name = node.exc_name
 
             def run(interp, s):
                 out = []
@@ -594,8 +597,9 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
                     interp.trace(sid, out)
                 return out
 
-        case syntax.Throw(exp=exp):
-            run = bind(exp_meaning(exp), lambda i, s, v: ((i.throw(s, v), NULL),))
+        case syntax.Throw:
+            run = _bind(sid, exp_meaning(node.exp),
+                        lambda i, s, v: ((i.throw(s, v), NULL),), True)
         case _:
             raise TypeError(f"not a statement node: {node!r}")
     memo["_run"] = run
@@ -603,35 +607,52 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
 
 
 def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
-    """Meaning of an expression or left-expression (payloads are values)."""
+    """Meaning of an expression or left-expression (payloads are values): its
+    class's equation.  A leaf, ``Var``, ``Input``, ``This`` or ``Global``, is
+    one step that calls its primitive."""
     eid = node.eid
-    match node:
-        case syntax.Con(value=value):
+    match type(node):
+        case syntax.Con:
+            value = node.value
+
             def run(interp, s):
                 return ((s, interp.conval(value)),)
 
-        case syntax.LexpRef(lexp=inner) | syntax.Paren(inner=inner):
-            run = exp_meaning(inner)
-        case syntax.Var(name=name):
-            run = _bind(eid, _SKIP, lambda i, s, _: ((s, i.val(s, name)),))
-        case syntax.Member(obj=obj, member=name):
-            run = _bind(eid, exp_meaning(obj), lambda i, s, v: ((s, i.get(s, v, name)),))
-        case syntax.Input():
-            run = _bind(eid, _SKIP, lambda i, s, _: (i.getinput(s),))
-        case syntax.Call(callee=callee, args=args):
+        case syntax.LexpRef | syntax.Paren:
+            run = exp_meaning(node.lexp if type(node) is syntax.LexpRef else node.inner)
+        case syntax.Var:
+            name = node.name
+
+            def run(interp, s):
+                interp.current_node = eid
+                try:
+                    return ((s, interp.val(s, name)),)
+                except DeadBranch:
+                    return ()
+
+        case syntax.Member:
+            name = node.member
+            run = _bind(eid, exp_meaning(node.obj), lambda i, s, v: ((s, i.get(s, v, name)),))
+        case syntax.Input:
+            def run(interp, s):
+                interp.current_node = eid
+                try:
+                    return (interp.getinput(s),)
+                except DeadBranch:
+                    return ()
+
+        case syntax.Call:
             # `callee_t` yields (receiver, function), read before the arguments run
-            callee_t = _bind(
-                eid, exp_meaning(callee), lambda i, s, f: ((s, (i.getthis(s), f)),)
-            )
-            run = _bind(eid, _collect(callee_t, args), Interpretation.apply)
-        case syntax.MethodCall(receiver=obj, member=member, args=args):
+            callee_t = _bind(eid, exp_meaning(node.callee),
+                             lambda i, s, f: ((s, (i.getthis(s), f)),))
+            run = _bind(eid, _collect(callee_t, node.args), Interpretation.apply)
+        case syntax.MethodCall:
             # `method_t` yields (receiver, method), read before the arguments run
-            method_t = _bind(
-                eid, exp_meaning(obj), lambda i, s, r: ((s, (r, i.get(s, r, member))),)
-            )
-            run = _bind(eid, _collect(method_t, args), Interpretation.apply)
-        case syntax.BinOp(op=op, left=left, right=right):
-            left_t, right_t = exp_meaning(left), exp_meaning(right)
+            member, obj_t = node.member, exp_meaning(node.receiver)
+            method_t = _bind(eid, obj_t, lambda i, s, r: ((s, (r, i.get(s, r, member))),))
+            run = _bind(eid, _collect(method_t, node.args), Interpretation.apply)
+        case syntax.BinOp:
+            op, left_t, right_t = node.op, exp_meaning(node.left), exp_meaning(node.right)
 
             # its own loop: two operands, and no tuple built to pair them
             def run(interp, s):
@@ -651,19 +672,24 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
                             pass
                 return dict.fromkeys(out) if len(out) > 1 else out
 
-        case syntax.Global():
-            run = _bind(eid, _SKIP, lambda i, s, _: ((s, i.getglobal(s)),))
-        case syntax.This():
-            run = _bind(eid, _SKIP, lambda i, s, _: ((s, i.getthis(s)),))
-        case syntax.New(callee=callee, args=args):
+        case syntax.Global:
+            def run(interp, s):
+                interp.current_node = eid
+                return ((s, interp.getglobal(s)),)
+
+        case syntax.This:
+            def run(interp, s):
+                interp.current_node = eid
+                return ((s, interp.getthis(s)),)
+
+        case syntax.New:
             # a fresh object, on which the constructor runs, is the value
             def construct(i, s, p):
                 s1, obj = i.newobj(s, eid)
                 outcomes = Interpretation.apply(i, s1, ((obj, p[0]),) + p[1:])
                 return [(s2, a if a is NULL else obj) for s2, a in outcomes]
 
-            run = _bind(eid, _collect(exp_meaning(callee), args), construct)
+            run = _bind(eid, _collect(exp_meaning(node.callee), node.args), construct)
         case _:
             raise TypeError(f"not an expression node: {node!r}")
     return run
-

@@ -105,9 +105,13 @@ def test_pass_through_branch_kept():
 
 
 def test_undefined_variable_is_diagnostic():
-    result = analyze("output q;")
+    """The variable's own step logs the diagnostic, at the `Var` node."""
+    program = parse("x = 1; output q;")
+    result = analyze_program(program)
     assert result.final_states == ()
-    assert any("undefined variable 'q'" in d.message for d in result.diagnostics)
+    (var,) = [n for n in iter_nodes(program.root) if getattr(n, "name", "") == "q"]
+    assert [d.node for d in result.diagnostics
+            if d.message == "possibly undefined variable 'q'"] == [var.eid]
 
 
 def test_calling_a_number_is_diagnostic():

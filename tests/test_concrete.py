@@ -8,7 +8,7 @@ from helpers import find_fundecl, iter_nodes, load, load_program
 from sdtl import abstract, concrete, kernel
 from sdtl.concrete import FunPtr, ObjRef, run_program
 from sdtl.kernel import NULL, VOID, VOID_VAL, EvalError, FrozenMap
-from sdtl.syntax import parse
+from sdtl.syntax import Input, parse
 
 
 def run(source, inputs=()):
@@ -67,6 +67,16 @@ def test_getinput_pops_queue():
     assert state.env["x"] == 5 and state.inputs == (9,) and state.outputs == ()
     with pytest.raises(EvalError, match="input exhausted"):
         run("x = input;")
+
+
+def test_input_exhausted_carries_the_input_node():
+    """The `input` step makes its own node current before it reads, so the
+    run-time error names that node, not the assignment around it."""
+    program = parse("x = 1; y = input;")
+    with pytest.raises(EvalError, match="input exhausted") as caught:
+        run_program(program)
+    (node,) = [n for n in iter_nodes(program.root) if isinstance(n, Input)]
+    assert caught.value.node_id == node.eid
 
 
 def test_output_formats():

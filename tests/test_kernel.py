@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import random
+import types
 import weakref
 from dataclasses import dataclass
 
@@ -598,6 +599,23 @@ def test_a_statement_meaning_is_the_transformer_kept_on_its_node():
             assert kernel.stm_meaning(node) is kernel.stm_meaning(node)
 
 
+def test_every_node_class_has_an_equation():
+    """Each statement class that `syntax` declares has an equation in
+    `stm_meaning`, and each expression and left-expression class one in
+    `exp_meaning`; anything else is a `TypeError`."""
+    leaves = {"Stm": syntax.Nil(0), "Exp": syntax.Con(0, 1), "Lexp": syntax.Var(0, "x")}
+    for cls in syntax._LAYOUT:
+        fields = dataclasses.fields(cls)[1:]
+        node = cls(0, *(leaves.get(f.type, () if f.type.startswith("tuple") else "x")
+                        for f in fields))
+        meaning = kernel.stm_meaning if issubclass(cls, syntax.Stm) else kernel.exp_meaning
+        assert callable(meaning(node)), cls
+    with pytest.raises(TypeError, match="not a statement node"):
+        kernel.stm_meaning(types.SimpleNamespace(sid=1))
+    with pytest.raises(TypeError, match="not an expression node"):
+        kernel.exp_meaning(types.SimpleNamespace(eid=1))
+
+
 def _package_and_dataclasses_calls(run) -> tuple:
     calls = calls_by_file(run)
     package = os.path.dirname(kernel.__file__) + os.sep
@@ -607,24 +625,24 @@ def _package_and_dataclasses_calls(run) -> tuple:
 
 def test_concrete_loop_work_per_iteration():
     """One iteration of a counter loop costs a bounded number of calls into
-    the package (48.5 since building a state record or a map runs no
-    Python constructor; 52.6 since a statement's own step reports to the
-    trace hook, 56.7 while a wrapper built per request reported it, 57.7 since
-    outcomes are sequences, which hash no state, and a variable read is a
-    step; 66.8 when outcomes were sets and a statement
-    list was reported once, by its outer `Seq`, 71.8 when every inner `Seq`
-    was reported, 80.8 when every outcome loop asked the interpretation
-    whether its state escaped, 82.8 when state primitives returned a set of
-    states; about 138 when every
-    evaluation built its continuations, and about 183 when every node also
-    saved and restored the current node and copied states with
-    `dataclasses.replace`), and none into `dataclasses`."""
+    the package (38.45 since a variable read is one step; 48.5 since
+    building a state record or a map runs no Python constructor, 52.6 since
+    a statement's own step reports to the trace hook, 56.7 while a wrapper
+    built per request reported it, 57.7 since outcomes are sequences, which
+    hash no state, and a variable read is a step; 66.8 when outcomes were
+    sets and a statement list was reported once, by its outer `Seq`, 71.8
+    when every inner `Seq` was reported, 80.8 when every outcome loop asked
+    the interpretation whether its state escaped, 82.8 when state primitives
+    returned a set of states; about 138 when every evaluation built its
+    continuations, and about 183 when every node also saved and restored the
+    current node and copied states with `dataclasses.replace`), and none
+    into `dataclasses`."""
     case = programs.counter_loop(random.Random(1), 200)
     program = parse(case.source)
     in_package, in_dataclasses = _package_and_dataclasses_calls(
         lambda: concrete.run_program(program, case.inputs)
     )
-    assert in_dataclasses == 0 and in_package <= 49 * 200
+    assert in_dataclasses == 0 and in_package <= 39 * 200
 
 
 def test_concrete_run_hashes_no_state():
@@ -797,14 +815,15 @@ def test_analysis_builds_no_closure_per_evaluation():
 
 
 def test_analysis_work_on_straight_line():
-    """Analysing 300 straight-line statements makes at most 6,100 calls
-    into the package (6,020 since building a state record or a map runs no
-    Python constructor, 6,563 since a statement's own step reports to the
-    trace hook, 7,165 while a wrapper built per request reported it, and
-    about 24,000 before)."""
+    """Analysing 300 straight-line statements makes at most 5,000 calls into
+    the package (4,931 since each equation is picked by node class and a
+    variable read is one step, 6,020 since building a state record or a map
+    runs no Python constructor, 6,563 since a statement's own step reports
+    to the trace hook, 7,165 while a wrapper built per request reported it,
+    and about 24,000 before)."""
     program = parse(programs.straight_line(random.Random(1), 300).source)
     with concrete.recursion_headroom():
         in_package, in_dataclasses = _package_and_dataclasses_calls(
             lambda: abstract.analyze_program(program)
         )
-    assert in_dataclasses == 0 and in_package <= 6_100
+    assert in_dataclasses == 0 and in_package <= 5_000
