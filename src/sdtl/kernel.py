@@ -10,10 +10,10 @@ keeping first-seen order, and returns one as is, so a concrete run, which
 has one outcome per step, hashes no state.  The semantic equations here are
 written once against the interpretation contract, as are the primitives
 that only touch the fields of the :class:`State` record, variable and
-member access among them, and the call.  The concrete interpreter and the
-abstract type analysis plug in their own state fields, values, value-level
-primitives and four hooks: two pointer checks, a partial application and
-an error policy.
+member access among them, and the call with its entry and exit.  The
+concrete interpreter and the abstract type analysis plug in their own
+state fields, values, value-level primitives and four hooks: two pointer
+checks, a partial application and an error policy.
 
 Each node's equation is picked by its class, and its transformer is built
 once per parsed node and shared by the analysis, every run and every call:
@@ -344,9 +344,10 @@ class Interpretation:
     Outcomes, a transformer's too, are a list, a tuple or a dict keyed by
     outcome: consumers only iterate them or take their ``len`` (``dict`` of
     a dict of pairs is its keys), and never mutate outcomes they did not
-    build.  ``apply`` may repeat one, as a call's exits meet under
-    ``leave``; a transformer or ``fixpoint`` that gathers several outcomes
-    drops repeats with ``dict.fromkeys``, in first-seen order.
+    build.  ``apply`` may repeat one, as a call's exits that differ only in
+    the callee's locals meet under it; a transformer or ``fixpoint`` that
+    gathers several outcomes drops repeats with ``dict.fromkeys``, in
+    first-seen order.
 
     An outcome's payload is ``NULL`` exactly when its state has a pending
     return or exception; the equations read escapes off the payload alone,
@@ -448,40 +449,30 @@ class Interpretation:
     def getthis(self, state):  # -> Value
         return self.obj_ref_class(state.this)
 
-    def enter(self, caller, args, this_value, params):  # -> State
-        """Callee entry state: parameters bound, receiver from `this_value`,
-        empty slots, and every other field carried in from the caller."""
-        env = FrozenMap(zip(params, args))
-        return replace(caller, env=env, ret=VOID, ex=VOID,
-                       this=self.obj_key(this_value))
-
-    def leave(self, caller, callee):  # -> (State, payload)
-        """The caller's outcome after the call: the caller's env and receiver,
-        the callee's pending exception and every other field of the callee;
-        payload ``NULL`` on a pending exception, else the returned value, or
-        ``VOID_VAL`` for a Void return slot."""
-        after = replace(callee, env=caller.env, ret=VOID, this=caller.this)
-        if callee.ex is not VOID:
-            return after, NULL
-        return after, VOID_VAL if callee.ret is VOID else callee.ret
-
     def apply(self, state, call):  # -> outcomes
-        """The call step's body: `call` is the (receiver, function) pair,
-        then the arguments, which follow the function's curried ones.  At
-        the arity, the body's meaning runs from ``enter`` through the
-        fixed-point hook, and each exit goes through ``leave``; any other
-        count is the domain's ``curry`` at the current node.  The call
-        equations bind this method when they are built, so a domain must not
-        override it."""
-        this_value, fun = call[0]
+        """The call step's body: `call` is the (receiver's heap key, function)
+        pair, then the arguments, which follow the function's curried ones.
+        Any count but the arity is the domain's ``curry`` at the current
+        node.  At the arity, the body's meaning runs through the fixed-point
+        hook from the entry state: parameters bound, the receiver's key as
+        ``this``, empty slots, every other field the caller's.  Each exit
+        gives the caller's ``env`` and ``this`` with the exit's other fields,
+        and the payload ``NULL`` on a pending exception, else the returned
+        value, or ``VOID_VAL`` for a Void return slot.  The call equations
+        bind this method when they are built, so a domain must not override it."""
+        this, fun = call[0]
         sid, curried = self.fun_parts(state, fun)
         args = curried + call[1:]
         decl = self.program.fun_table[sid]
         if len(args) != len(decl.params):
             return self.curry(state, fun, args, len(decl.params), self.current_node)
-        entry = self.enter(state, args, this_value, decl.params)
-        exits = self.fixpoint("call", sid, stm_meaning(decl.body), entry)
-        return [self.leave(state, exit_state) for exit_state, _ in exits]
+        entry = replace(state, env=FrozenMap(zip(decl.params, args)), this=this,
+                        ret=VOID, ex=VOID)
+        out = []
+        for s, _ in self.fixpoint("call", sid, stm_meaning(decl.body), entry):
+            payload = NULL if s.ex is not VOID else VOID_VAL if s.ret is VOID else s.ret
+            out.append((replace(s, env=state.env, this=state.this, ret=VOID), payload))
+        return out
 
     # fixed-point hook with its default realization
 
@@ -534,10 +525,13 @@ def stm_meaning(node: syntax.Stm) -> Transformer:
     """Meaning of a statement (payloads are UNIT, or NULL once escaped): its
     class's equation, built once and kept on the node (it does not capture
     the node, so no cycle), whose own step reports to the trace hook."""
-    memo = node.__dict__
-    if "_run" in memo:
-        return memo["_run"]
-    sid = node.sid
+    try:
+        memo = node.__dict__
+        if "_run" in memo:
+            return memo["_run"]
+        sid = node.sid
+    except AttributeError:
+        raise TypeError(f"not a statement node: {node!r}") from None
     match type(node):
         case syntax.Nil:
             run = _bind(sid, _SKIP, lambda i, s, _: ((s, UNIT),), True)
@@ -610,7 +604,10 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
     """Meaning of an expression or left-expression (payloads are values): its
     class's equation.  A leaf, ``Var``, ``Input``, ``This`` or ``Global``, is
     one step that calls its primitive."""
-    eid = node.eid
+    try:
+        eid = node.eid
+    except AttributeError:
+        raise TypeError(f"not an expression node: {node!r}") from None
     match type(node):
         case syntax.Con:
             value = node.value
@@ -642,14 +639,16 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
                     return ()
 
         case syntax.Call:
-            # `callee_t` yields (receiver, function), read before the arguments run
+            # `callee_t` yields (receiver's key, function): the caller's `this`,
+            # which its arguments keep, as every call restores it
             callee_t = _bind(eid, exp_meaning(node.callee),
-                             lambda i, s, f: ((s, (i.getthis(s), f)),))
+                             lambda i, s, f: ((s, (s.this, f)),))
             run = _bind(eid, _collect(callee_t, node.args), Interpretation.apply)
         case syntax.MethodCall:
-            # `method_t` yields (receiver, method), read before the arguments run
+            # `method_t` yields (receiver's key, method), read before the arguments run
             member, obj_t = node.member, exp_meaning(node.receiver)
-            method_t = _bind(eid, obj_t, lambda i, s, r: ((s, (r, i.get(s, r, member))),))
+            method_t = _bind(eid, obj_t,
+                             lambda i, s, r: ((s, (i.obj_key(r), i.get(s, r, member))),))
             run = _bind(eid, _collect(method_t, node.args), Interpretation.apply)
         case syntax.BinOp:
             op, left_t, right_t = node.op, exp_meaning(node.left), exp_meaning(node.right)
@@ -686,7 +685,7 @@ def exp_meaning(node: syntax.Exp | syntax.Lexp) -> Transformer:
             # a fresh object, on which the constructor runs, is the value
             def construct(i, s, p):
                 s1, obj = i.newobj(s, eid)
-                outcomes = Interpretation.apply(i, s1, ((obj, p[0]),) + p[1:])
+                outcomes = Interpretation.apply(i, s1, ((i.obj_key(obj), p[0]),) + p[1:])
                 return [(s2, a if a is NULL else obj) for s2, a in outcomes]
 
             run = _bind(eid, _collect(exp_meaning(node.callee), node.args), construct)

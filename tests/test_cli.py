@@ -441,7 +441,7 @@ def test_analyze_trace_reports_state_counts(capsys):
 
 
 def test_analyze_trace_counts_distinct_outcomes(capsys, tmp_path):
-    """`f`'s two exits collapse under `leave` into one outcome, which the
+    """`f`'s two exits collapse under `apply` into one outcome, which the
     call's step returns once."""
     prog = tmp_path / "two_exits.sdtl"
     prog.write_text(

@@ -7,7 +7,7 @@ import pytest
 from helpers import find_fundecl, iter_nodes, load, load_program
 from sdtl import abstract, concrete, kernel
 from sdtl.concrete import FunPtr, ObjRef, run_program
-from sdtl.kernel import NULL, VOID, VOID_VAL, EvalError, FrozenMap
+from sdtl.kernel import NULL, UNIT, VOID, VOID_VAL, EvalError, FrozenMap
 from sdtl.syntax import Input, parse
 
 
@@ -222,7 +222,7 @@ def test_top_level_this_is_global():
     assert state.env["x"] == 7
 
 
-# --- calls: enter / leave ----------------------------------------------------------
+# --- calls: apply's entry and exit ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -242,6 +242,9 @@ class LoggedInterpretation(kernel.Interpretation):
 
     def obj_key(self, ref):
         return ref.ref
+
+    def fun_parts(self, state, fun):
+        return fun.sid, fun.curried
 
 
 HEAP = FrozenMap({0: FrozenMap(), 1: FrozenMap()})
@@ -280,10 +283,35 @@ CALL_DOMAINS = (
 )
 
 
-def test_enter_builds_callee_state():
+CALLEE = parse("function f(f, n) { nil; }")
+CALLEE_SID = find_fundecl(CALLEE, "f").sid
+
+
+def _recording(interp, exits):
+    """`interp`'s domain on `CALLEE` with a fixed-point hook, a domain
+    parameter, that records each call's entry state and answers it with
+    ``exit_of(entry)`` for each `exit_of` in `exits`."""
+
+    class Recording(type(interp)):
+        def fixpoint(self, kind, nid, step, state):
+            self.entries.append(state)
+            return [(exit_of(state), UNIT) for exit_of in exits]
+
+    recording = Recording(CALLEE)
+    recording.entries = []
+    return recording
+
+
+def test_apply_builds_callee_state():
+    """The callee's entry state: parameters bound, the receiver whose key
+    the call passes, empty slots (even from a caller whose are not), and
+    every other field carried in."""
     for interp, caller, receiver, carried in CALL_DOMAINS:
-        fptr = interp.fun_ptr_class(7)
-        entry = interp.enter(caller, (fptr, receiver), receiver, ("f", "n"))
+        fptr = interp.fun_ptr_class(CALLEE_SID)
+        callee = _recording(interp, ())
+        caller = kernel.replace(caller, ret=receiver, ex=receiver)
+        assert callee.apply(caller, ((interp.obj_key(receiver), fptr), fptr, receiver)) == []
+        (entry,) = callee.entries
         assert dict(entry.env) == {"f": fptr, "n": receiver}
         assert interp.getthis(entry) == receiver
         assert entry.ret is VOID and entry.ex is VOID
@@ -291,7 +319,11 @@ def test_enter_builds_callee_state():
             assert getattr(entry, name) == getattr(caller, name)
 
 
-def test_leave_restores_caller_env_and_keeps_effects():
+def test_apply_restores_caller_env_and_keeps_effects():
+    """Each exit gives the caller's outcome: the caller's env and receiver,
+    the callee's pending exception and every other field of the callee;
+    payload NULL on a pending exception, else the returned value, or
+    VOID_VAL for a Void return slot."""
     state = final(
         "function f(a){ global.seen = a; return a + 1; } a = 1; x = f(41);"
     )
@@ -299,19 +331,20 @@ def test_leave_restores_caller_env_and_keeps_effects():
     assert state.obj_mem[0]["seen"] == 41
     assert state.ret is VOID
     for interp, caller, receiver, carried in CALL_DOMAINS:
-        entry = interp.enter(caller, (receiver,), receiver, ("p",))
-        callee = dataclasses.replace(entry, ret=receiver, ex=receiver, **carried)
-        after, payload = interp.leave(caller, callee)
-        assert after.env == caller.env
-        assert interp.getthis(after) == interp.getthis(caller)
-        assert after.ret is VOID and after.ex == receiver and payload is NULL
-        for name, value in carried.items():
-            assert getattr(after, name) == value
-        # with no pending exception: the returned value, or VOID_VAL for none
-        for ret, expected in ((receiver, receiver), (VOID, VOID_VAL)):
-            returned = dataclasses.replace(callee, ret=ret, ex=VOID)
-            after, payload = interp.leave(caller, returned)
-            assert after.ret is VOID and after.ex is VOID and payload == expected
+        slots = ((receiver, receiver), (receiver, VOID), (VOID, VOID))  # (ret, ex)
+        callee = _recording(interp, [
+            lambda entry, ret=ret, ex=ex: kernel.replace(entry, ret=ret, ex=ex, **carried)
+            for ret, ex in slots
+        ])
+        fptr = interp.fun_ptr_class(CALLEE_SID)
+        outcomes = callee.apply(caller, ((interp.obj_key(receiver), fptr), fptr, receiver))
+        assert [payload for _, payload in outcomes] == [NULL, receiver, VOID_VAL]
+        for (after, _), (_, ex) in zip(outcomes, slots):
+            assert after.env == caller.env
+            assert interp.getthis(after) == interp.getthis(caller) != receiver
+            assert after.ret is VOID and after.ex == ex
+            for name, value in carried.items():
+                assert getattr(after, name) == value
 
 
 def test_callee_exception_propagates_to_caller():

@@ -56,7 +56,7 @@ def test_record_hash_is_the_field_tuple_hash_and_not_copied():
 
 RECORD_STATE_PRIMITIVES = (
     "val", "get", "set", "asg", "ret", "throw", "exs", "fundecl",
-    "getglobal", "getthis", "enter", "leave",
+    "getglobal", "getthis",
 )
 
 
@@ -610,10 +610,13 @@ def test_every_node_class_has_an_equation():
                         for f in fields))
         meaning = kernel.stm_meaning if issubclass(cls, syntax.Stm) else kernel.exp_meaning
         assert callable(meaning(node)), cls
-    with pytest.raises(TypeError, match="not a statement node"):
-        kernel.stm_meaning(types.SimpleNamespace(sid=1))
-    with pytest.raises(TypeError, match="not an expression node"):
-        kernel.exp_meaning(types.SimpleNamespace(eid=1))
+    for meaning, kind, nodes in (
+        (kernel.stm_meaning, "statement", (types.SimpleNamespace(sid=1), syntax.Con(0, 1), 1)),
+        (kernel.exp_meaning, "expression", (types.SimpleNamespace(eid=1), syntax.Nil(0), None)),
+    ):
+        for node in nodes:
+            with pytest.raises(TypeError, match=f"not an? {kind} node"):
+                meaning(node)
 
 
 def _package_and_dataclasses_calls(run) -> tuple:
@@ -625,18 +628,9 @@ def _package_and_dataclasses_calls(run) -> tuple:
 
 def test_concrete_loop_work_per_iteration():
     """One iteration of a counter loop costs a bounded number of calls into
-    the package (38.45 since a variable read is one step; 48.5 since
-    building a state record or a map runs no Python constructor, 52.6 since
-    a statement's own step reports to the trace hook, 56.7 while a wrapper
-    built per request reported it, 57.7 since outcomes are sequences, which
-    hash no state, and a variable read is a step; 66.8 when outcomes were
-    sets and a statement list was reported once, by its outer `Seq`, 71.8
-    when every inner `Seq` was reported, 80.8 when every outcome loop asked
-    the interpretation whether its state escaped, 82.8 when state primitives
-    returned a set of states; about 138 when every evaluation built its
-    continuations, and about 183 when every node also saved and restored the
-    current node and copied states with `dataclasses.replace`), and none
-    into `dataclasses`."""
+    the package, 38.45 now; a step that wraps a primitive in a transformer
+    of its own, or builds a state record or map through a Python
+    constructor, breaks the bound.  It makes none into `dataclasses`."""
     case = programs.counter_loop(random.Random(1), 200)
     program = parse(case.source)
     in_package, in_dataclasses = _package_and_dataclasses_calls(
@@ -694,6 +688,23 @@ def test_host_stack_budget_of_loops_and_calls():
     ):
         result = concrete.run_program(parse(case.source), case.inputs)
         assert result.outputs == case.outputs
+
+
+def test_call_level_work():
+    """A level of the self-passing factorial makes at most 37 calls into
+    the package, 37 now: `apply` builds the callee's entry state and each
+    exit's outcome itself, and the receiver reaches it as its heap key; a
+    helper per entry or exit, or a receiver wrapped in a pointer and
+    unwrapped again, breaks the bound."""
+    counts = []
+    for depth in (100, 200):
+        case = programs.self_passing_fact(random.Random(1), depth)
+        program = parse(case.source)
+        counts.append(_package_and_dataclasses_calls(
+            lambda: concrete.run_program(program, case.inputs)
+        ))
+    (shallow, _), (deep, in_dataclasses) = counts
+    assert in_dataclasses == 0 and (deep - shallow) / 100 <= 37
 
 
 def test_a_call_level_takes_six_host_frames():
@@ -763,7 +774,7 @@ def _counting(monkeypatch, name):
 
 
 def test_analysis_of_calls_in_one_expression_grows_linearly(monkeypatch):
-    """`f`'s two exits differ only in its locals and meet under `leave`; the
+    """`f`'s two exits differ only in its locals and meet under `apply`; the
     call's step returns the outcome once, so each of the 19 `+` runs `bin`
     once, and `f`, which reads no summary, runs its body and `input > 0` once
     (2,097,150 `bin` calls when the outcomes of a step could repeat one, and
@@ -816,11 +827,8 @@ def test_analysis_builds_no_closure_per_evaluation():
 
 def test_analysis_work_on_straight_line():
     """Analysing 300 straight-line statements makes at most 5,000 calls into
-    the package (4,931 since each equation is picked by node class and a
-    variable read is one step, 6,020 since building a state record or a map
-    runs no Python constructor, 6,563 since a statement's own step reports
-    to the trace hook, 7,165 while a wrapper built per request reported it,
-    and about 24,000 before)."""
+    the package, 4,931 now; a wrapper per statement, or a state record
+    built through a Python constructor, breaks the bound."""
     program = parse(programs.straight_line(random.Random(1), 300).source)
     with concrete.recursion_headroom():
         in_package, in_dataclasses = _package_and_dataclasses_calls(
